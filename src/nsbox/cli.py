@@ -8,6 +8,7 @@ overrides of the form NSBOX_<SECTION>_<KEY>=<json-or-string>.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -46,6 +47,7 @@ from nsbox.solver import (
     SolverConfig,
     evolve_base_2d,
     evolve_full_3d,
+    evolve_pair,
     taylor_green_state,
 )
 from nsbox.spectral import PeriodicGrid, SpectralField, lift_2d_to_3d, random_field
@@ -194,6 +196,15 @@ def load_config(path: str, command: str) -> dict:
 # -- builders ------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _building():
+    """A value the schema accepts but a builder rejects is a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_grid(cfg, default_dim):
     g = cfg.get("grid", {})
     return PeriodicGrid(L=g.get("L", 2 * np.pi), dim=g.get("dim", default_dim), N=g.get("N", 32))
@@ -256,32 +267,34 @@ def _build_forcing(grid, fcfg, window_T=None):
 def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
     system = cfg.get("system", "base2d")
     dim = 2 if system == "base2d" else 3
-    grid = _build_grid(cfg, dim)
     scf = cfg.get("solver", {})
-    solver_cfg = SolverConfig(
-        nu=scf.get("nu", 1.0), dt=scf.get("dt", 1e-3), t_end=scf.get("t_end", 1.0),
-        scheme=scf.get("scheme", "imex-cnab2"), dealias=scf.get("dealias", True),
-        cfl_max=scf.get("cfl_max", 0.5),
-    )
     out = cfg.get("output", {})
-    state0 = _build_initial(grid, cfg.get("initial", {}), seed,
-                            "base2d" if dim == 2 else "full3d")
-    forcing = _build_forcing(grid, cfg.get("forcing", {}), out.get("window_T"))
+    window_T, sample_times = out.get("window_T"), out.get("sample_times")
+    with _building():
+        grid = _build_grid(cfg, dim)
+        solver_cfg = SolverConfig(
+            nu=scf.get("nu", 1.0), dt=scf.get("dt", 1e-3), t_end=scf.get("t_end", 1.0),
+            scheme=scf.get("scheme", "imex-cnab2"), dealias=scf.get("dealias", True),
+            cfl_max=scf.get("cfl_max", 0.5),
+        )
+        solver_cfg.n_steps  # dt must divide t_end
+        state0 = _build_initial(grid, cfg.get("initial", {}), seed,
+                                "base2d" if dim == 2 else "full3d")
+        forcing = _build_forcing(grid, cfg.get("forcing", {}), window_T)
+        if system == "pair":
+            grid2 = PeriodicGrid(grid.L, 2, grid.N)
+            base0 = _build_initial(grid2, cfg.get("initial", {}), seed, "base2d")
+            u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed,
+                                "perturbation")
+            g = _build_forcing(grid, cfg.get("g_forcing", {}), window_T)
+            fs2 = _build_forcing(grid2, cfg.get("forcing", {}), window_T)
     if system == "pair":
-        from nsbox.solver import evolve_pair
-
-        grid2 = PeriodicGrid(grid.L, 2, grid.N)
-        base0 = _build_initial(grid2, cfg.get("initial", {}), seed, "base2d")
-        u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed, "perturbation")
-        g = _build_forcing(grid, cfg.get("g_forcing", {}), out.get("window_T"))
-        fs2 = _build_forcing(grid2, cfg.get("forcing", {}), out.get("window_T"))
-        traj = evolve_pair(base0, fs2, u0, g, solver_cfg, window_T=out.get("window_T"),
-                           sample_times=out.get("sample_times"))
+        traj = evolve_pair(base0, fs2, u0, g, solver_cfg, window_T=window_T,
+                           sample_times=sample_times)
         nsio.write_trajectory(os.path.join(outdir, "base"), traj.base, prefix="base")
     else:
         runner = evolve_base_2d if system == "base2d" else evolve_full_3d
-        traj = runner(state0, forcing, solver_cfg, window_T=out.get("window_T"),
-                      sample_times=out.get("sample_times"))
+        traj = runner(state0, forcing, solver_cfg, window_T=window_T, sample_times=sample_times)
     nsio.write_trajectory(outdir, traj)
     series = {k: v for k, v in traj.series.items() if np.asarray(v).ndim == 1}
     nsio.write_series_csv(os.path.join(outdir, "series.csv"), series)
@@ -301,13 +314,15 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
         nu, L, mode, seed=ccfg.get("calibration_seed", 0),
         n_fields=ccfg.get("calibration_fields", 1000),
     )
-    grid2 = PeriodicGrid(L=L, dim=2, N=ccfg.get("N", 32))
-    forcing = _build_forcing(grid2, cfg.get("forcing", {}), T)
+    with _building():
+        grid2 = PeriodicGrid(L=L, dim=2, N=ccfg.get("N", 32))
+        forcing = _build_forcing(grid2, cfg.get("forcing", {}), T)
     if "initial_norms" in cfg:
         norms = dict(cfg["initial_norms"])
         h1_sq = norms.get("h1_sq", norms["l2_sq"] + norms["grad_sq"])
     else:
-        state0 = _build_initial(grid2, cfg.get("initial", {}), seed)
+        with _building():
+            state0 = _build_initial(grid2, cfg.get("initial", {}), seed)
         norms = {
             "l2_sq": state0.field.sobolev_norm_sq(0),
             "grad_sq": state0.field.grad_norm_sq(),
@@ -321,8 +336,9 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
     sm = None
     gamma = ccfg.get("gamma", 0.0)
     if "perturbation_norms" in cfg or gamma:
-        g3 = PeriodicGrid(L=L, dim=3, N=ccfg.get("N", 32))
-        g = _build_forcing(g3, cfg.get("g_forcing", {}), T)
+        with _building():
+            g3 = PeriodicGrid(L=L, dim=3, N=ccfg.get("N", 32))
+            g = _build_forcing(g3, cfg.get("g_forcing", {}), T)
         u0n = cfg.get("perturbation_norms", {"l2_sq": 0.0})
         bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma,
                       epsilon=ccfg.get("epsilon", 0.5), k_max=k_max)
@@ -347,6 +363,7 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
     return EXIT_OK
 
 
+@_building()
 def _scenario_from_config(cfg: dict) -> Scenario:
     s = dict(cfg.get("scenario", {}))
     resume = s.pop("resume", None)
@@ -360,6 +377,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         if tup in s:
             s[tup] = tuple(s[tup])
     scn = Scenario(perturbation=pert, **s)
+    scn.solver_config().n_steps  # dt must divide the run length
     scn._resume = resume
     return scn
 

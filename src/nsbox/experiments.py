@@ -426,13 +426,12 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     t = pert.series["t"]
     x2 = pert.series["h1_sq"]
     y2 = pert.series["h2_sq"]
-    gradv_l3 = base.series["gradv_l3"]
-    drift_sq = np.array(
-        [float(np.sum(g.drift(tt, u0.mean) ** 2)) for tt in t]
+    sm = smallness_check(
+        gamma, scn.epsilon, pc, ic, bch,
+        gradv_l3_series=base.series["gradv_l3"], g_schedule=g,
+        u0_norms={"l2_sq": u0.field.sobolev_norm_sq(0)}, u0_mean=u0.mean, times=t,
     )
-    gbar_sq = np.array([g.bar_norm_sq(tt, "l2") for tt in t])
-    b5 = bch.b5_sq
-    g2 = ic.c_3 * gradv_l3**2 * (b5 + drift_sq) + ic.c_4 * gbar_sq
+    g2 = sm["g2_series"]
 
     mon = barrier_monitor(t, x2, g2, pc, ic, gamma, y2=y2)
     barrier = BarrierReport(
@@ -445,11 +444,6 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     )
 
     stats, uniformity = window_statistics(pert, scn.T)
-    sm = smallness_check(
-        gamma, scn.epsilon, pc, ic, bch,
-        gradv_l3_series=gradv_l3, g_schedule=g,
-        u0_norms={"l2_sq": u0.field.sobolev_norm_sq(0)}, u0_mean=u0.mean, times=t,
-    )
     checks = _bound_checks(pert, stats, pc, ic, ach, bch, scn.T, gamma)
     checks["uniformity"] = uniformity
     cert = certificate_report(

@@ -28,7 +28,6 @@ __all__ = [
     "DecayingModeForcing",
     "CompositeForcing",
     "PeriodicExtensionForcing",
-    "SampledSeriesForcing",
     "LiftedForcing",
     "adaptive_simpson",
 ]
@@ -442,40 +441,6 @@ class PeriodicExtensionForcing(Forcing):
         if np.max(np.abs(per)) > 1e-14:
             return math.inf, True  # mean accumulates every window
         return super().drift_sup_abs(T, min(k_max, 4), initial_mean)
-
-
-class SampledSeriesForcing(Forcing):
-    """Linear interpolation of stored (time, field, mean) samples."""
-
-    kind = "sampled_series"
-
-    def __init__(self, times, bar_fields, means=None):
-        times = np.asarray(times, dtype=float)
-        if len(times) < 2 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing, length >= 2")
-        if len(bar_fields) != len(times):
-            raise ValueError("one field per sample time")
-        super().__init__(bar_fields[0].grid, bar_fields[0].components)
-        self.times = times
-        self.fields = list(bar_fields)
-        self.means = (
-            np.zeros((len(times), self.components)) if means is None else np.asarray(means, dtype=float)
-        )
-
-    def _locate(self, t):
-        t = min(max(t, self.times[0]), self.times[-1])
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(i, len(self.times) - 2)
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return i, w
-
-    def bar_field(self, t):
-        i, w = self._locate(t)
-        return self.fields[i] * (1.0 - w) + self.fields[i + 1] * w
-
-    def mean(self, t):
-        i, w = self._locate(t)
-        return (1.0 - w) * self.means[i] + w * self.means[i + 1]
 
 
 class LiftedForcing(Forcing):

@@ -11,17 +11,31 @@ a pure phase; leaving it in the explicit term is weakly unstable once the
 mean grows, e.g. under a constant mean force).  The remaining nonlinearity
 (advection by the mean-free velocity) and mean-free forcing are explicit:
 Adams-Bashforth 2 with a Runge-Kutta 3 startup step, or RK3 throughout.
+
+One driver steps every system: a single flow alone, or the base flow and the
+perturbation in lockstep.  Each RHS evaluation returns a record (explicit
+term, raw term, speed, physical velocity, gradients, mean); the
+perturbation's RHS takes the base's record as an argument, so the base's
+velocity and gradients are transformed once per stage and shared with the
+perturbation and the recorder.  Within a step the base advances first; the
+perturbation reads the base's records at t and at the RK3 midpoint stage,
+and at the RK3 third stage the base's completed step.
+
+Known defect: the perturbation's integrating factor reads the base mean after
+the base step (at t + dt) where it should read it at t.  Under a constant
+mean force the pair drifts from the full 3D flow at first order in dt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as _fft
 
 from nsbox.forcing import Forcing
-from nsbox.spectral import PeriodicGrid, SpectralField
+from nsbox.spectral import PeriodicGrid, SpectralField, gradient_part_normsq, leray_project_coeffs
 
 __all__ = [
     "SolverConfig",
@@ -156,31 +170,6 @@ def _spec(grid, s):
     return _fft.fftn(s, axes=axes, norm="forward")
 
 
-def _project(grid, c):
-    kdotu = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dim):
-        kdotu += grid.k[a] * c[a]
-    inv = np.zeros_like(grid.ksq)
-    nz = grid.ksq > 0
-    inv[nz] = 1.0 / grid.ksq[nz]
-    corr = kdotu * inv
-    out = c.copy()
-    for a in range(grid.dim):
-        out[a] -= grid.k[a] * corr
-    return out
-
-
-def _residual_gradpart_normsq(grid, c):
-    """||(I - P) c||_L2^2: the pressure-gradient reconstruction."""
-    kdotu = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dim):
-        kdotu += grid.k[a] * c[a]
-    inv = np.zeros_like(grid.ksq)
-    nz = grid.ksq > 0
-    inv[nz] = 1.0 / grid.ksq[nz]
-    return float(grid.volume * np.sum(np.abs(kdotu) ** 2 * inv))
-
-
 def _zero_mode0(c):
     zero = (slice(None),) + (0,) * (c.ndim - 1)
     c[zero] = 0.0
@@ -195,10 +184,10 @@ def _grad_phys(grid, c):
     return out
 
 
-def _convective_raw(grid, u_coeffs, wbar_phys, wmean):
-    """(w . grad) u pseudo-spectrally; returns (coeffs, max advecting speed)."""
-    grads = _grad_phys(grid, u_coeffs)
-    C = u_coeffs.shape[0]
+def _convective_raw(grid, grads, wbar_phys, wmean):
+    """(w . grad) u pseudo-spectrally from the physical gradients of u;
+    returns (coeffs, max advecting speed)."""
+    C = grads.shape[1]
     conv = np.zeros((C,) + grid.shape, dtype=float)
     for a in range(grid.dim):
         wa = wbar_phys[a] + wmean[a]
@@ -210,6 +199,15 @@ def _convective_raw(grid, u_coeffs, wbar_phys, wmean):
     return _spec(grid, conv), float(np.sqrt(np.max(speedsq)))
 
 
+def _explicit(grid, forcing, t, raw):
+    """Add the mean-free forcing at t, dealias and project: (rhs, raw)."""
+    fbar = forcing.bar_field(t)
+    if fbar is not None:
+        raw = raw + fbar.coeffs
+    raw = raw * grid.dealias_mask
+    return _zero_mode0(leray_project_coeffs(grid, raw)), raw
+
+
 def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=None) -> SpectralField:
     """Leray-projected, dealiased -(w . grad) u for the unsplit advecting
     velocity w (mean-free part `advecting` plus optional constant mean)."""
@@ -217,10 +215,10 @@ def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=No
     if advecting.grid != grid:
         raise ValueError("advecting field lives on a different grid")
     wmean = np.zeros(advecting.components) if advecting_mean is None else np.asarray(advecting_mean, float)
-    conv, _ = _convective_raw(grid, state.field.coeffs, advecting.physical(), wmean)
+    conv, _ = _convective_raw(grid, _grad_phys(grid, state.field.coeffs), advecting.physical(), wmean)
     conv = -conv * grid.dealias_mask
     conv = _zero_mode0(conv)
-    return SpectralField(grid, _project(grid, conv), mean_free=True, solenoidal=True)
+    return SpectralField(grid, leray_project_coeffs(grid, conv), mean_free=True, solenoidal=True)
 
 
 def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
@@ -229,6 +227,17 @@ def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
 
 
 # -- systems ------------------------------------------------------------------
+
+
+class _Eval(NamedTuple):
+    """One right-hand-side evaluation of a system at one stage."""
+
+    rhs: np.ndarray    # explicit term: dealiased, Leray-projected, mode 0 zeroed
+    raw: np.ndarray    # the dealiased explicit term before projection
+    speed: float       # max advecting speed, means included
+    phys: np.ndarray   # grid samples of the mean-free velocity
+    grads: np.ndarray  # (dim, C, grid) physical gradients of the mean-free velocity
+    mean: np.ndarray   # the spatial mean the evaluation used
 
 
 class _SingleFlow:
@@ -242,17 +251,14 @@ class _SingleFlow:
     def advecting_mean_forcings(self):
         return (self.forcing,)
 
-    def rhs(self, coeffs, mean, t, stage_ctx=None):
+    def rhs(self, coeffs, mean, t, base=None):
+        """`base` is unused: a single flow is advected by itself."""
         grid = self.grid
         ubar_phys = _phys(grid, coeffs)
-        conv, speed = _convective_raw(grid, coeffs, ubar_phys, np.zeros(len(mean)))
-        raw = -conv
-        fbar = self.forcing.bar_field(t)
-        if fbar is not None:
-            raw = raw + fbar.coeffs
-        raw = raw * grid.dealias_mask
-        rhs = _zero_mode0(_project(grid, raw.copy()))
-        return rhs, raw, speed + float(np.linalg.norm(mean))
+        grads = _grad_phys(grid, coeffs)
+        conv, speed = _convective_raw(grid, grads, ubar_phys, np.zeros(len(mean)))
+        rhs, raw = _explicit(grid, self.forcing, t, -conv)
+        return _Eval(rhs, raw, speed + float(np.linalg.norm(mean)), ubar_phys, grads, mean)
 
 
 class _PerturbationFlow:
@@ -263,28 +269,20 @@ class _PerturbationFlow:
     by mean_u + mean_vs goes into the integrating factor.
     """
 
-    def __init__(self, grid3, grid2, g_forcing, base_forcing, role="perturbation"):
+    def __init__(self, grid3, g_forcing, base_forcing, role="perturbation"):
         self.grid = grid3
-        self.grid2 = grid2
         self.forcing = g_forcing
         self.base_forcing = base_forcing
         self.role = role
-        self._base_cache = {}
 
     def advecting_mean_forcings(self):
         return (self.forcing, self.base_forcing)
 
-    def set_base_stage(self, tag, coeffs2d, mean2d):
-        grid2 = self.grid2
-        # x3-independent base fields enter the 3D products as broadcast views
-        vs_phys2 = _phys(grid2, coeffs2d)
-        grad_vs2 = _grad_phys(grid2, coeffs2d)  # (2, 2, N, N)
-        self._base_cache[round(tag, 12)] = (vs_phys2, grad_vs2, np.asarray(mean2d, float))
-
-    def rhs(self, coeffs, mean, t, stage_ctx=None):
+    def rhs(self, coeffs, mean, t, base):
+        """`base` is the base flow's evaluation at the same stage; its
+        x3-independent fields enter the 3D products as broadcast views."""
         grid = self.grid
-        key = round(t if stage_ctx is None else stage_ctx, 12)
-        vs_phys2, grad_vs2, mean_vs = self._base_cache[key]
+        vs_phys2, grad_vs2 = base.phys, base.grads
         ubar_phys = _phys(grid, coeffs)
         grads_u = _grad_phys(grid, coeffs)
         conv = np.zeros((3,) + grid.shape)
@@ -299,20 +297,15 @@ class _PerturbationFlow:
             ua = ubar_phys[a] + mean[a]
             for c in range(2):
                 conv[c] += ua * grad_vs2[a][c][..., None]
-        raw = -_spec(grid, conv)
-        gbar = self.forcing.bar_field(t)
-        if gbar is not None:
-            raw = raw + gbar.coeffs
-        raw = raw * grid.dealias_mask
-        rhs = _zero_mode0(_project(grid, raw.copy()))
+        rhs, raw = _explicit(grid, self.forcing, t, -_spec(grid, conv))
         speedsq = np.zeros(grid.shape)
-        total_mean = mean + np.concatenate([mean_vs, [0.0]])
+        total_mean = mean + np.concatenate([base.mean, [0.0]])
         for a in range(3):
             wa = ubar_phys[a]
             if a < 2:
                 wa = wa + vs_phys2[a][..., None]
             speedsq += (wa + total_mean[a]) ** 2
-        return rhs, raw, float(np.sqrt(np.max(speedsq)))
+        return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), ubar_phys, grads_u, mean)
 
 
 # -- stepping ----------------------------------------------------------------
@@ -375,53 +368,53 @@ class _FactorCache:
 
 
 class _Stepper:
-    """Integrating-factor stepping for one system."""
+    """Integrating-factor stepping for one system; `ev` is the system's
+    evaluation at the current state, set by `evaluate` before each step."""
 
     def __init__(self, system, cfg, state0):
         self.system = system
-        self.cfg = cfg
         self.coeffs = state0.field.dealias().coeffs.copy() if cfg.dealias else state0.field.coeffs.copy()
         self.mean = np.asarray(state0.mean, float).copy()
+        self.ev = None
         self.prev_rhs = None
         self.prev_factor = None
         self._factor = _FactorCache(system.grid, cfg.nu)
 
-    def rhs_now(self, t):
-        return self.system.rhs(self.coeffs, self.mean, t)
+    def evaluate(self, t, base=None):
+        self.ev = self.system.rhs(self.coeffs, self.mean, t, base)
+        return self.ev
 
-    def advance(self, t, dt, rhs_now, use_rk3, stage_hook=None):
-        """One step from t; rhs_now is the pre-computed explicit term at t."""
-        grid = self.system.grid
-        forcings = self.system.advecting_mean_forcings()
-        means = self._advecting_means()
-        I1, I2 = _mean_path_integrals(forcings, means, t, dt, grid.dim)
+    def advance(self, t, dt, use_rk3, base_stages=(None, None), base_mean=None):
+        """One step from t.
+
+        `base_stages` are the advecting system's evaluations at the RK3 stages
+        t + dt/2 and t + dt, `base_mean` its mean for the integrating factor.
+        Returns this system's own RK3 stage evaluations (None under AB2).
+        """
+        system = self.system
+        means = (self.mean,) if base_mean is None else (self.mean, base_mean)
+        I1, I2 = _mean_path_integrals(system.advecting_mean_forcings(), means, t, dt, system.grid.dim)
+        n1 = self.ev.rhs
+        stages = (None, None)
         if use_rk3:
             lam_h1 = self._factor(dt / 2.0, I1)
             lam_h2 = self._factor(dt / 2.0, I2)
             lam_f = lam_h1 * lam_h2
-            n1 = rhs_now
             va = lam_h1 * (self.coeffs + (dt / 2.0) * n1)
-            if stage_hook:
-                stage_hook("half", va, t + dt / 2.0)
-            n2, _, _ = self.system.rhs(va, self._mean_at(t, dt / 2.0), t + dt / 2.0,
-                                       stage_ctx=t + dt / 2.0)
-            vb = lam_f * (self.coeffs - dt * n1) + 2.0 * dt * lam_h2 * n2
-            if stage_hook:
-                stage_hook("full", vb, t + dt)
-            n3, _, _ = self.system.rhs(vb, self._mean_at(t, dt), t + dt, stage_ctx=t + dt)
-            new = lam_f * self.coeffs + (dt / 6.0) * (lam_f * n1 + 4.0 * lam_h2 * n2 + n3)
-            self.prev_rhs = rhs_now
+            ev2 = system.rhs(va, self._mean_at(t, dt / 2.0), t + dt / 2.0, base_stages[0])
+            vb = lam_f * (self.coeffs - dt * n1) + 2.0 * dt * lam_h2 * ev2.rhs
+            ev3 = system.rhs(vb, self._mean_at(t, dt), t + dt, base_stages[1])
+            new = lam_f * self.coeffs + (dt / 6.0) * (lam_f * n1 + 4.0 * lam_h2 * ev2.rhs + ev3.rhs)
             self.prev_factor = lam_f
+            stages = (ev2, ev3)
         else:
             lam = self._factor(dt, I1 + I2)
-            new = lam * (self.coeffs + 1.5 * dt * rhs_now) - 0.5 * dt * lam * self.prev_factor * self.prev_rhs
-            self.prev_rhs = rhs_now
+            new = lam * (self.coeffs + 1.5 * dt * n1) - 0.5 * dt * lam * self.prev_factor * self.prev_rhs
             self.prev_factor = lam
+        self.prev_rhs = n1
         self.coeffs = _zero_mode0(new)
         self.mean = self._mean_at(t, dt)
-
-    def _advecting_means(self):
-        return (self.mean,)
+        return stages
 
     def _mean_at(self, t, h):
         m = self.mean.copy()
@@ -431,24 +424,13 @@ class _Stepper:
         return m + acc
 
 
-class _PairStepper(_Stepper):
-    """Perturbation stepper whose advecting mean includes the base mean."""
-
-    def __init__(self, system, cfg, state0, base_stepper):
-        super().__init__(system, cfg, state0)
-        self.base = base_stepper
-
-    def _advecting_means(self):
-        return (self.mean, self.base.mean)
-
-
 # -- recording ----------------------------------------------------------------
 
 
 class _Recorder:
     """Dense per-step scalar series."""
 
-    def __init__(self, grid, role, forcing, initial_mean_norm=0.0):
+    def __init__(self, grid, role, forcing):
         self.grid = grid
         self.role = role
         self.forcing = forcing
@@ -474,7 +456,8 @@ class _Recorder:
         self._mults = np.stack([grid.sobolev_multiplier(s).ravel() for s in range(4)])
         self._prev_coeffs = None
 
-    def record(self, t, coeffs, mean, raw, speed, dt):
+    def record(self, t, coeffs, ev, dt):
+        """Append the series at t from the state's coefficients and its evaluation `ev`."""
         g = self.grid
         esq = np.sum(np.abs(coeffs) ** 2, axis=0).ravel()
         sob = g.volume * (self._mults @ esq)
@@ -492,9 +475,9 @@ class _Recorder:
         else:
             d["forcing_inner"].append(float(g.volume * np.sum(np.conj(fbar.coeffs) * coeffs).real))
             d["fbar_l2_sq"].append(fbar.sobolev_norm_sq(0))
-        d["gradp_sq"].append(_residual_gradpart_normsq(g, raw))
-        d["speed"].append(speed)
-        d["mean"].append(np.array(mean))
+        d["gradp_sq"].append(gradient_part_normsq(g, ev.raw))
+        d["speed"].append(ev.speed)
+        d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
             diff = (coeffs - self._prev_coeffs) / dt
             d["dudt_sq"].append(float(g.volume * np.sum(np.abs(diff) ** 2)))
@@ -504,7 +487,7 @@ class _Recorder:
         if self.role == "base2d":
             gradmagsq = np.zeros(g.shape)
             for a in range(g.dim):
-                gradmagsq += np.sum(_phys(g, 1j * g.k[a] * coeffs) ** 2, axis=0)
+                gradmagsq += np.sum(ev.grads[a] ** 2, axis=0)
             d["gradv_l3"].append(float((g.cell_volume * np.sum(gradmagsq**1.5)) ** (1 / 3)))
 
     def finalize(self):
@@ -542,48 +525,50 @@ def _check_cfl(t, dt, speed, grid, cfg):
         raise CFLViolation(t, cfl, cfg.cfl_max, advisory)
 
 
-def _run_single(system, state0, cfg, window_T, sample_times, validate_every=0):
-    grid = system.grid
+def _evolve(systems, states0, cfg, window_T, sample_times):
+    """Advance coupled systems in lockstep; returns one Trajectory per system.
+
+    Each system after the first is advected by the one before it: its RHS
+    reads that system's evaluation at the same stage.  A step advances the
+    systems in order, so each has its stage evaluations ready for the next.
+    """
     plan = _sample_plan(cfg, window_T, sample_times)
-    rec = _Recorder(grid, system.role, system.forcing)
-    stepper = _Stepper(system, cfg, state0)
-    states = []
     n_steps = cfg.n_steps
     rk3 = cfg.scheme == "rk3-imex"
+    steppers = [_Stepper(s, cfg, s0) for s, s0 in zip(systems, states0)]
+    recs = [_Recorder(s.grid, s.role, s.forcing) for s in systems]
+    states = [[] for _ in systems]
+    base_ev = None
+    for st in steppers:
+        base_ev = st.evaluate(0.0, base_ev)
     for n in range(n_steps + 1):
         t = n * cfg.dt
-        rhs, raw, speed = system.rhs(stepper.coeffs, stepper.mean, t)
-        rec.record(t, stepper.coeffs, stepper.mean, raw, speed, cfg.dt)
-        if any(abs(t - ts) <= 1e-9 for ts in plan):
-            states.append(
-                FlowState(
-                    t=t,
-                    field=SpectralField(grid, stepper.coeffs.copy(), mean_free=True, solenoidal=True),
-                    mean=stepper.mean.copy(),
-                    role=system.role,
-                )
-            )
+        sampled = any(abs(t - ts) <= 1e-9 for ts in plan)
+        for st, rec, out in zip(steppers, recs, states):
+            rec.record(t, st.coeffs, st.ev, cfg.dt)
+            if sampled:
+                field = SpectralField(st.system.grid, st.coeffs.copy(), mean_free=True, solenoidal=True)
+                out.append(FlowState(t, field, st.mean.copy(), st.system.role))
         if n == n_steps:
             break
-        _check_cfl(t, cfg.dt, speed, grid, cfg)
-        use_rk3 = rk3 or stepper.prev_rhs is None
-        stepper.advance(t, cfg.dt, rhs, use_rk3)
-        if not np.all(np.isfinite(stepper.coeffs.view(float))):
-            raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
-        if validate_every and (n + 1) % validate_every == 0:
-            FlowState(t + cfg.dt, SpectralField(grid, stepper.coeffs.copy(), mean_free=True,
-                                                solenoidal=True), stepper.mean, system.role).validate()
-    return Trajectory(
-        role=system.role,
-        grid=grid,
-        cfg=cfg,
-        window_T=window_T,
-        sample_times=plan,
-        states=states,
-        series=rec.finalize(),
-        forcing=system.forcing,
-        initial=state0,
-    )
+        _check_cfl(t, cfg.dt, max(st.ev.speed for st in steppers), steppers[-1].system.grid, cfg)
+        use_rk3 = rk3 or steppers[0].prev_rhs is None
+        base_stages, base_ev, base_mean = (None, None), None, None
+        for st in steppers:
+            # Known defect: base_mean is the base's mean after its step (t + dt),
+            # where _mean_path_integrals expects the mean at t; under a constant
+            # mean force the pair drifts from the full flow at first order in dt.
+            base_stages = st.advance(t, cfg.dt, use_rk3, base_stages, base_mean)
+            if not np.all(np.isfinite(st.coeffs.view(float))):
+                raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
+            base_ev = st.evaluate((n + 1) * cfg.dt, base_ev)
+            base_mean = st.mean
+            # the next system's RK3 stage 3 reads this system's completed step
+            base_stages = (base_stages[0], base_ev)
+    return [
+        Trajectory(s.role, s.grid, cfg, window_T, plan, out, rec.finalize(), s.forcing, s0)
+        for s, s0, out, rec in zip(systems, states0, states, recs)
+    ]
 
 
 def evolve_base_2d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
@@ -593,7 +578,7 @@ def evolve_base_2d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
     if state0.field.grid.dim != 2:
         raise ValueError("base flow must live on a 2D grid")
     sys2 = _SingleFlow(state0.field.grid, forcing, "base2d")
-    return _run_single(sys2, state0, cfg, window_T, sample_times)
+    return _evolve([sys2], [state0], cfg, window_T, sample_times)[0]
 
 
 def evolve_full_3d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
@@ -601,7 +586,7 @@ def evolve_full_3d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
     if state0.field.grid.dim != 3:
         raise ValueError("full flow must live on a 3D grid")
     sys3 = _SingleFlow(state0.field.grid, forcing, "full3d")
-    return _run_single(sys3, state0, cfg, window_T, sample_times)
+    return _evolve([sys3], [state0], cfg, window_T, sample_times)[0]
 
 
 def evolve_pair(
@@ -634,54 +619,11 @@ def evolve_pair(
         raise ValueError("pair expects a 2D base state and a 3D perturbation")
     if grid2.L != grid3.L or grid2.N != grid3.N:
         raise ValueError("base and perturbation grids must share L and N")
-    plan = _sample_plan(cfg, window_T, sample_times)
     base_sys = _SingleFlow(grid2, base_forcing, "base2d")
-    pert_sys = _PerturbationFlow(grid3, grid2, g_forcing, base_forcing)
-    base_stepper = _Stepper(base_sys, cfg, base_state0)
-    pert_stepper = _PairStepper(pert_sys, cfg, u0, base_stepper)
-    base_rec = _Recorder(grid2, "base2d", base_forcing)
-    pert_rec = _Recorder(grid3, "perturbation", g_forcing)
-    base_states, pert_states = [], []
-    n_steps = cfg.n_steps
-    rk3 = cfg.scheme == "rk3-imex"
-    for n in range(n_steps + 1):
-        t = n * cfg.dt
-        pert_sys.set_base_stage(t, base_stepper.coeffs, base_stepper.mean)
-        base_rhs, base_raw, base_speed = base_stepper.rhs_now(t)
-        pert_rhs, pert_raw, pert_speed = pert_stepper.rhs_now(t)
-        base_rec.record(t, base_stepper.coeffs, base_stepper.mean, base_raw, base_speed, cfg.dt)
-        pert_rec.record(t, pert_stepper.coeffs, pert_stepper.mean, pert_raw, pert_speed, cfg.dt)
-        if any(abs(t - ts) <= 1e-9 for ts in plan):
-            base_states.append(FlowState(t, SpectralField(grid2, base_stepper.coeffs.copy(),
-                                                          mean_free=True, solenoidal=True),
-                                         base_stepper.mean.copy(), "base2d"))
-            pert_states.append(FlowState(t, SpectralField(grid3, pert_stepper.coeffs.copy(),
-                                                          mean_free=True, solenoidal=True),
-                                         pert_stepper.mean.copy(), "perturbation"))
-        if n == n_steps:
-            break
-        _check_cfl(t, cfg.dt, max(base_speed, pert_speed), grid3, cfg)
-        use_rk3 = rk3 or pert_stepper.prev_rhs is None
-        if use_rk3:
-            def base_hook(kind, coeffs, tau):
-                pert_sys.set_base_stage(tau, coeffs, base_stepper._mean_at(t, tau - t))
-
-            base_stepper.advance(t, cfg.dt, base_rhs, True, stage_hook=base_hook)
-            pert_sys.set_base_stage(t + cfg.dt, base_stepper.coeffs, base_stepper.mean)
-            pert_stepper.advance(t, cfg.dt, pert_rhs, True)
-        else:
-            base_stepper.advance(t, cfg.dt, base_rhs, False)
-            pert_stepper.advance(t, cfg.dt, pert_rhs, False)
-        ok = np.all(np.isfinite(pert_stepper.coeffs.view(float))) and np.all(
-            np.isfinite(base_stepper.coeffs.view(float))
-        )
-        if not ok:
-            raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
-        pert_sys._base_cache.clear()
-    base_traj = Trajectory("base2d", grid2, cfg, window_T, plan, base_states,
-                           base_rec.finalize(), base_forcing, base_state0)
-    return Trajectory("perturbation", grid3, cfg, window_T, plan, pert_states,
-                      pert_rec.finalize(), g_forcing, u0, base=base_traj)
+    pert_sys = _PerturbationFlow(grid3, g_forcing, base_forcing)
+    base, pert = _evolve([base_sys, pert_sys], [base_state0, u0], cfg, window_T, sample_times)
+    pert.base = base
+    return pert
 
 
 def energy_balance_residual(traj: Trajectory) -> dict:

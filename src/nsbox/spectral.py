@@ -20,6 +20,8 @@ __all__ = [
     "lift_2d_to_3d",
     "random_field",
     "inner_l2",
+    "leray_project_coeffs",
+    "gradient_part_normsq",
 ]
 
 
@@ -45,6 +47,9 @@ class PeriodicGrid:
         self.modes = np.stack(mgrids)  # (dim, N, ..., N) integer mode vectors
         self.k = (2.0 * np.pi / self.L) * self.modes.astype(np.float64)
         self.ksq = np.sum(self.k * self.k, axis=0)
+        self.inv_ksq = np.zeros_like(self.ksq)  # 1/|k|^2, 0 at k = 0
+        nz = self.ksq > 0
+        self.inv_ksq[nz] = 1.0 / self.ksq[nz]
         self.dealias_mask = np.all(np.abs(self.modes) <= N / 3.0, axis=0)
         self.cell_volume = (self.L / N) ** dim
         self.volume = self.L**dim
@@ -206,18 +211,8 @@ class SpectralField:
         """Remove the gradient part per mode: u_hat -= k (k.u_hat)/|k|^2."""
         if self.components != self.grid.dim:
             raise ValueError("projection requires a vector field with components == dim")
-        g = self.grid
-        kdotu = np.zeros(g.shape, dtype=np.complex128)
-        for a in range(g.dim):
-            kdotu += g.k[a] * self.coeffs[a]
-        inv_ksq = np.zeros_like(g.ksq)
-        nz = g.ksq > 0
-        inv_ksq[nz] = 1.0 / g.ksq[nz]
-        corr = kdotu * inv_ksq
-        out = self.coeffs.copy()
-        for a in range(g.dim):
-            out[a] -= g.k[a] * corr
-        return SpectralField(g, out, mean_free=self.mean_free, solenoidal=True)
+        out = leray_project_coeffs(self.grid, self.coeffs)
+        return SpectralField(self.grid, out, mean_free=self.mean_free, solenoidal=True)
 
     def subtract_mean(self) -> "SpectralField":
         out = self.coeffs.copy()
@@ -310,6 +305,28 @@ class SpectralField:
             f"SpectralField(components={self.components}, grid={self.grid!r}, "
             f"mean_free={self.mean_free}, solenoidal={self.solenoidal})"
         )
+
+
+def _k_dot(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """k . c per mode for a (dim, grid) coefficient array."""
+    kdotu = np.zeros(grid.shape, dtype=np.complex128)
+    for a in range(grid.dim):
+        kdotu += grid.k[a] * coeffs[a]
+    return kdotu
+
+
+def leray_project_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """Leray projection of a raw (dim, grid) coefficient array: c - k (k.c)/|k|^2."""
+    corr = _k_dot(grid, coeffs) * grid.inv_ksq
+    out = np.array(coeffs, dtype=np.complex128)
+    for a in range(grid.dim):
+        out[a] -= grid.k[a] * corr
+    return out
+
+
+def gradient_part_normsq(grid: PeriodicGrid, coeffs) -> float:
+    """||c - P c||_L2^2 = |box| sum |k.c|^2/|k|^2 for the Leray projection P."""
+    return float(grid.volume * np.sum(np.abs(_k_dot(grid, coeffs)) ** 2 * grid.inv_ksq))
 
 
 def transform_forward(grid: PeriodicGrid, samples) -> SpectralField:

@@ -31,11 +31,21 @@ class TestConfigValidation:
         assert rc == EXIT_CONFIG
         assert "viscocity" in capsys.readouterr().err
 
-    def test_bad_value_rejected(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"solver": {"nu": -1.0}})
-        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("command, doc, message", [
+        pytest.param("simulate", {"solver": {"nu": -1.0}}, "solver.nu", id="solver.nu"),
+        # accepted by the schema, rejected when the objects are built
+        pytest.param("simulate", {"solver": {"dt": 0.3, "t_end": 1.0}}, "dt must divide t_end",
+                     id="dt-divides-t_end"),
+        pytest.param("stability", {"scenario": {"T": 0.5, "dt": 0.3}},
+                     "dt must divide the window length", id="dt-divides-window"),
+        pytest.param("simulate", {"forcing": {"family": "example1", "mode": [0, 0]}},
+                     "nonzero 2D integer mode", id="forcing-mode-zero"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
+        cfg = write_cfg(tmp_path, doc)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
-        assert "solver.nu" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

@@ -11,7 +11,6 @@ from nsbox.forcing import (
     DecayingModeForcing,
     OscillatingMeanForcing,
     PeriodicExtensionForcing,
-    SampledSeriesForcing,
     ZeroForcing,
     adaptive_simpson,
 )
@@ -154,17 +153,3 @@ class TestPeriodicExtension:
     def test_validation(self, grid):
         with pytest.raises(ValueError):
             PeriodicExtensionForcing(ZeroForcing(grid, 2), T=0.0)
-
-
-class TestSampledSeries:
-    def test_linear_interp(self, grid):
-        p = unit_h1_profile(grid)
-        f = SampledSeriesForcing([0.0, 1.0], [p * 1.0, p * 3.0])
-        mid = f.bar_field(0.5)
-        assert np.max(np.abs(mid.coeffs - (p * 2.0).coeffs)) < 1e-14
-        assert f.kind == "sampled_series"
-
-    def test_validation(self, grid):
-        p = unit_h1_profile(grid)
-        with pytest.raises(ValueError):
-            SampledSeriesForcing([0.0, 0.0], [p, p])

@@ -284,6 +284,23 @@ class TestLiftedExactness:
         assert diff < 1e-12
 
 
+def pair_vs_full_gap(base_forcing, cfg):
+    """Relative L2 gap at t_end between the pair's perturbation and the full
+    3D flow minus the lifted base flow, from the same initial data."""
+    rng = np.random.default_rng(37)
+    g2 = base_forcing.grid
+    g3 = PeriodicGrid(L=g2.L, dim=3, N=g2.N)
+    base0 = taylor_green_state(g2, amplitude=0.2)
+    u0f = random_field(g3, 3, rng, band=(1, 4), solenoidal=True) * 1e-3
+    pert = evolve_pair(base0, base_forcing, FlowState(0.0, u0f, np.zeros(3), "perturbation"),
+                       ZeroForcing(g3, 3), cfg)
+    v0 = FlowState(0.0, lift_2d_to_3d(base0.field, g3) + u0f, np.zeros(3), "full3d")
+    full = evolve_full_3d(v0, LiftedForcing(base_forcing, g3), cfg)
+    u_from_full = full.states[-1].field - lift_2d_to_3d(pert.base.states[-1].field, g3)
+    u_pair = pert.states[-1].field
+    return (u_from_full - u_pair).sobolev_norm(0) / u_pair.sobolev_norm(0)
+
+
 class TestPair:
     def test_zero_perturbation_stays_zero(self):
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
@@ -297,22 +314,18 @@ class TestPair:
     def test_consistency_with_full_flow(self):
         # evolving the full 3D flow and subtracting the lifted base flow
         # reproduces the perturbation trajectory
-        rng = np.random.default_rng(37)
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
-        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=16)
-        base0 = taylor_green_state(g2, amplitude=0.2)
         fs = DecayingModeForcing(solenoidal_mode_2d(g2, 0.1), rate=1.0)
-        u0f = random_field(g3, 3, rng, band=(1, 4), solenoidal=True) * 1e-3
-        u0 = FlowState(0.0, u0f, np.zeros(3), "perturbation")
-        cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.5)
-        pert = evolve_pair(base0, fs, u0, ZeroForcing(g3, 3), cfg)
+        assert pair_vs_full_gap(fs, SolverConfig(nu=0.1, dt=1e-3, t_end=0.5)) < 1e-10
 
-        v0 = FlowState(0.0, lift_2d_to_3d(base0.field, g3) + u0f, np.zeros(3), "full3d")
-        full = evolve_full_3d(v0, LiftedForcing(fs, g3), cfg)
-        base_final = pert.base.states[-1]
-        u_from_full = full.states[-1].field - lift_2d_to_3d(base_final.field, g3)
-        diff = (u_from_full - pert.states[-1].field).sobolev_norm(0)
-        assert diff < 1e-7
+    @pytest.mark.xfail(strict=True, reason=(
+        "the perturbation's integrating factor reads the base mean after the base step "
+        "(t + dt) instead of at t: a first-order drift under a constant mean force"))
+    def test_consistency_under_constant_mean_force(self):
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
+        fs = CompositeForcing([ConstantMeanForcing(g2, [1.0, 0.0]),
+                               DecayingModeForcing(solenoidal_mode_2d(g2, 0.1), rate=1.0)])
+        assert pair_vs_full_gap(fs, SolverConfig(nu=0.1, dt=2e-3, t_end=0.2)) < 1e-10
 
     def test_tiny_perturbation_decays(self):
         rng = np.random.default_rng(38)
