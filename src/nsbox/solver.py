@@ -18,8 +18,8 @@ term, raw term, speed, physical velocity, gradients, mean); the
 perturbation's RHS takes the base's record as an argument, so the base's
 velocity and gradients are transformed once per stage and shared with the
 perturbation and the recorder.  Within a step the base advances first; the
-perturbation reads the base's records at t and at the RK3 midpoint stage,
-and at the RK3 third stage the base's completed step.
+perturbation reads the base's record of the same stage: at t, and at the
+RK3 stages t + dt/2 and t + dt.
 
 Known defect: the perturbation's integrating factor reads the base mean after
 the base step (at t + dt) where it should read it at t.  Under a constant
@@ -563,8 +563,6 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
                 raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
             base_ev = st.evaluate((n + 1) * cfg.dt, base_ev)
             base_mean = st.mean
-            # the next system's RK3 stage 3 reads this system's completed step
-            base_stages = (base_stages[0], base_ev)
     return [
         Trajectory(s.role, s.grid, cfg, window_T, plan, out, rec.finalize(), s.forcing, s0)
         for s, s0, out, rec in zip(systems, states0, states, recs)
