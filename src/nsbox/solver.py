@@ -17,13 +17,14 @@ perturbation in lockstep.  Each RHS evaluation returns a record (explicit
 term, raw term, speed, physical velocity, gradients, mean); the
 perturbation's RHS takes the base's record as an argument, so the base's
 velocity and gradients are transformed once per stage and shared with the
-perturbation and the recorder.  Within a step the base advances first; the
-perturbation reads the base's record of the same stage: at t, and at the
-RK3 stages t + dt/2 and t + dt.
+perturbation and the recorder.  A step runs stage by stage (t, and under
+RK3 also t + dt/2 and t + dt), and at each stage the perturbation reads the
+base's record of that stage.  Records are dropped once read: a stepper keeps
+only the explicit terms of the current step.
 
-Known defect: the perturbation's integrating factor reads the base mean after
-the base step (at t + dt) where it should read it at t.  Under a constant
-mean force the pair drifts from the full 3D flow at first order in dt.
+Known defect: the perturbation's integrating factor reads the base mean at
+t + dt where it should read it at t.  Under a constant mean force the pair
+drifts from the full 3D flow at first order in dt.
 """
 
 from __future__ import annotations
@@ -368,58 +369,73 @@ class _FactorCache:
 
 
 class _Stepper:
-    """Integrating-factor stepping for one system; `ev` is the system's
-    evaluation at the current state, set by `evaluate` before each step."""
+    """Integrating-factor stepping for one system, one stage at a time.
+
+    A step from t is `evaluate` at the current state, `start`, two calls of
+    `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`.  The
+    stepper keeps only the explicit terms of the stages; each evaluation goes
+    on to the recorder or to the next system and is then dropped.
+    """
 
     def __init__(self, system, cfg, state0):
         self.system = system
+        self.dt = cfg.dt
         self.coeffs = state0.field.dealias().coeffs.copy() if cfg.dealias else state0.field.coeffs.copy()
         self.mean = np.asarray(state0.mean, float).copy()
-        self.ev = None
+        self.t = state0.t
+        self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
         self.prev_factor = None
         self._factor = _FactorCache(system.grid, cfg.nu)
 
     def evaluate(self, t, base=None):
-        self.ev = self.system.rhs(self.coeffs, self.mean, t, base)
-        return self.ev
+        """The RHS at the current state at time t; the first stage of a step."""
+        ev = self.system.rhs(self.coeffs, self.mean, t, base)
+        self.t, self.terms = t, [ev.rhs]
+        return ev
 
-    def advance(self, t, dt, use_rk3, base_stages=(None, None), base_mean=None):
-        """One step from t.
-
-        `base_stages` are the advecting system's evaluations at the RK3 stages
-        t + dt/2 and t + dt, `base_mean` its mean for the integrating factor.
-        Returns this system's own RK3 stage evaluations (None under AB2).
-        """
-        system = self.system
+    def start(self, use_rk3, base_mean=None):
+        """Integrating factors and end mean of the step; `base_mean` is the
+        advecting system's mean."""
+        system, t, dt = self.system, self.t, self.dt
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
         I1, I2 = _mean_path_integrals(system.advecting_mean_forcings(), means, t, dt, system.grid.dim)
-        n1 = self.ev.rhs
-        stages = (None, None)
         if use_rk3:
-            lam_h1 = self._factor(dt / 2.0, I1)
-            lam_h2 = self._factor(dt / 2.0, I2)
-            lam_f = lam_h1 * lam_h2
-            va = lam_h1 * (self.coeffs + (dt / 2.0) * n1)
-            ev2 = system.rhs(va, self._mean_at(t, dt / 2.0), t + dt / 2.0, base_stages[0])
-            vb = lam_f * (self.coeffs - dt * n1) + 2.0 * dt * lam_h2 * ev2.rhs
-            ev3 = system.rhs(vb, self._mean_at(t, dt), t + dt, base_stages[1])
-            new = lam_f * self.coeffs + (dt / 6.0) * (lam_f * n1 + 4.0 * lam_h2 * ev2.rhs + ev3.rhs)
-            self.prev_factor = lam_f
-            stages = (ev2, ev3)
+            self.lam_h = (self._factor(dt / 2.0, I1), self._factor(dt / 2.0, I2))
+            self.lam = self.lam_h[0] * self.lam_h[1]
         else:
-            lam = self._factor(dt, I1 + I2)
-            new = lam * (self.coeffs + 1.5 * dt * n1) - 0.5 * dt * lam * self.prev_factor * self.prev_rhs
-            self.prev_factor = lam
-        self.prev_rhs = n1
-        self.coeffs = _zero_mode0(new)
-        self.mean = self._mean_at(t, dt)
-        return stages
+            self.lam = self._factor(dt, I1 + I2)
+        self.mean_next = self._mean_at(dt)
 
-    def _mean_at(self, t, h):
+    def stage(self, base=None):
+        """The next RK3 stage, reading the advecting system's evaluation `base`
+        of the same stage."""
+        t, dt, n = self.t, self.dt, self.terms
+        if len(n) == 1:
+            h, v = dt / 2.0, self.lam_h[0] * (self.coeffs + (dt / 2.0) * n[0])
+        else:
+            h, v = dt, self.lam * (self.coeffs - dt * n[0]) + 2.0 * dt * self.lam_h[1] * n[1]
+        ev = self.system.rhs(v, self._mean_at(h), t + h, base)
+        n.append(ev.rhs)
+        return ev
+
+    def finish(self):
+        """Complete the step: RK3 from three stages, AB2 from one."""
+        dt, n, lam = self.dt, self.terms, self.lam
+        if len(n) == 3:
+            new = lam * self.coeffs + (dt / 6.0) * (lam * n[0] + 4.0 * self.lam_h[1] * n[1] + n[2])
+        else:
+            new = lam * (self.coeffs + 1.5 * dt * n[0]) - 0.5 * dt * lam * self.prev_factor * self.prev_rhs
+        self.prev_rhs, self.prev_factor = n[0], lam
+        self.coeffs = _zero_mode0(new)
+        self.mean = self.mean_next
+        self.terms = self.lam = self.lam_h = self.mean_next = None
+
+    def _mean_at(self, h):
+        """The mean at t + h, by the exact mean ODE."""
         m = self.mean.copy()
         acc = np.zeros_like(m)
-        mi = self.system.forcing.mean_integral(t, t + h)
+        mi = self.system.forcing.mean_integral(self.t, self.t + h)
         acc[: len(mi)] += mi
         return m + acc
 
@@ -529,8 +545,8 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
     """Advance coupled systems in lockstep; returns one Trajectory per system.
 
     Each system after the first is advected by the one before it: its RHS
-    reads that system's evaluation at the same stage.  A step advances the
-    systems in order, so each has its stage evaluations ready for the next.
+    reads that system's evaluation at the same stage.  A step runs stage by
+    stage, and each stage evaluates the systems in order.
     """
     plan = _sample_plan(cfg, window_T, sample_times)
     n_steps = cfg.n_steps
@@ -538,31 +554,37 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
     steppers = [_Stepper(s, cfg, s0) for s, s0 in zip(systems, states0)]
     recs = [_Recorder(s.grid, s.role, s.forcing) for s in systems]
     states = [[] for _ in systems]
-    base_ev = None
-    for st in steppers:
-        base_ev = st.evaluate(0.0, base_ev)
     for n in range(n_steps + 1):
         t = n * cfg.dt
         sampled = any(abs(t - ts) <= 1e-9 for ts in plan)
+        speed, base = 0.0, None
         for st, rec, out in zip(steppers, recs, states):
-            rec.record(t, st.coeffs, st.ev, cfg.dt)
+            base = st.evaluate(t, base)
+            speed = max(speed, base.speed)
+            rec.record(t, st.coeffs, base, cfg.dt)
             if sampled:
                 field = SpectralField(st.system.grid, st.coeffs.copy(), mean_free=True, solenoidal=True)
                 out.append(FlowState(t, field, st.mean.copy(), st.system.role))
         if n == n_steps:
             break
-        _check_cfl(t, cfg.dt, max(st.ev.speed for st in steppers), steppers[-1].system.grid, cfg)
+        _check_cfl(t, cfg.dt, speed, steppers[-1].system.grid, cfg)
         use_rk3 = rk3 or steppers[0].prev_rhs is None
-        base_stages, base_ev, base_mean = (None, None), None, None
+        base_mean = None
         for st in steppers:
-            # Known defect: base_mean is the base's mean after its step (t + dt),
-            # where _mean_path_integrals expects the mean at t; under a constant
-            # mean force the pair drifts from the full flow at first order in dt.
-            base_stages = st.advance(t, cfg.dt, use_rk3, base_stages, base_mean)
+            st.start(use_rk3, base_mean)
+            # Known defect: the next system's integrating factor reads this
+            # system's mean at t + dt where _mean_path_integrals expects it at
+            # t; under a constant mean force the pair drifts from the full
+            # flow at first order in dt.
+            base_mean = st.mean_next
+        for _ in range(2 if use_rk3 else 0):
+            base = None
+            for st in steppers:
+                base = st.stage(base)
+        for st in steppers:
+            st.finish()
             if not np.all(np.isfinite(st.coeffs.view(float))):
                 raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
-            base_ev = st.evaluate((n + 1) * cfg.dt, base_ev)
-            base_mean = st.mean
     return [
         Trajectory(s.role, s.grid, cfg, window_T, plan, out, rec.finalize(), s.forcing, s0)
         for s, s0, out, rec in zip(systems, states0, states, recs)
