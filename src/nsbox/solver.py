@@ -336,36 +336,22 @@ def _mean_path_integrals(forcings, means, t, dt, dim):
     return I1, I2
 
 
-class _FactorCache:
-    """Per-mode integrating factors exp(-nu |k|^2 h - i k . I).
+def _integrating_factor(grid, visc, I_sub):
+    """Per-mode exp(-nu |k|^2 h - i k . I) from its viscous part visc.
 
-    The viscous part is cached per substep length; the mean-advection phase
-    factorizes over axes, so it costs three 1D exponentials plus broadcast
-    multiplies.
+    The mean-advection phase factorizes over axes, so it costs one 1D
+    exponential per axis plus broadcast multiplies.
     """
-
-    def __init__(self, grid, nu):
-        self.grid = grid
-        self.nu = nu
-        self._visc = {}
-
-    def __call__(self, dt_sub, I_sub):
-        key = round(dt_sub, 15)
-        visc = self._visc.get(key)
-        if visc is None:
-            visc = np.exp(-self.nu * self.grid.ksq * dt_sub)
-            self._visc[key] = visc
-        if not np.any(I_sub != 0.0):
-            return visc
-        g = self.grid
-        lam = visc.astype(np.complex128)
-        for a in range(g.dim):
-            if I_sub[a] != 0.0:
-                ph = np.exp(-1j * g.k1d * I_sub[a])
-                shape = [1] * g.dim
-                shape[a] = g.N
-                lam = lam * ph.reshape(shape)
-        return lam
+    if not np.any(I_sub != 0.0):
+        return visc
+    lam = visc.astype(np.complex128)
+    for a in range(grid.dim):
+        if I_sub[a] != 0.0:
+            ph = np.exp(-1j * grid.k1d * I_sub[a])
+            shape = [1] * grid.dim
+            shape[a] = grid.N
+            lam = lam * ph.reshape(shape)
+    return lam
 
 
 class _Stepper:
@@ -386,7 +372,9 @@ class _Stepper:
         self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
         self.prev_factor = None
-        self._factor = _FactorCache(system.grid, cfg.nu)
+        # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
+        self._visc_half = np.exp(-cfg.nu * system.grid.ksq * (cfg.dt / 2.0))
+        self._visc_full = np.exp(-cfg.nu * system.grid.ksq * cfg.dt)
 
     def evaluate(self, t, base=None):
         """The RHS at the current state at time t; the first stage of a step."""
@@ -401,10 +389,10 @@ class _Stepper:
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
         I1, I2 = _mean_path_integrals(system.advecting_mean_forcings(), means, t, dt, system.grid.dim)
         if use_rk3:
-            self.lam_h = (self._factor(dt / 2.0, I1), self._factor(dt / 2.0, I2))
+            self.lam_h = tuple(_integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
         else:
-            self.lam = self._factor(dt, I1 + I2)
+            self.lam = _integrating_factor(system.grid, self._visc_full, I1 + I2)
         self.mean_next = self._mean_at(dt)
 
     def stage(self, base=None):
