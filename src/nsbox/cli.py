@@ -277,7 +277,6 @@ def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
             scheme=scf.get("scheme", "imex-cnab2"), dealias=scf.get("dealias", True),
             cfl_max=scf.get("cfl_max", 0.5),
         )
-        solver_cfg.n_steps  # dt must divide t_end
         state0 = _build_initial(grid, cfg.get("initial", {}), seed,
                                 "base2d" if dim == 2 else "full3d")
         forcing = _build_forcing(grid, cfg.get("forcing", {}), window_T)
@@ -377,7 +376,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         if tup in s:
             s[tup] = tuple(s[tup])
     scn = Scenario(perturbation=pert, **s)
-    scn.solver_config().n_steps  # dt must divide the run length
+    scn.solver_config()  # rejects solver settings here rather than in the run
     scn._resume = resume
     return scn
 

@@ -99,13 +99,12 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if self.cfl_max <= 0:
             raise ValueError("cfl_max must be positive")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("dt must divide t_end")
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("dt must divide t_end")
-        return n
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -368,8 +367,7 @@ class _Stepper:
         self.dt = cfg.dt
         self.coeffs = state0.field.dealias().coeffs.copy() if cfg.dealias else state0.field.coeffs.copy()
         self.mean = np.asarray(state0.mean, float).copy()
-        self.t = state0.t
-        self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
+        self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
         self.prev_factor = None
         # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt

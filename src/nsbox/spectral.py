@@ -9,6 +9,8 @@ Parseval reads ||u||_L2^2 = L^d sum_m |u_hat(m)|^2.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.fft as _fft
 
@@ -47,14 +49,19 @@ class PeriodicGrid:
         self.modes = np.stack(mgrids)  # (dim, N, ..., N) integer mode vectors
         self.k = (2.0 * np.pi / self.L) * self.modes.astype(np.float64)
         self.ksq = np.sum(self.k * self.k, axis=0)
-        self.inv_ksq = np.zeros_like(self.ksq)  # 1/|k|^2, 0 at k = 0
-        nz = self.ksq > 0
-        self.inv_ksq[nz] = 1.0 / self.ksq[nz]
         self.dealias_mask = np.all(np.abs(self.modes) <= N / 3.0, axis=0)
         self.cell_volume = (self.L / N) ** dim
         self.volume = self.L**dim
         self.shape = (N,) * dim
         self._sob_mult: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def inv_ksq(self) -> np.ndarray:
+        """1/|k|^2 per mode, 0 at k = 0."""
+        inv = np.zeros_like(self.ksq)
+        nz = self.ksq > 0
+        inv[nz] = 1.0 / self.ksq[nz]
+        return inv
 
     def coords(self):
         """Sparse meshgrid of physical coordinates (x1, x2[, x3])."""
