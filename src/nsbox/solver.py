@@ -415,6 +415,7 @@ class _Stepper:
         self.prev_rhs, self.prev_factor = n[0], lam
         self.coeffs = _zero_mode0(new)
         self.mean = self.mean_next
+        # release the step's stage arrays before the next step's evaluations
         self.terms = self.lam = self.lam_h = self.mean_next = None
 
     def _mean_at(self, h):

@@ -322,8 +322,8 @@ class TestPair:
         assert pair_vs_full_gap(fs, cfg) < 1e-10
 
     @pytest.mark.xfail(strict=True, reason=(
-        "the perturbation's integrating factor reads the base mean after the base step "
-        "(t + dt) instead of at t: a first-order drift under a constant mean force"))
+        "the perturbation's integrating factor reads the base mean at t + dt instead of "
+        "at t: a first-order drift under a constant mean force"))
     def test_consistency_under_constant_mean_force(self):
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         fs = CompositeForcing([ConstantMeanForcing(g2, [1.0, 0.0]),
