@@ -28,7 +28,6 @@ from nsbox.constants import interpolation_constants, poincare_constants
 from nsbox.experiments import (
     PerturbationSpec,
     Scenario,
-    forcing_families,
     run_stability_experiment,
     single_mode_profile,
 )
@@ -45,6 +44,7 @@ from nsbox.solver import (
     FlowState,
     SolverAbort,
     SolverConfig,
+    _sample_plan,
     evolve_base_2d,
     evolve_full_3d,
     evolve_pair,
@@ -287,6 +287,7 @@ def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
                                 "perturbation")
             g = _build_forcing(grid, cfg.get("g_forcing", {}), window_T)
             fs2 = _build_forcing(grid2, cfg.get("forcing", {}), window_T)
+        _sample_plan(solver_cfg, window_T, sample_times)
     if system == "pair":
         traj = evolve_pair(base0, fs2, u0, g, solver_cfg, window_T=window_T,
                            sample_times=sample_times)
@@ -344,15 +345,8 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
         sm = smallness_check(gamma, ccfg.get("epsilon", 0.5), pc, ic, bch,
                              g_schedule=g, u0_norms=u0n)
     # example-1 style bound on the all-time fluctuation integral, when closed form
-    extras = {}
-    h_part = None
-    if isinstance(forcing, CompositeForcing):
-        decaying = [p for p in forcing.parts if isinstance(p, DecayingModeForcing)]
-        h_part = decaying[0] if decaying else None
-    elif isinstance(forcing, DecayingModeForcing):
-        h_part = forcing
-    if h_part is not None:
-        extras["abar1_sq_upper"] = h_part.infinite_bar_sq_integral("h1")
+    abar1_upper = forcing.infinite_bar_sq_integral("h1")
+    extras = {} if abar1_upper is None else {"abar1_sq_upper": abar1_upper}
     doc = certificate_report(nu=nu, L=L, T=T, constants=ic, abar=ab, achain=ach,
                              bchain=bch, smallness=sm, inputs={"config": cfg, **extras})
     doc["timestamp"] = time.time()
@@ -376,7 +370,9 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         if tup in s:
             s[tup] = tuple(s[tup])
     scn = Scenario(perturbation=pert, **s)
-    scn.solver_config()  # rejects solver settings here rather than in the run
+    # rejects solver and forcing settings here rather than in the run
+    scn.solver_config()
+    scn.forcings()
     scn._resume = resume
     return scn
 

@@ -53,15 +53,19 @@ __all__ = [
 
 
 def single_mode_profile(grid: PeriodicGrid, mode, amplitude=1.0, normalize=None) -> SpectralField:
-    """Solenoidal single-mode velocity amplitude*cos(k.x)*e_perp on a 2D grid."""
+    """Solenoidal single-mode velocity amplitude*cos(k.x)*e_perp on a 2D or 3D
+    grid; in 3D e_perp is (0, -m3, m2) normalized, or e3 when m2 = m3 = 0."""
     m = np.asarray(mode, dtype=float)
-    if grid.dim != 2 or m.shape != (2,) or not np.any(m):
-        raise ValueError("profile wants a nonzero 2D integer mode")
-    perp = np.array([-m[1], m[0]]) / np.hypot(m[0], m[1])
+    if m.shape != (grid.dim,) or not np.any(m):
+        raise ValueError(f"profile wants a nonzero {grid.dim}D integer mode")
+    if grid.dim == 2:
+        perp = np.array([-m[1], m[0]]) / np.hypot(m[0], m[1])
+    else:
+        perp = np.array([0.0, -m[2], m[1]]) if (m[1] or m[2]) else np.array([0.0, 0.0, 1.0])
+        perp = perp / np.linalg.norm(perp)
     a = 2.0 * np.pi / grid.L
-    x1, x2 = grid.coords()
-    phase = np.cos(a * (m[0] * x1 + m[1] * x2)) * np.ones(grid.shape)
-    f = transform_forward(grid, np.stack([perp[0] * phase, perp[1] * phase]))
+    phase = np.cos(a * sum(mc * x for mc, x in zip(m, grid.coords()))) * np.ones(grid.shape)
+    f = transform_forward(grid, np.stack([p * phase for p in perp]))
     f = SpectralField(grid, f.coeffs, mean_free=True, solenoidal=True)
     if normalize == "l2":
         f = f * (1.0 / f.sobolev_norm(0))
@@ -126,6 +130,15 @@ class Scenario:
         return SolverConfig(
             nu=self.nu, dt=self.dt, t_end=self.t_end, scheme=self.scheme, cfl_max=self.cfl_max
         )
+
+    def forcings(self) -> tuple:
+        """(base forcing on the 2D grid, difference forcing g on the 3D grid)."""
+        fs = forcing_families(PeriodicGrid(L=self.L, dim=2, N=self.N), self)
+        grid3 = PeriodicGrid(L=self.L, dim=3, N=self.N)
+        if self.g_amplitude <= 0.0:
+            return fs, ZeroForcing(grid3, 3)
+        prof3 = single_mode_profile(grid3, self.g_mode, normalize="l2")
+        return fs, DecayingModeForcing(prof3, rate=self.g_rate, amplitude=self.g_amplitude)
 
 
 def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
@@ -247,10 +260,32 @@ def _simpson(y, dt):
     return float(total)
 
 
-def _cumtrapz(y, dt):
-    out = np.zeros(len(y))
-    out[1:] = np.cumsum(0.5 * dt * (y[1:] + y[:-1]))
-    return out
+class WindowedSeries:
+    """Complete windows of length T on the uniform time axis t: window k holds
+    the samples k*per .. (k+1)*per, both ends included."""
+
+    def __init__(self, t, T):
+        self.dt = t[1] - t[0]
+        self.per = int(round(T / self.dt))
+        self.count = int((len(t) - 1) // self.per)
+        self.tail = bool((len(t) - 1) % self.per)
+
+    def window(self, y, k):
+        return y[k * self.per : (k + 1) * self.per + 1]
+
+    def simpson(self, y, k):
+        return _simpson(self.window(y, k), self.dt)
+
+    def step_sum(self, y, k):
+        """dt times the sum of the per-step values of the steps in window k."""
+        return float(np.sum(y[k * self.per + 1 : (k + 1) * self.per + 1]) * self.dt)
+
+    def energy_sup(self, level, rate, c, k):
+        """sup over window k of level(t) + c * int_{kT}^t rate (cumulative trapezoid)."""
+        y = self.window(rate, k)
+        cum = np.zeros(len(y))
+        cum[1:] = np.cumsum(0.5 * self.dt * (y[1:] + y[:-1]))
+        return float(np.max(self.window(level, k) + c * cum))
 
 
 def barrier_monitor(times, x2, g2, pc, ic, gamma, *, y2=None) -> dict:
@@ -295,34 +330,32 @@ def window_statistics(pert: Trajectory, T: float) -> tuple:
     if base is None:
         raise ValueError("window statistics need the lockstep base trajectory")
     bs, ps = base.series, pert.series
-    t = ps["t"]
-    dt = t[1] - t[0]
-    per = int(round(T / dt))
-    n_complete = int((len(t) - 1) // per)
-    stats = []
-    for k in range(n_complete):
-        sl = slice(k * per, k * per + per + 1)
-        vs_h2_sq = bs["h2_sq"][sl]
-        stats.append(
-            WindowStats(
-                k=k,
-                sup_vs_h1=float(np.sqrt(np.max(bs["h1_sq"][sl]))),
-                sup_vs_h2=float(np.sqrt(np.max(vs_h2_sq))),
-                sup_u_l2=float(np.sqrt(np.max(ps["l2_sq"][sl]))),
-                sup_u_h1=float(np.sqrt(np.max(ps["h1_sq"][sl]))),
-                int_vs_h2_sq=_simpson(vs_h2_sq, dt),
-                int_vs_h3_sq=_simpson(bs["h3_sq"][sl], dt),
-                int_u_h1_sq=_simpson(ps["h1_sq"][sl], dt),
-                int_u_h2_sq=_simpson(ps["h2_sq"][sl], dt),
-                int_vst_sq=float(np.sum(bs["dudt_sq"][k * per + 1 : k * per + per + 1]) * dt),
-                int_ut_sq=float(np.sum(ps["dudt_sq"][k * per + 1 : k * per + per + 1]) * dt),
-                int_gradp_sq=_simpson(bs["gradp_sq"][sl], dt),
-                int_gradq_sq=_simpson(ps["gradp_sq"][sl], dt),
-            )
+    w = WindowedSeries(ps["t"], T)
+
+    def sup(y, k):
+        return float(np.sqrt(np.max(w.window(y, k))))
+
+    stats = [
+        WindowStats(
+            k=k,
+            sup_vs_h1=sup(bs["h1_sq"], k),
+            sup_vs_h2=sup(bs["h2_sq"], k),
+            sup_u_l2=sup(ps["l2_sq"], k),
+            sup_u_h1=sup(ps["h1_sq"], k),
+            int_vs_h2_sq=w.simpson(bs["h2_sq"], k),
+            int_vs_h3_sq=w.simpson(bs["h3_sq"], k),
+            int_u_h1_sq=w.simpson(ps["h1_sq"], k),
+            int_u_h2_sq=w.simpson(ps["h2_sq"], k),
+            int_vst_sq=w.step_sum(bs["dudt_sq"], k),
+            int_ut_sq=w.step_sum(ps["dudt_sq"], k),
+            int_gradp_sq=w.simpson(bs["gradp_sq"], k),
+            int_gradq_sq=w.simpson(ps["gradp_sq"], k),
         )
-    uniformity = {"complete_windows": n_complete, "excluded_tail": bool((len(t) - 1) % per)}
+        for k in range(w.count)
+    ]
+    uniformity = {"complete_windows": w.count, "excluded_tail": w.tail}
     for name in ("sup_vs_h1", "sup_vs_h2", "sup_u_l2", "sup_u_h1"):
-        vals = np.array([getattr(w, name) for w in stats])
+        vals = np.array([getattr(st, name) for st in stats])
         ratios = []
         for k in range(1, len(vals)):
             if vals[k - 1] > 1e-30:
@@ -341,24 +374,17 @@ def h21_window_norm(traj: Trajectory, T: float, *, half_step: Trajectory | None 
     accumulated from solver increments (first-order consistent), optionally
     Richardson-extrapolated against a half-step run."""
     s = traj.series
-    t = s["t"]
-    dt = t[1] - t[0]
-    per = int(round(T / dt))
-    if per < 4:
+    w = WindowedSeries(s["t"], T)
+    if w.per < 4:
         raise ValueError("sampling too sparse for the window norms")
-    n_complete = int((len(t) - 1) // per)
     out = []
-    for k in range(n_complete):
-        sl = slice(k * per, k * per + per + 1)
-        ut = float(np.sum(s["dudt_sq"][k * per + 1 : k * per + per + 1]) * dt)
+    for k in range(w.count):
+        ut = w.step_sum(s["dudt_sq"], k)
         if half_step is not None:
             s2 = half_step.series
-            dt2 = s2["t"][1] - s2["t"][0]
-            per2 = int(round(T / dt2))
-            ut2 = float(np.sum(s2["dudt_sq"][k * per2 + 1 : k * per2 + per2 + 1]) * dt2)
-            ut = 2.0 * ut2 - ut
-        h2 = _simpson(s["h2_sq"][sl], dt)
-        gradp = _simpson(s["gradp_sq"][sl], dt)
+            ut = 2.0 * WindowedSeries(s2["t"], T).step_sum(s2["dudt_sq"], k) - ut
+        h2 = w.simpson(s["h2_sq"], k)
+        gradp = w.simpson(s["gradp_sq"], k)
         out.append({"k": k, "int_ut_sq": ut, "int_h2_sq": h2, "int_gradp_sq": gradp,
                     "h21_sq": ut + h2})
     return out
@@ -377,8 +403,8 @@ def _base_initial_norms(v0: SpectralField) -> dict:
 def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = None) -> ExperimentResult:
     """Full pipeline: chains from schedules, lockstep simulation, windowed
     statistics, barrier verdicts, one-sided bound checks."""
-    grid2 = PeriodicGrid(L=scn.L, dim=2, N=scn.N)
-    grid3 = PeriodicGrid(L=scn.L, dim=3, N=scn.N)
+    fs, g = scn.forcings()
+    grid2, grid3 = fs.grid, g.grid
     pc = poincare_constants(scn.nu, scn.L)
     ic = interpolation_constants(
         scn.nu, scn.L, scn.constants_mode,
@@ -386,12 +412,6 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     )
 
     base0 = taylor_green_state(grid2, amplitude=scn.base_amplitude)
-    fs = forcing_families(grid2, scn)
-    if scn.g_amplitude > 0.0:
-        prof3 = _g_profile(grid3, scn.g_mode)
-        g = DecayingModeForcing(prof3, rate=scn.g_rate, amplitude=scn.g_amplitude)
-    else:
-        g = ZeroForcing(grid3, 3)
     u0 = u0_override if u0_override is not None else make_perturbation(grid3, scn.perturbation)
     gamma = scn.perturbation.gamma
 
@@ -453,20 +473,6 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     return ExperimentResult(scn, base, pert, stats, uniformity, barrier, cert, checks)
 
 
-def _g_profile(grid3, mode):
-    m = np.asarray(mode, dtype=float)
-    perp = np.array([0.0, -m[2], m[1]]) if (m[1] or m[2]) else np.array([0.0, 0.0, 1.0])
-    if np.dot(perp, m) != 0:
-        perp = np.array([-m[1], m[0], 0.0])
-    perp = perp / np.linalg.norm(perp)
-    a = 2.0 * np.pi / grid3.L
-    x1, x2, x3 = grid3.coords()
-    phase = np.cos(a * (m[0] * x1 + m[1] * x2 + m[2] * x3)) * np.ones(grid3.shape)
-    f = transform_forward(grid3, np.stack([perp[c] * phase for c in range(3)]))
-    f = SpectralField(grid3, f.coeffs, mean_free=True, solenoidal=True)
-    return f * (1.0 / f.sobolev_norm(0))
-
-
 def _scenario_inputs(scn: Scenario) -> dict:
     d = dict(scn.__dict__)
     d["perturbation"] = dict(scn.perturbation.__dict__)
@@ -476,29 +482,20 @@ def _scenario_inputs(scn: Scenario) -> dict:
 def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
     """One-sided comparisons of simulated window quantities against the
     certified chain values (a violation is an actionable failure)."""
-    base = pert.base
-    bs, ps = base.series, pert.series
-    t = ps["t"]
-    dt = t[1] - t[0]
-    per = int(round(T / dt))
-    n_complete = len(stats)
+    bs, ps = pert.base.series, pert.series
+    w = WindowedSeries(ps["t"], T)
+    ks = range(len(stats))
 
     # window-start kinetic energy vs the iteration bound
-    starts = [bs["l2_sq"][k * per] for k in range(n_complete + 1)]
+    starts = [bs["l2_sq"][k * w.per] for k in range(len(stats) + 1)]
     check_31 = {"values": starts, "bound": ach.a2_sq, "ok": bool(max(starts) <= ach.a2_sq)}
 
     # energy + dissipation along each window vs the window bound
-    q_energy, q_grad, q_pert = [], [], []
-    sup_grad2 = []
-    for k in range(n_complete):
-        sl = slice(k * per, k * per + per + 1)
-        cum_h1 = _cumtrapz(bs["h1_sq"][sl], dt)
-        q_energy.append(float(np.max(bs["l2_sq"][sl] + pc.c_s1 * cum_h1)))
-        cum_h2 = _cumtrapz(bs["h2_sq"][sl], dt)
-        q_grad.append(float(np.max(bs["grad_sq"][sl] + pc.c_s1 * cum_h2)))
-        cum_u_h1 = _cumtrapz(ps["h1_sq"][sl], dt)
-        q_pert.append(float(np.max(ps["l2_sq"][sl] + pc.c_1 * cum_u_h1)))
-        sup_grad2.append(float(np.max(bs["h2_sq"][sl] - bs["h1_sq"][sl])))
+    q_energy = [w.energy_sup(bs["l2_sq"], bs["h1_sq"], pc.c_s1, k) for k in ks]
+    q_grad = [w.energy_sup(bs["grad_sq"], bs["h2_sq"], pc.c_s1, k) for k in ks]
+    q_pert = [w.energy_sup(ps["l2_sq"], ps["h1_sq"], pc.c_1, k) for k in ks]
+    d2 = bs["h2_sq"] - bs["h1_sq"]
+    sup_grad2 = [float(np.max(w.window(d2, k))) for k in ks]
     check_32 = {"values": q_energy, "bound": ach.a3_sq, "ok": bool(max(q_energy) <= ach.a3_sq)}
     check_36 = {"values": q_grad, "bound": ach.a8_sq, "ok": bool(max(q_grad) <= ach.a8_sq)}
     check_315 = {"values": sup_grad2, "bound": ach.a13_sq,
@@ -518,24 +515,18 @@ def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
     # second-derivative window form: the derivative-tensor H1 integral is
     # over-counted (multiplicity <= 3 per third-order index) so the check is
     # conservative
-    q_grad2 = []
-    for k in range(n_complete):
-        sl = slice(k * per, k * per + per + 1)
-        d2 = bs["h2_sq"][sl] - bs["h1_sq"][sl]
-        d2_h1_upper = 3.0 * (bs["h3_sq"][sl] - bs["h2_sq"][sl]) + d2
-        cum = _cumtrapz(d2_h1_upper, dt)
-        q_grad2.append(float(np.max(d2 + pc.c_s1 * cum)))
+    d2_h1_upper = 3.0 * (bs["h3_sq"] - bs["h2_sq"]) + d2
+    q_grad2 = [w.energy_sup(d2, d2_h1_upper, pc.c_s1, k) for k in ks]
     check_316 = {"values": q_grad2, "bound": ach.a14_sq,
                  "ok": bool(max(q_grad2) <= ach.a14_sq)}
 
     # space-time second-order norms vs the reported envelopes (front
     # constants are unnamed: ratios are reported, asserted only when finite)
-    h21_vs = [
-        float(np.sum(bs["dudt_sq"][k * per + 1 : k * per + per + 1]) * dt)
-        + _simpson(bs["h2_sq"][slice(k * per, k * per + per + 1)], dt)
-        + _simpson(bs["gradp_sq"][slice(k * per, k * per + per + 1)], dt)
-        for k in range(n_complete)
-    ]
+    def h21(s):
+        return [w.step_sum(s["dudt_sq"], k) + w.simpson(s["h2_sq"], k)
+                + w.simpson(s["gradp_sq"], k) for k in ks]
+
+    h21_vs, h21_u = h21(bs), h21(ps)
     h21_ref = ach.h21_reference()
     h21_env = {
         "values": h21_vs,
@@ -543,12 +534,6 @@ def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
         "envelope_ratio": (max(h21_vs) / h21_ref if math.isfinite(h21_ref) and h21_ref > 0
                            else None),
     }
-    h21_u = [
-        float(np.sum(ps["dudt_sq"][k * per + 1 : k * per + per + 1]) * dt)
-        + _simpson(ps["h2_sq"][slice(k * per, k * per + per + 1)], dt)
-        + _simpson(ps["gradp_sq"][slice(k * per, k * per + per + 1)], dt)
-        for k in range(n_complete)
-    ]
     check_b7 = {"values": h21_u, "bound": bch.b7_sq}
     check_b7["ok"] = bool(max(h21_u) <= bch.b7_sq) if math.isfinite(bch.b7_sq) else None
 

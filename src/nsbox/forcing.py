@@ -10,6 +10,18 @@ A `Forcing` supplies three things to the solver and the certificate:
   index.  Closed-form families certify their sups; the generic fallback
   evaluates adaptive-Simpson quadrature (rtol 1e-10) and reports the sup
   as truncated.
+
+A family states its closed forms through two declarations, from which the
+base class derives the schedules:
+
+* `mean_rate`: the vector a with mean(t) = a for all t, or None.  It gives
+  the mean, both mean integrals and the four drift schedules (a nonzero rate
+  makes the drift sups infinite, certified).
+* `has_bar = False`: bar_field(t) is always None.  The bar schedules are
+  then (0.0, certified).
+
+Families with other closed forms (the decaying mode, the window-periodic
+extension, the oscillating mean's integrals) override the methods concerned.
 """
 
 from __future__ import annotations
@@ -77,10 +89,12 @@ def _gl4(f, a, b):
 
 
 class Forcing:
-    """Base class; defaults integrate numerically, subclasses override with
-    closed forms where available."""
+    """Base class.  Two declarations turn the generic quadrature schedules into
+    closed forms: `mean_rate` (mean(t) equals this vector for all t, or None
+    when undeclared) and `has_bar` (False: bar_field(t) is always None)."""
 
-    kind = "closed_form"
+    mean_rate = None
+    has_bar = True
 
     def __init__(self, grid: PeriodicGrid, components: int):
         self.grid = grid
@@ -93,15 +107,25 @@ class Forcing:
         return None
 
     def mean(self, t: float) -> np.ndarray:
+        if self.mean_rate is not None:
+            return self.mean_rate.copy()
         return np.zeros(self.components)
 
     def mean_integral(self, t0: float, t1: float) -> np.ndarray:
-        """int_{t0}^{t1} mean(t) dt (Gauss-Legendre 4 unless overridden)."""
+        """int_{t0}^{t1} mean(t) dt (Gauss-Legendre 4 unless the rate is declared)."""
+        if self.mean_rate is not None:
+            return self.mean_rate * (t1 - t0)
         return _gl4(self.mean, t0, t1)
 
     def mean_double_integral(self, t0: float, t1: float) -> np.ndarray:
         """int_{t0}^{t1} int_{t0}^{tau} mean(s) ds dtau = int (t1-s) mean(s) ds."""
+        if self.mean_rate is not None:
+            return self.mean_rate * (t1 - t0) ** 2 / 2.0
         return _gl4(lambda s: (t1 - s) * np.asarray(self.mean(s)), t0, t1)
+
+    def infinite_bar_sq_integral(self, norm="l2"):
+        """int_0^inf ||fbar||^2 dt in closed form, or None when not known."""
+        return None
 
     # -- schedule side -------------------------------------------------------
 
@@ -118,11 +142,15 @@ class Forcing:
         raise ValueError(f"unknown norm {norm!r}")
 
     def window_bar_sq_integral(self, k: int, T: float, norm: str = "l2") -> float:
+        if not self.has_bar:
+            return 0.0
         return adaptive_simpson(lambda t: self.bar_norm_sq(t, norm), k * T, (k + 1) * T)
 
     def sup_window_bar_sq(self, T: float, k_max: int = 64, norm: str = "l2"):
         """(sup over k of the window integral, certified?).  Generic path
         truncates at k_max."""
+        if not self.has_bar:
+            return 0.0, True
         vals = [self.window_bar_sq_integral(k, T, norm) for k in range(k_max + 1)]
         return max(vals), False
 
@@ -132,95 +160,59 @@ class Forcing:
 
     def drift_sup_abs(self, T: float, k_max: int, initial_mean):
         """(sup_t |drift(t)| over [0,(k_max+1)T], certified?)."""
+        if self.mean_rate is not None:
+            if np.any(self.mean_rate != 0.0):
+                return math.inf, True
+            return float(np.linalg.norm(initial_mean)), True
         ts = np.linspace(0.0, (k_max + 1) * T, 16 * (k_max + 1) + 1)
         val = max(float(np.linalg.norm(self.drift(t, initial_mean))) for t in ts)
         return val, False
 
     def window_drift_sq_integral(self, k: int, T: float, initial_mean) -> float:
+        a = self.mean_rate
+        if a is not None:
+            # int_{kT}^{(k+1)T} sum_c (m_c + a_c t)^2 dt, componentwise closed form
+            m = np.asarray(initial_mean, dtype=float)
+            t0, t1 = k * T, (k + 1) * T
+            return float(sum(
+                m * m * (t1 - t0) + m * a * (t1 * t1 - t0 * t0) + a * a * (t1**3 - t0**3) / 3.0
+            ))
         return adaptive_simpson(
             lambda t: float(np.sum(self.drift(t, initial_mean) ** 2)), k * T, (k + 1) * T
         )
 
     def sup_window_drift_sq(self, T: float, k_max: int, initial_mean):
+        if self.mean_rate is not None:
+            if np.any(self.mean_rate != 0.0):
+                return math.inf, True
+            return float(np.sum(np.asarray(initial_mean, dtype=float) ** 2)) * T, True
         vals = [self.window_drift_sq_integral(k, T, initial_mean) for k in range(k_max + 1)]
         return max(vals), False
 
 
 class ZeroForcing(Forcing):
-    def mean_integral(self, t0, t1):
-        return np.zeros(self.components)
+    has_bar = False
 
-    def mean_double_integral(self, t0, t1):
-        return np.zeros(self.components)
-
-    def window_bar_sq_integral(self, k, T, norm="l2"):
-        return 0.0
-
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        return 0.0, True
-
-    def drift_sup_abs(self, T, k_max, initial_mean):
-        return float(np.linalg.norm(initial_mean)), True
-
-    def window_drift_sq_integral(self, k, T, initial_mean):
-        return float(np.sum(np.asarray(initial_mean, dtype=float) ** 2)) * T
-
-    def sup_window_drift_sq(self, T, k_max, initial_mean):
-        return self.window_drift_sq_integral(0, T, initial_mean), True
+    def __init__(self, grid, components):
+        super().__init__(grid, components)
+        self.mean_rate = np.zeros(components)
 
 
 class ConstantMeanForcing(Forcing):
     """Spatially constant force a: pure mean, no fluctuating part."""
 
+    has_bar = False
+
     def __init__(self, grid, a):
         a = np.asarray(a, dtype=float)
         super().__init__(grid, len(a))
-        self.a = a
-
-    def mean(self, t):
-        return self.a.copy()
-
-    def mean_integral(self, t0, t1):
-        return self.a * (t1 - t0)
-
-    def mean_double_integral(self, t0, t1):
-        return self.a * (t1 - t0) ** 2 / 2.0
-
-    def window_bar_sq_integral(self, k, T, norm="l2"):
-        return 0.0
-
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        return 0.0, True
-
-    def drift(self, t, initial_mean):
-        return np.asarray(initial_mean, dtype=float) + self.a * t
-
-    def drift_sup_abs(self, T, k_max, initial_mean):
-        if np.any(self.a != 0.0):
-            return math.inf, True
-        return float(np.linalg.norm(initial_mean)), True
-
-    def window_drift_sq_integral(self, k, T, initial_mean):
-        # int_{kT}^{(k+1)T} sum_c (m_c + a_c t)^2 dt, componentwise closed form
-        m = np.asarray(initial_mean, dtype=float)
-        t0, t1 = k * T, (k + 1) * T
-        total = 0.0
-        for mc, ac in zip(m, self.a):
-            total += (
-                mc * mc * (t1 - t0)
-                + mc * ac * (t1 * t1 - t0 * t0)
-                + ac * ac * (t1**3 - t0**3) / 3.0
-            )
-        return total
-
-    def sup_window_drift_sq(self, T, k_max, initial_mean):
-        if np.any(self.a != 0.0):
-            return math.inf, True
-        return float(np.sum(np.asarray(initial_mean) ** 2)) * T, True
+        self.mean_rate = a
 
 
 class OscillatingMeanForcing(Forcing):
     """mean(t) = amp * sin(omega t); closed-form integrals."""
+
+    has_bar = False
 
     def __init__(self, grid, amp, omega=1.0):
         amp = np.asarray(amp, dtype=float)
@@ -241,12 +233,6 @@ class OscillatingMeanForcing(Forcing):
         val = (t1 - t0) * math.cos(w * t0) / w - (math.sin(w * t1) - math.sin(w * t0)) / w**2
         return self.amp * val
 
-    def window_bar_sq_integral(self, k, T, norm="l2"):
-        return 0.0
-
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        return 0.0, True
-
 
 class DecayingModeForcing(Forcing):
     """fbar(x, t) = amplitude * exp(-rate * t) * profile(x).
@@ -254,8 +240,6 @@ class DecayingModeForcing(Forcing):
     The profile must be mean-free; all window integrals are closed-form and
     the sup over windows is attained at k = 0 (certified).
     """
-
-    kind = "closed_form"
 
     def __init__(self, profile: SpectralField, rate: float, amplitude: float = 1.0):
         if rate <= 0:
@@ -266,6 +250,7 @@ class DecayingModeForcing(Forcing):
         self.profile = profile
         self.rate = float(rate)
         self.amplitude = float(amplitude)
+        self.mean_rate = np.zeros(self.components)
         self._norm_sq = {
             "l2": profile.sobolev_norm_sq(0),
             "h1": profile.sobolev_norm_sq(1),
@@ -290,26 +275,12 @@ class DecayingModeForcing(Forcing):
         """int_0^inf ||fbar||^2 dt = amplitude^2 ||profile||^2 / (2 rate)."""
         return self.amplitude**2 * self._norm_sq[norm] / (2 * self.rate)
 
-    def mean_integral(self, t0, t1):
-        return np.zeros(self.components)
-
-    def mean_double_integral(self, t0, t1):
-        return np.zeros(self.components)
-
-    def drift_sup_abs(self, T, k_max, initial_mean):
-        return float(np.linalg.norm(initial_mean)), True
-
-    def window_drift_sq_integral(self, k, T, initial_mean):
-        return float(np.sum(np.asarray(initial_mean, dtype=float) ** 2)) * T
-
-    def sup_window_drift_sq(self, T, k_max, initial_mean):
-        return self.window_drift_sq_integral(0, T, initial_mean), True
-
 
 class CompositeForcing(Forcing):
-    """Sum of parts.  Fluctuating-norm schedules delegate to the single
-    bar-carrying part when there is exactly one (exact); otherwise they fall
-    back to quadrature on the summed field."""
+    """Sum of parts.  The mean rate is the sum of the parts' declared rates.
+    Fluctuating-norm schedules delegate to the single bar-carrying part when
+    there is exactly one (exact); otherwise they fall back to quadrature on
+    the summed field."""
 
     def __init__(self, parts):
         parts = list(parts)
@@ -321,9 +292,15 @@ class CompositeForcing(Forcing):
             raise ValueError("composite parts must share grid and components")
         super().__init__(grid, comp)
         self.parts = parts
-        self._bar_parts = [
-            p for p in parts if not isinstance(p, (ConstantMeanForcing, OscillatingMeanForcing, ZeroForcing))
-        ]
+        rates = [p.mean_rate for p in parts]
+        self.mean_rate = None if any(r is None for r in rates) else sum(rates)
+        self._bar_parts = [p for p in parts if p.has_bar]
+        self.has_bar = bool(self._bar_parts)
+        # a part with a nonzero rate beside an undeclared one: the linear drift
+        # is taken as unbounded (the undeclared part is assumed not to cancel it)
+        self._unbounded_drift = self.mean_rate is None and any(
+            r is not None and np.any(r != 0.0) for r in rates
+        )
 
     def bar_field(self, t):
         fields = [p.bar_field(t) for p in self.parts]
@@ -344,57 +321,34 @@ class CompositeForcing(Forcing):
     def mean_double_integral(self, t0, t1):
         return sum(p.mean_double_integral(t0, t1) for p in self.parts)
 
+    def infinite_bar_sq_integral(self, norm="l2"):
+        if len(self._bar_parts) == 1:
+            return self._bar_parts[0].infinite_bar_sq_integral(norm)
+        return super().infinite_bar_sq_integral(norm)
+
     def window_bar_sq_integral(self, k, T, norm="l2"):
         if len(self._bar_parts) == 1:
             return self._bar_parts[0].window_bar_sq_integral(k, T, norm)
-        if not self._bar_parts:
-            return 0.0
         return super().window_bar_sq_integral(k, T, norm)
 
     def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
         if len(self._bar_parts) == 1:
             return self._bar_parts[0].sup_window_bar_sq(T, k_max, norm)
-        if not self._bar_parts:
-            return 0.0, True
         return super().sup_window_bar_sq(T, k_max, norm)
 
     def drift_sup_abs(self, T, k_max, initial_mean):
-        if any(isinstance(p, ConstantMeanForcing) and np.any(p.a != 0.0) for p in self.parts):
+        if self._unbounded_drift:
             return math.inf, True
-        certs = []
-        others = []
-        for p in self.parts:
-            if isinstance(p, (DecayingModeForcing, ZeroForcing)):
-                certs.append(p)
-            else:
-                others.append(p)
-        if not others:
-            return float(np.linalg.norm(initial_mean)), True
         return super().drift_sup_abs(T, k_max, initial_mean)
 
-    def window_drift_sq_integral(self, k, T, initial_mean):
-        consts = [p for p in self.parts if isinstance(p, ConstantMeanForcing)]
-        if len(consts) == 1 and all(
-            isinstance(p, (DecayingModeForcing, ZeroForcing)) or p is consts[0] for p in self.parts
-        ):
-            return consts[0].window_drift_sq_integral(k, T, initial_mean)
-        if all(isinstance(p, (DecayingModeForcing, ZeroForcing)) for p in self.parts):
-            return float(np.sum(np.asarray(initial_mean, dtype=float) ** 2)) * T
-        return super().window_drift_sq_integral(k, T, initial_mean)
-
     def sup_window_drift_sq(self, T, k_max, initial_mean):
-        consts = [p for p in self.parts if isinstance(p, ConstantMeanForcing) and np.any(p.a != 0.0)]
-        if consts:
+        if self._unbounded_drift:
             return math.inf, True
-        if all(isinstance(p, (DecayingModeForcing, ZeroForcing, ConstantMeanForcing)) for p in self.parts):
-            return self.window_drift_sq_integral(0, T, initial_mean), True
         return super().sup_window_drift_sq(T, k_max, initial_mean)
 
 
 class PeriodicExtensionForcing(Forcing):
     """f(x, t) = h(x, t - kT) for t in [kT, (k+1)T): exact window reduction."""
-
-    kind = "periodic_extension"
 
     def __init__(self, inner: Forcing, T: float):
         if T <= 0:

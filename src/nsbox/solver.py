@@ -504,7 +504,8 @@ class _Recorder:
 
 
 def _sample_plan(cfg, window_T, sample_times):
-    times = set()
+    """Sorted times at which states are stored; each must be a step time."""
+    times = {0.0, round(cfg.t_end, 12)}
     if sample_times:
         times.update(float(t) for t in sample_times)
     if window_T is not None:
@@ -516,8 +517,10 @@ def _sample_plan(cfg, window_T, sample_times):
         while k * window_T <= cfg.t_end + 1e-9:
             times.add(round(k * window_T, 12))
             k += 1
-    times.add(0.0)
-    times.add(round(cfg.t_end, 12))
+    for t in times:
+        n = round(t / cfg.dt)
+        if not 0 <= n <= cfg.n_steps or abs(n * cfg.dt - t) > 1e-9:
+            raise ValueError(f"sample time {t!r} is not a step time in [0, t_end]")
     return sorted(times)
 
 

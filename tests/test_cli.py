@@ -40,6 +40,19 @@ class TestConfigValidation:
                      "dt must divide the window length", id="dt-divides-window"),
         pytest.param("simulate", {"forcing": {"family": "example1", "mode": [0, 0]}},
                      "nonzero 2D integer mode", id="forcing-mode-zero"),
+        pytest.param("stability", {"scenario": {"force_mode": [0, 0]}},
+                     "nonzero 2D integer mode", id="scenario-force-mode-zero"),
+        pytest.param("stability", {"scenario": {"g_amplitude": 0.1, "g_mode": [0, 0, 0]}},
+                     "nonzero 3D integer mode", id="scenario-g-mode-zero"),
+        pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
+                                  "output": {"window_T": 0.05}},
+                     "dt exceeds the window length", id="window-shorter-than-dt"),
+        pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
+                                  "output": {"sample_times": [0.05]}},
+                     "not a step time", id="sample-time-off-grid"),
+        pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
+                                  "output": {"sample_times": [0.3]}},
+                     "not a step time", id="sample-time-after-t_end"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)

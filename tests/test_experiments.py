@@ -42,6 +42,20 @@ class TestProfileAndPerturbation:
         assert np.max(np.abs(f.mean())) < 1e-15
         assert f.sobolev_norm(0) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", [(0, 0, 1), (1, 2, 0), (2, -1, 3), (3, 0, 0)])
+    def test_single_mode_profile_3d_structure(self, mode):
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
+        f = single_mode_profile(g3, mode, normalize="l2")
+        assert f.components == 3
+        assert f.div_norm() < 1e-13
+        assert np.max(np.abs(f.mean())) < 1e-15
+        assert f.sobolev_norm(0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_single_mode_profile_rejects_zero_mode(self):
+        for dim, mode in ((2, (0, 0)), (3, (0, 0, 0)), (3, (1, 0))):
+            with pytest.raises(ValueError, match=f"nonzero {dim}D integer mode"):
+                single_mode_profile(PeriodicGrid(L=TWO_PI, dim=dim, N=8), mode)
+
     def test_perturbation_scaled_exactly(self):
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=16)
         spec = PerturbationSpec(gamma=1e-4, seed=3)

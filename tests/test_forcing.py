@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nsbox.cli import _build_forcing
 from nsbox.forcing import (
     CompositeForcing,
     ConstantMeanForcing,
@@ -12,6 +13,7 @@ from nsbox.forcing import (
     OscillatingMeanForcing,
     PeriodicExtensionForcing,
     ZeroForcing,
+    _gl4,
     adaptive_simpson,
 )
 from nsbox.spectral import PeriodicGrid, SpectralField, transform_forward
@@ -153,3 +155,63 @@ class TestPeriodicExtension:
     def test_validation(self, grid):
         with pytest.raises(ValueError):
             PeriodicExtensionForcing(ZeroForcing(grid, 2), T=0.0)
+
+
+CLI_FAMILIES = ("zero", "constant_mean", "oscillating_mean", "decaying_mode", "example1", "example2")
+
+
+def declaration_case(grid, name):
+    if name == "composite":
+        return CompositeForcing([ConstantMeanForcing(grid, [0.5, -0.25]),
+                                 OscillatingMeanForcing(grid, [0.0, 1.0]), ZeroForcing(grid, 2)])
+    if name == "periodic":
+        return PeriodicExtensionForcing(OscillatingMeanForcing(grid, [1.0, 0.0], omega=2.0), 1.5)
+    return _build_forcing(grid, {"family": name, "constant": [0.5, -0.25]}, 2.0)
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("name", CLI_FAMILIES + ("composite", "periodic"))
+    def test_declarations_hold(self, grid, name):
+        f = declaration_case(grid, name)
+        for t in (0.0, 0.3, 1.7, 4.2):
+            if not f.has_bar:
+                assert f.bar_field(t) is None
+            if f.mean_rate is not None:
+                assert np.array_equal(f.mean(t), f.mean_rate)
+        if f.mean_rate is None:
+            return
+        for t0, t1 in ((0.0, 1.3), (0.4, 2.9)):
+            assert np.allclose(f.mean_integral(t0, t1), _gl4(f.mean, t0, t1),
+                               rtol=1e-13, atol=1e-15)
+            assert np.allclose(f.mean_double_integral(t0, t1),
+                               _gl4(lambda s: (t1 - s) * f.mean(s), t0, t1), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name, has_bar, declared_rate", [
+        ("zero", False, True), ("constant_mean", False, True),
+        ("oscillating_mean", False, False), ("decaying_mode", True, True),
+        ("example1", True, True), ("example2", True, False),
+        ("composite", False, False), ("periodic", True, False),
+    ])
+    def test_families_declare(self, grid, name, has_bar, declared_rate):
+        f = declaration_case(grid, name)
+        assert f.has_bar is has_bar
+        assert (f.mean_rate is not None) is declared_rate
+
+    def test_cancelling_constants_have_bounded_drift(self, grid):
+        a = np.array([0.7, -0.2])
+        f = CompositeForcing([ConstantMeanForcing(grid, a), ConstantMeanForcing(grid, -a)])
+        sup, certified = f.drift_sup_abs(2.0, 8, [0.3, 0.4])
+        assert certified and sup == pytest.approx(0.5, rel=1e-15)
+
+    def test_example_one_with_zero_constant_certifies_drift(self, grid):
+        f = _build_forcing(grid, {"family": "example1", "constant": [0.0, 0.0]})
+        m0 = np.array([0.3, 0.4])
+        assert f.drift_sup_abs(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
+        assert f.sup_window_drift_sq(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
+
+    def test_constant_beside_undeclared_mean_drifts_unboundedly(self, grid):
+        f = CompositeForcing(
+            [ConstantMeanForcing(grid, [1.0, 0.0]), OscillatingMeanForcing(grid, [0.0, 1.0])]
+        )
+        assert f.drift_sup_abs(2.0, 8, [0.0, 0.0]) == (math.inf, True)
+        assert f.sup_window_drift_sq(2.0, 8, [0.0, 0.0]) == (math.inf, True)
