@@ -12,7 +12,7 @@ findings, carried as float('inf'), never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,18 +79,6 @@ class AbarChain:
     member: bool
     certified: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "abar1_sq": self.abar1_sq,
-            "abar2_sq": self.abar2_sq,
-            "abar3_sq": self.abar3_sq,
-            "abar4_sq": self.abar4_sq,
-            "t_star": self.t_star,
-            "T": self.T,
-            "member": self.member,
-            "certified": dict(self.certified),
-        }
-
 
 def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *, k_max=64,
                initial_mean=(0.0, 0.0)) -> AbarChain:
@@ -156,13 +144,10 @@ class AChain:
         return self.a8_sq * (1.0 + self.a8_sq) + self.a8_sq * self.a9**2
 
     def as_dict(self):
-        d = {f"a{i}_sq": getattr(self, f"a{i}_sq") for i in (1, 2, 3, 4, 5, 6, 7, 8)}
-        d["a9"] = self.a9
-        d.update({f"a{i}_sq": getattr(self, f"a{i}_sq") for i in (10, 11, 12, 13, 14)})
-        d["T"] = self.T
+        """The report entry: every field but `inputs`, plus `h21_reference`."""
+        d = asdict(self)
+        del d["inputs"]
         d["h21_reference"] = self.h21_reference()
-        d["hypotheses"] = dict(self.hypotheses)
-        d["certified"] = dict(self.certified)
         return d
 
 
@@ -247,24 +232,6 @@ class BChain:
     T: float
     hypotheses: dict = field(default_factory=dict)
     certified: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "b1_sq": self.b1_sq,
-            "b2_sq": self.b2_sq,
-            "b3_sq": self.b3_sq,
-            "b4_sq": self.b4_sq,
-            "b5_sq": self.b5_sq,
-            "b5_sq_carry": self.b5_sq_carry,
-            "b6_mean_drift": self.b6_mean_drift,
-            "b7_sq": self.b7_sq,
-            "gamma": self.gamma,
-            "gamma_star": self.gamma_star,
-            "epsilon": self.epsilon,
-            "T": self.T,
-            "hypotheses": dict(self.hypotheses),
-            "certified": dict(self.certified),
-        }
 
 
 def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
@@ -413,7 +380,7 @@ def certificate_report(
         "schema": "nsbox-certificate/1",
         "inputs": dict(inputs or {}),
         "poincare": {"nu": nu, "L": L, "kappa": pc.kappa, "c_s1": pc.c_s1, "c_1": pc.c_1},
-        "constants": constants.as_dict(),
+        "constants": asdict(constants),
         "t_star": t_star(pc),
         "gamma_star": gamma_star(constants, pc),
         "T": T,
@@ -421,7 +388,7 @@ def certificate_report(
     hypotheses = {}
     truncation = {}
     if abar is not None:
-        doc["abar_chain"] = abar.as_dict()
+        doc["abar_chain"] = asdict(abar)
         hypotheses["membership"] = abar.member
         truncation.update({f"abar.{k}": v for k, v in abar.certified.items()})
     if achain is not None:
@@ -429,7 +396,7 @@ def certificate_report(
         hypotheses.update({f"base.{k}": v for k, v in achain.hypotheses.items()})
         truncation.update({f"base.{k}": v for k, v in achain.certified.items()})
     if bchain is not None:
-        doc["b_chain"] = bchain.as_dict()
+        doc["b_chain"] = asdict(bchain)
         hypotheses.update({f"pert.{k}": v for k, v in bchain.hypotheses.items()})
         truncation.update({f"pert.{k}": v for k, v in bchain.certified.items()})
     if smallness is not None:

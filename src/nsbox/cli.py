@@ -76,30 +76,31 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _any(x):
-    return True
+def _numbers(x):
+    return isinstance(x, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
+    )
 
 
 _GRID = {"L": _positive, "N": _is_int, "dim": _is_int}
 _SOLVER = {
     "nu": _positive, "dt": _positive, "t_end": _positive,
-    "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"),
-    "cfl_max": _positive, "dealias": lambda v: isinstance(v, bool),
+    "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
 }
 _INITIAL = {
     "kind": lambda v: v in ("zero", "taylor_green", "random", "snapshot", "single_mode"),
-    "amplitude": _nonneg, "seed": _is_int, "band": _any, "k0": _positive,
-    "path": lambda v: isinstance(v, str), "mean": _any, "mode": _any,
+    "amplitude": _nonneg, "seed": _is_int, "band": _numbers, "k0": _positive,
+    "path": lambda v: isinstance(v, str), "mean": _numbers, "mode": _numbers,
 }
 _FORCING = {
     "family": lambda v: v in (
         "zero", "example1", "example2", "decaying_mode", "constant_mean", "oscillating_mean",
     ),
-    "constant": _any, "amplitude": _nonneg, "rate": _positive, "mode": _any,
+    "constant": _numbers, "amplitude": _nonneg, "rate": _positive, "mode": _numbers,
     "omega": _positive, "window": _positive,
     "normalize": lambda v: v in ("l2", "h1"),
 }
-_OUTPUT = {"dir": lambda v: isinstance(v, str), "window_T": _positive, "sample_times": _any,
+_OUTPUT = {"dir": lambda v: isinstance(v, str), "window_T": _positive, "sample_times": _numbers,
            "svg": lambda v: isinstance(v, bool)}
 
 SCHEMAS = {
@@ -130,16 +131,16 @@ SCHEMAS = {
             "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
             "calibration_seed": _is_int, "calibration_fields": _is_int, "k_max": _is_int,
-            "base_amplitude": _nonneg, "force_constant": _any, "force_amplitude": _nonneg,
-            "force_rate": _positive, "force_mode": _any,
+            "base_amplitude": _nonneg, "force_constant": _numbers, "force_amplitude": _nonneg,
+            "force_rate": _positive, "force_mode": _numbers,
             "force_family": lambda v: v in ("example1", "example2", "zero"),
-            "epsilon": _positive, "g_amplitude": _nonneg, "g_rate": _positive, "g_mode": _any,
+            "epsilon": _positive, "g_amplitude": _nonneg, "g_rate": _positive, "g_mode": _numbers,
             "resume": lambda v: isinstance(v, str),
         },
-        "perturbation": {"gamma": _positive, "k0": _positive, "band": _any,
-                         "seed": _is_int, "mean": _any},
+        "perturbation": {"gamma": _positive, "k0": _positive, "band": _numbers,
+                         "seed": _is_int, "mean": _numbers},
         "output": _OUTPUT,
-        "scenarios": _any,  # list of scenario dicts for sweeps
+        "scenarios": lambda v: isinstance(v, list),  # scenario dicts for sweeps
     },
     "report": {"path": lambda v: isinstance(v, str)},
 }
@@ -274,22 +275,20 @@ def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
         grid = _build_grid(cfg, dim)
         solver_cfg = SolverConfig(
             nu=scf.get("nu", 1.0), dt=scf.get("dt", 1e-3), t_end=scf.get("t_end", 1.0),
-            scheme=scf.get("scheme", "imex-cnab2"), dealias=scf.get("dealias", True),
-            cfl_max=scf.get("cfl_max", 0.5),
+            scheme=scf.get("scheme", "imex-cnab2"), cfl_max=scf.get("cfl_max", 0.5),
         )
-        state0 = _build_initial(grid, cfg.get("initial", {}), seed,
-                                "base2d" if dim == 2 else "full3d")
-        forcing = _build_forcing(grid, cfg.get("forcing", {}), window_T)
+        # the pair's base flow and its forcing live on the 2D grid
+        grid0 = PeriodicGrid(grid.L, 2, grid.N) if system == "pair" else grid
+        state0 = _build_initial(grid0, cfg.get("initial", {}), seed,
+                                "full3d" if system == "full3d" else "base2d")
+        forcing = _build_forcing(grid0, cfg.get("forcing", {}), window_T)
         if system == "pair":
-            grid2 = PeriodicGrid(grid.L, 2, grid.N)
-            base0 = _build_initial(grid2, cfg.get("initial", {}), seed, "base2d")
             u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed,
                                 "perturbation")
             g = _build_forcing(grid, cfg.get("g_forcing", {}), window_T)
-            fs2 = _build_forcing(grid2, cfg.get("forcing", {}), window_T)
         _sample_plan(solver_cfg, window_T, sample_times)
     if system == "pair":
-        traj = evolve_pair(base0, fs2, u0, g, solver_cfg, window_T=window_T,
+        traj = evolve_pair(state0, forcing, u0, g, solver_cfg, window_T=window_T,
                            sample_times=sample_times)
         nsio.write_trajectory(os.path.join(outdir, "base"), traj.base, prefix="base")
     else:
@@ -370,9 +369,10 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         if tup in s:
             s[tup] = tuple(s[tup])
     scn = Scenario(perturbation=pert, **s)
-    # rejects solver and forcing settings here rather than in the run
+    # rejects solver, forcing and perturbation settings here rather than in the run
     scn.solver_config()
     scn.forcings()
+    pert.mean_h1_sq(scn.L)
     scn._resume = resume
     return scn
 

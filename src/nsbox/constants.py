@@ -24,7 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from nsbox.spectral import PeriodicGrid, lift_2d_to_3d, random_field
+from nsbox.spectral import (
+    PeriodicGrid,
+    grad_l3_norm,
+    grad_samples,
+    lift_2d_to_3d,
+    random_field,
+    transform_forward,
+)
 
 __all__ = [
     "PoincareConstants",
@@ -69,8 +76,6 @@ def certify_poincare_sharpness(pc: PoincareConstants, grid: PeriodicGrid, rng=No
         u = random_field(grid, grid.dim, rng, mean_free=True)
         worst = min(worst, pc.nu * u.grad_norm_sq() / u.sobolev_norm_sq(1))
     x = grid.coords()[0]
-    from nsbox.spectral import transform_forward
-
     low = transform_forward(grid, np.sin(2 * np.pi * x / grid.L) * np.ones(grid.shape))
     at_low = pc.nu * low.grad_norm_sq() / low.sobolev_norm_sq(1)
     return {"min_ratio": float(worst), "lowest_mode_ratio": float(at_low)}
@@ -129,8 +134,6 @@ def analytic_primitives(L: float) -> dict:
 def _ratio_fields(grid, rng, n_fields):
     """Calibration set: random band-limited mean-free fields of varied
     spectral concentration plus pure lowest-mode extremizers."""
-    from nsbox.spectral import transform_forward
-
     fields = []
     k0_cycle = (1.5, 2.5, 4.0, grid.N / 4.0)
     hi = max(2, grid.N // 3)
@@ -175,7 +178,7 @@ def calibrated_primitives(
         r["c_l3_interp_2d"] = max(r["c_l3_interp_2d"], l3 / (gr ** (1 / 3) * l2 ** (2 / 3)))
         # lifted gradient-L3 against the 3D H2 norm of the lifted field
         lifted = lift_2d_to_3d(u, g3_lift)
-        gl3 = _grad_l3(lifted)
+        gl3 = grad_l3_norm(g3_lift, grad_samples(g3_lift, lifted.coeffs))
         r["c_l3_lift"] = max(r["c_l3_lift"], gl3 / lifted.sobolev_norm(2))
     n3 = max(200, n_fields // 3)
     for u in _ratio_fields(g3, rng, n3):
@@ -187,14 +190,6 @@ def calibrated_primitives(
         r["c_l6_grad_3d"] = max(r["c_l6_grad_3d"], l6 / gr)
         r["c_l3_interp_3d"] = max(r["c_l3_interp_3d"], l3 / (gr ** 0.5 * l2 ** 0.5))
     return {k: headroom * v for k, v in r.items()}
-
-
-def _grad_l3(u):
-    """L3 norm of the full first-derivative tensor (pointwise Frobenius)."""
-    grads = [u.derivative(tuple(1 if j == a else 0 for j in range(u.grid.dim)))
-             for a in range(u.grid.dim)]
-    magsq = sum(np.sum(gq.physical() ** 2, axis=0) for gq in grads)
-    return float((u.grid.cell_volume * np.sum(magsq ** 1.5)) ** (1 / 3))
 
 
 @dataclass(frozen=True)
@@ -220,18 +215,6 @@ class InterpolationConstants:
     c_3: float
     c_4: float
     primitives: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "c_s2": self.c_s2,
-            "c_s3": self.c_s3,
-            "c_s4": self.c_s4,
-            "c_2": self.c_2,
-            "c_3": self.c_3,
-            "c_4": self.c_4,
-            "primitives": dict(self.primitives),
-        }
 
 
 def interpolation_constants(

@@ -82,6 +82,14 @@ class PerturbationSpec:
     seed: int = 7
     mean: tuple = (0.0, 0.0, 0.0)
 
+    def mean_h1_sq(self, L: float) -> float:
+        """H1 norm squared of the constant mean on [0, L]^3; raises ValueError
+        when it alone reaches the smallness target gamma * (1 - 1e-9)."""
+        mean_h1_sq = float(np.sum(np.asarray(self.mean, dtype=float) ** 2)) * L**3
+        if mean_h1_sq >= self.gamma * (1.0 - 1e-9):
+            raise ValueError("perturbation mean alone exceeds the smallness target")
+        return mean_h1_sq
+
 
 @dataclass
 class Scenario:
@@ -147,13 +155,9 @@ def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
     rng = np.random.default_rng(spec.seed)
     hi = min(spec.band[1], grid3.N // 4)
     u = random_field(grid3, 3, rng, band=(spec.band[0], hi), k0=spec.k0, solenoidal=True)
-    mean = np.asarray(spec.mean, dtype=float)
-    target = spec.gamma * (1.0 - 1e-9)
-    mean_h1_sq = float(np.sum(mean**2)) * grid3.volume
-    if mean_h1_sq >= target:
-        raise ValueError("perturbation mean alone exceeds the smallness target")
-    scale = math.sqrt((target - mean_h1_sq) / u.sobolev_norm_sq(1))
-    return FlowState(0.0, u * scale, mean, "perturbation")
+    mean_h1_sq = spec.mean_h1_sq(grid3.L)
+    scale = math.sqrt((spec.gamma * (1.0 - 1e-9) - mean_h1_sq) / u.sobolev_norm_sq(1))
+    return FlowState(0.0, u * scale, np.asarray(spec.mean, dtype=float), "perturbation")
 
 
 def forcing_families(grid2: PeriodicGrid, scenario: Scenario) -> Forcing:

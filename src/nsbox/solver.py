@@ -33,10 +33,19 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft as _fft
 
 from nsbox.forcing import Forcing
-from nsbox.spectral import PeriodicGrid, SpectralField, gradient_part_normsq, leray_project_coeffs
+from nsbox.spectral import (
+    PeriodicGrid,
+    SpectralField,
+    grad_l3_norm,
+    grad_samples,
+    gradient_part_normsq,
+    leray_project_coeffs,
+    to_coeffs,
+    to_samples,
+    zero_mode0,
+)
 
 __all__ = [
     "SolverConfig",
@@ -84,7 +93,6 @@ class SolverConfig:
     dt: float
     t_end: float
     scheme: str = "imex-cnab2"
-    dealias: bool = True
     cfl_max: float = 0.5
 
     def __post_init__(self):
@@ -157,31 +165,7 @@ class Trajectory:
         raise KeyError(f"no stored state at t={t}")
 
 
-# -- core spectral helpers on raw coefficient arrays -------------------------
-
-
-def _phys(grid, c):
-    axes = tuple(range(1, grid.dim + 1))
-    return _fft.ifftn(c, axes=axes, norm="forward").real
-
-
-def _spec(grid, s):
-    axes = tuple(range(1, grid.dim + 1))
-    return _fft.fftn(s, axes=axes, norm="forward")
-
-
-def _zero_mode0(c):
-    zero = (slice(None),) + (0,) * (c.ndim - 1)
-    c[zero] = 0.0
-    return c
-
-
-def _grad_phys(grid, c):
-    """(dim, C, grid) physical gradients of the coefficient array c."""
-    out = np.empty((grid.dim,) + c.shape, dtype=float)
-    for a in range(grid.dim):
-        out[a] = _phys(grid, 1j * grid.k[a] * c)
-    return out
+# -- explicit terms on raw coefficient arrays ----------------------------------
 
 
 def _convective_raw(grid, grads, wbar_phys, wmean):
@@ -189,23 +173,22 @@ def _convective_raw(grid, grads, wbar_phys, wmean):
     returns (coeffs, max advecting speed)."""
     C = grads.shape[1]
     conv = np.zeros((C,) + grid.shape, dtype=float)
+    speedsq = np.zeros(grid.shape)
     for a in range(grid.dim):
         wa = wbar_phys[a] + wmean[a]
         for c in range(C):
             conv[c] += wa * grads[a][c]
-    speedsq = np.zeros(grid.shape)
-    for a in range(wbar_phys.shape[0]):
-        speedsq += (wbar_phys[a] + wmean[a]) ** 2
-    return _spec(grid, conv), float(np.sqrt(np.max(speedsq)))
+        speedsq += wa**2
+    return to_coeffs(grid, conv), float(np.sqrt(np.max(speedsq)))
 
 
-def _explicit(grid, forcing, t, raw):
-    """Add the mean-free forcing at t, dealias and project: (rhs, raw)."""
-    fbar = forcing.bar_field(t)
+def _explicit(grid, raw, fbar=None):
+    """Add the mean-free forcing `fbar` (a field or None), dealias and
+    project: (rhs, raw)."""
     if fbar is not None:
         raw = raw + fbar.coeffs
     raw = raw * grid.dealias_mask
-    return _zero_mode0(leray_project_coeffs(grid, raw)), raw
+    return zero_mode0(leray_project_coeffs(grid, raw)), raw
 
 
 def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=None) -> SpectralField:
@@ -215,10 +198,8 @@ def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=No
     if advecting.grid != grid:
         raise ValueError("advecting field lives on a different grid")
     wmean = np.zeros(advecting.components) if advecting_mean is None else np.asarray(advecting_mean, float)
-    conv, _ = _convective_raw(grid, _grad_phys(grid, state.field.coeffs), advecting.physical(), wmean)
-    conv = -conv * grid.dealias_mask
-    conv = _zero_mode0(conv)
-    return SpectralField(grid, leray_project_coeffs(grid, conv), mean_free=True, solenoidal=True)
+    conv, _ = _convective_raw(grid, grad_samples(grid, state.field.coeffs), advecting.physical(), wmean)
+    return SpectralField(grid, _explicit(grid, -conv)[0], mean_free=True, solenoidal=True)
 
 
 def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
@@ -254,10 +235,10 @@ class _SingleFlow:
     def rhs(self, coeffs, mean, t, base=None):
         """`base` is unused: a single flow is advected by itself."""
         grid = self.grid
-        ubar_phys = _phys(grid, coeffs)
-        grads = _grad_phys(grid, coeffs)
+        ubar_phys = to_samples(grid, coeffs)
+        grads = grad_samples(grid, coeffs)
         conv, speed = _convective_raw(grid, grads, ubar_phys, np.zeros(len(mean)))
-        rhs, raw = _explicit(grid, self.forcing, t, -conv)
+        rhs, raw = _explicit(grid, -conv, self.forcing.bar_field(t))
         return _Eval(rhs, raw, speed + float(np.linalg.norm(mean)), ubar_phys, grads, mean)
 
 
@@ -283,28 +264,24 @@ class _PerturbationFlow:
         x3-independent fields enter the 3D products as broadcast views."""
         grid = self.grid
         vs_phys2, grad_vs2 = base.phys, base.grads
-        ubar_phys = _phys(grid, coeffs)
-        grads_u = _grad_phys(grid, coeffs)
+        ubar_phys = to_samples(grid, coeffs)
+        grads_u = grad_samples(grid, coeffs)
+        total_mean = mean + np.concatenate([base.mean, [0.0]])
         conv = np.zeros((3,) + grid.shape)
+        speedsq = np.zeros(grid.shape)
         for a in range(3):
             wa = ubar_phys[a]
             if a < 2:
                 wa = wa + vs_phys2[a][..., None]
             for c in range(3):
                 conv[c] += wa * grads_u[a][c]
+            speedsq += (wa + total_mean[a]) ** 2
         # (u . grad) vbar_s with u = ubar + mean_u (x3-derivative vanishes)
         for a in range(2):
             ua = ubar_phys[a] + mean[a]
             for c in range(2):
                 conv[c] += ua * grad_vs2[a][c][..., None]
-        rhs, raw = _explicit(grid, self.forcing, t, -_spec(grid, conv))
-        speedsq = np.zeros(grid.shape)
-        total_mean = mean + np.concatenate([base.mean, [0.0]])
-        for a in range(3):
-            wa = ubar_phys[a]
-            if a < 2:
-                wa = wa + vs_phys2[a][..., None]
-            speedsq += (wa + total_mean[a]) ** 2
+        rhs, raw = _explicit(grid, -to_coeffs(grid, conv), self.forcing.bar_field(t))
         return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), ubar_phys, grads_u, mean)
 
 
@@ -365,7 +342,7 @@ class _Stepper:
     def __init__(self, system, cfg, state0):
         self.system = system
         self.dt = cfg.dt
-        self.coeffs = state0.field.dealias().coeffs.copy() if cfg.dealias else state0.field.coeffs.copy()
+        self.coeffs = state0.field.dealias().coeffs.copy()
         self.mean = np.asarray(state0.mean, float).copy()
         self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
@@ -413,7 +390,7 @@ class _Stepper:
         else:
             new = lam * (self.coeffs + 1.5 * dt * n[0]) - 0.5 * dt * lam * self.prev_factor * self.prev_rhs
         self.prev_rhs, self.prev_factor = n[0], lam
-        self.coeffs = _zero_mode0(new)
+        self.coeffs = zero_mode0(new)
         self.mean = self.mean_next
         # release the step's stage arrays before the next step's evaluations
         self.terms = self.lam = self.lam_h = self.mean_next = None
@@ -488,10 +465,7 @@ class _Recorder:
             d["dudt_sq"].append(0.0)
         self._prev_coeffs = coeffs.copy()
         if self.role == "base2d":
-            gradmagsq = np.zeros(g.shape)
-            for a in range(g.dim):
-                gradmagsq += np.sum(ev.grads[a] ** 2, axis=0)
-            d["gradv_l3"].append(float((g.cell_volume * np.sum(gradmagsq**1.5)) ** (1 / 3)))
+            d["gradv_l3"].append(grad_l3_norm(g, ev.grads))
 
     def finalize(self):
         out = {}

@@ -5,6 +5,11 @@ u_hat(m) with u(x) = sum_m u_hat(m) exp(i k_m . x), where k_m = (2 pi / L) m
 and m runs over the usual FFT integer modes.  The forward transform carries
 the 1/N^d factor, so u_hat(0) is the arithmetic mean of the samples and
 Parseval reads ||u||_L2^2 = L^d sum_m |u_hat(m)|^2.
+
+This module is the only one that knows that layout.  The kernel functions
+below `SpectralField` act on raw (C, grid) arrays in it (transforms, physical
+gradients, mode-0 zeroing, Leray projection, gradient norms); the field
+methods, the solver and the constants calibration are built on them.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ __all__ = [
     "SpectralField",
     "transform_forward",
     "transform_backward",
+    "to_coeffs",
+    "to_samples",
+    "grad_samples",
+    "zero_mode0",
+    "grad_l3_norm",
     "lift_2d_to_3d",
     "random_field",
     "inner_l2",
@@ -145,9 +155,7 @@ class SpectralField:
             raise ValueError(
                 f"sample shape {samples.shape} does not match grid {grid.shape}"
             )
-        axes = tuple(range(1, grid.dim + 1))
-        coeffs = _fft.fftn(samples, axes=axes, norm="forward")
-        return cls(grid, coeffs)
+        return cls(grid, to_coeffs(grid, samples))
 
     @classmethod
     def zeros(cls, grid: PeriodicGrid, components: int) -> "SpectralField":
@@ -162,13 +170,11 @@ class SpectralField:
 
     def physical(self) -> np.ndarray:
         """Grid samples (real part of the inverse transform)."""
-        axes = tuple(range(1, self.grid.dim + 1))
-        return _fft.ifftn(self.coeffs, axes=axes, norm="forward").real
+        return to_samples(self.grid, self.coeffs)
 
     def mean(self) -> np.ndarray:
         """Integral mean over the box, one entry per component."""
-        zero = (slice(None),) + (0,) * self.grid.dim
-        return self.coeffs[zero].real.copy()
+        return self.coeffs[_mode0(self.coeffs)].real.copy()
 
     def hermitian_defect(self) -> float:
         """Max |c(-m) - conj(c(m))| over all modes (0 for real fields)."""
@@ -201,18 +207,11 @@ class SpectralField:
         mean_free = self.mean_free or sum(alpha) >= 1
         return SpectralField(self.grid, out, mean_free=mean_free, solenoidal=self.solenoidal)
 
-    def gradient_components(self):
-        """List over axes a of the componentwise derivative d/dx_a."""
-        ek = [tuple(1 if j == a else 0 for j in range(self.grid.dim)) for a in range(self.grid.dim)]
-        return [self.derivative(e) for e in ek]
-
     def divergence(self) -> "SpectralField":
         if self.components != self.grid.dim:
             raise ValueError("divergence requires a full vector field")
-        div = np.zeros((1,) + self.grid.shape, dtype=np.complex128)
-        for a in range(self.grid.dim):
-            div[0] += 1j * self.grid.k[a] * self.coeffs[a]
-        return SpectralField(self.grid, div, mean_free=True)
+        div = 1j * _k_dot(self.grid, self.coeffs)
+        return SpectralField(self.grid, div[None], mean_free=True)
 
     def leray_project(self) -> "SpectralField":
         """Remove the gradient part per mode: u_hat -= k (k.u_hat)/|k|^2."""
@@ -222,9 +221,7 @@ class SpectralField:
         return SpectralField(self.grid, out, mean_free=self.mean_free, solenoidal=True)
 
     def subtract_mean(self) -> "SpectralField":
-        out = self.coeffs.copy()
-        zero = (slice(None),) + (0,) * self.grid.dim
-        out[zero] = 0.0
+        out = zero_mode0(self.coeffs.copy())
         return SpectralField(self.grid, out, mean_free=True, solenoidal=self.solenoidal)
 
     def add_constant(self, vec) -> "SpectralField":
@@ -232,8 +229,7 @@ class SpectralField:
         if vec.shape != (self.components,):
             raise ValueError("constant vector length must equal components")
         out = self.coeffs.copy()
-        zero = (slice(None),) + (0,) * self.grid.dim
-        out[zero] = out[zero] + vec
+        out[_mode0(out)] += vec
         sol = self.solenoidal  # constants are divergence free
         return SpectralField(self.grid, out, mean_free=False, solenoidal=sol)
 
@@ -246,9 +242,7 @@ class SpectralField:
 
     def sobolev_norm(self, s: int) -> float:
         """(sum_{|alpha|<=s} ||D^alpha u||_L2^2)^(1/2), exact by Parseval."""
-        mult = self.grid.sobolev_multiplier(s)
-        total = np.sum(mult * np.sum(np.abs(self.coeffs) ** 2, axis=0))
-        return float(np.sqrt(self.grid.volume * total))
+        return float(np.sqrt(self.sobolev_norm_sq(s)))
 
     def sobolev_norm_sq(self, s: int) -> float:
         mult = self.grid.sobolev_multiplier(s)
@@ -312,6 +306,51 @@ class SpectralField:
             f"SpectralField(components={self.components}, grid={self.grid!r}, "
             f"mean_free={self.mean_free}, solenoidal={self.solenoidal})"
         )
+
+
+# -- kernel: operations on raw (C, grid) arrays in the layout above -----------
+
+
+def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
+    """Normalized coefficients of a raw (C, grid) sample array."""
+    return _fft.fftn(samples, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+
+
+def to_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """Grid samples of a raw (C, grid) coefficient array (real part of the inverse)."""
+    return _fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1)), norm="forward").real
+
+
+def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """(dim, C, grid) physical first derivatives of a raw (C, grid) coefficient array.
+
+    The Nyquist plane is differentiated as mode -N/2, where
+    `SpectralField.derivative` zeroes it; the two agree on arrays without
+    Nyquist content, such as dealiased ones.
+    """
+    out = np.empty((grid.dim,) + coeffs.shape, dtype=float)
+    for a in range(grid.dim):
+        out[a] = to_samples(grid, 1j * grid.k[a] * coeffs)
+    return out
+
+
+def _mode0(coeffs):
+    """Index of mode 0 of every component of a (C, grid) array."""
+    return (slice(None),) + (0,) * (coeffs.ndim - 1)
+
+
+def zero_mode0(coeffs) -> np.ndarray:
+    """Zero mode 0 of every component in place; returns the array."""
+    coeffs[_mode0(coeffs)] = 0.0
+    return coeffs
+
+
+def grad_l3_norm(grid: PeriodicGrid, grads) -> float:
+    """L3 norm of the pointwise Frobenius norm of (dim, C, grid) physical gradients."""
+    magsq = np.zeros(grid.shape)
+    for g in grads:
+        magsq += np.sum(g**2, axis=0)
+    return float((grid.cell_volume * np.sum(magsq**1.5)) ** (1 / 3))
 
 
 def _k_dot(grid: PeriodicGrid, coeffs) -> np.ndarray:

@@ -53,6 +53,26 @@ class TestConfigValidation:
         pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
                                   "output": {"sample_times": [0.3]}},
                      "not a step time", id="sample-time-after-t_end"),
+        pytest.param("simulate", {"solver": {"dealias": True}}, "solver.dealias",
+                     id="solver.dealias-removed"),
+        # list-valued keys given a scalar
+        pytest.param("simulate", {"output": {"sample_times": 0.1}}, "output.sample_times",
+                     id="output.sample_times"),
+        pytest.param("simulate", {"initial": {"kind": "random", "band": 5}}, "initial.band",
+                     id="initial.band"),
+        pytest.param("simulate", {"forcing": {"family": "constant_mean", "constant": 2.0}},
+                     "forcing.constant", id="forcing.constant"),
+        pytest.param("stability", {"scenario": {"force_constant": 1.0}},
+                     "scenario.force_constant", id="scenario.force_constant"),
+        pytest.param("stability", {"scenario": {"g_mode": 1}}, "scenario.g_mode",
+                     id="scenario.g_mode"),
+        pytest.param("stability", {"perturbation": {"band": 3}}, "perturbation.band",
+                     id="perturbation.band"),
+        pytest.param("stability", {"perturbation": {"mean": 0.1}}, "perturbation.mean",
+                     id="perturbation.mean"),
+        pytest.param("stability", {"perturbation": {"gamma": 1e-4, "mean": [0.01, 0, 0]}},
+                     "perturbation mean alone exceeds the smallness target",
+                     id="perturbation-mean-too-large"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)
@@ -131,6 +151,23 @@ class TestSimulate:
             rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 4
         assert "abort" in capsys.readouterr().err
+
+    def test_pair_with_2d_forcing_mode(self, tmp_path):
+        # the pair's forcing is built on the 2D grid only, so a 2D mode is valid
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "system": "pair",
+                "grid": {"L": TWO_PI, "N": 8},
+                "solver": {"nu": 1.0, "dt": 0.05, "t_end": 0.1},
+                "initial": {"kind": "taylor_green", "amplitude": 0.1},
+                "forcing": {"family": "example2", "mode": [2, 0]},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "series.csv").exists()
+        assert (out / "base" / "base_series.json").exists()
 
     def test_snapshot_artifacts_readable(self, tmp_path):
         cfg = write_cfg(

@@ -8,11 +8,16 @@ import pytest
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
+    grad_l3_norm,
+    grad_samples,
     inner_l2,
     lift_2d_to_3d,
     random_field,
+    to_coeffs,
+    to_samples,
     transform_backward,
     transform_forward,
+    zero_mode0,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -147,6 +152,43 @@ class TestDerivative:
         f = SpectralField.zeros(g, 1)
         with pytest.raises(ValueError):
             f.derivative((2, 2))
+
+
+class TestKernel:
+    """The raw-array kernel gives the field methods' results bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gradients_equal_field_derivatives(self, dim):
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
+        u = random_field(g, dim, np.random.default_rng(dim)).dealias()
+        grads = grad_samples(g, u.coeffs)
+        assert grads.shape == (dim, dim) + g.shape
+        for a in range(dim):
+            e_a = tuple(int(j == a) for j in range(dim))
+            assert np.array_equal(grads[a], u.derivative(e_a).physical())
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_transforms_equal_field_methods(self, dim):
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
+        samples = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
+        f = SpectralField.from_physical(g, samples)
+        assert np.array_equal(to_coeffs(g, samples), f.coeffs)
+        assert np.array_equal(to_samples(g, f.coeffs), f.physical())
+
+    def test_zero_mode0_in_place(self):
+        g = PeriodicGrid(L=TWO_PI, dim=2, N=8)
+        c = np.ones((2,) + g.shape, dtype=complex)
+        assert zero_mode0(c) is c
+        assert np.all(c[:, 0, 0] == 0.0)
+        assert np.sum(c == 0.0) == 2
+
+    def test_grad_l3_norm_of_unit_gradient(self):
+        # u = (sin x1, cos x1) has |grad u| = 1 pointwise, so ||grad u||_L3 = L^(2/3)
+        g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
+        x1, _ = g.coords()
+        u = transform_forward(g, np.stack([np.sin(x1), np.cos(x1)]) * np.ones(g.shape))
+        assert grad_l3_norm(g, grad_samples(g, u.coeffs)) == pytest.approx(
+            TWO_PI ** (2 / 3), rel=1e-12)
 
 
 class TestLerayProjection:
