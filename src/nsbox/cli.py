@@ -28,16 +28,10 @@ from nsbox.constants import interpolation_constants, poincare_constants
 from nsbox.experiments import (
     PerturbationSpec,
     Scenario,
+    build_forcing,
+    initial_norms,
     run_stability_experiment,
     single_mode_profile,
-)
-from nsbox.forcing import (
-    CompositeForcing,
-    ConstantMeanForcing,
-    DecayingModeForcing,
-    OscillatingMeanForcing,
-    PeriodicExtensionForcing,
-    ZeroForcing,
 )
 from nsbox.solver import (
     CFLViolation,
@@ -239,29 +233,6 @@ def _build_initial(grid, icfg, seed_override=None, role="base2d"):
     raise ConfigError(f"unsupported initial kind {kind!r}")
 
 
-def _build_forcing(grid, fcfg, window_T=None):
-    family = fcfg.get("family", "zero")
-    comp = 2 if grid.dim == 2 else 3
-    if family == "zero":
-        return ZeroForcing(grid, comp)
-    if family == "constant_mean":
-        return ConstantMeanForcing(grid, fcfg.get("constant", [0.0] * comp))
-    if family == "oscillating_mean":
-        return OscillatingMeanForcing(grid, fcfg.get("constant", [1.0] + [0.0] * (comp - 1)),
-                                      omega=fcfg.get("omega", 1.0))
-    profile = single_mode_profile(grid, fcfg.get("mode", (1, 0)),
-                                  normalize=fcfg.get("normalize", "l2"))
-    h = DecayingModeForcing(profile, rate=fcfg.get("rate", 1.0),
-                            amplitude=fcfg.get("amplitude", 1.0))
-    if family == "decaying_mode":
-        return h
-    if family == "example1":
-        return CompositeForcing([ConstantMeanForcing(grid, fcfg.get("constant", [1.0, 0.0])), h])
-    if family == "example2":
-        return PeriodicExtensionForcing(h, fcfg.get("window", window_T or 1.0))
-    raise ConfigError(f"unsupported forcing family {family!r}")
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -281,11 +252,11 @@ def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
         grid0 = PeriodicGrid(grid.L, 2, grid.N) if system == "pair" else grid
         state0 = _build_initial(grid0, cfg.get("initial", {}), seed,
                                 "full3d" if system == "full3d" else "base2d")
-        forcing = _build_forcing(grid0, cfg.get("forcing", {}), window_T)
+        forcing = build_forcing(grid0, cfg.get("forcing", {}), window_T)
         if system == "pair":
             u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed,
                                 "perturbation")
-            g = _build_forcing(grid, cfg.get("g_forcing", {}), window_T)
+            g = build_forcing(grid, cfg.get("g_forcing", {}), window_T)
         _sample_plan(solver_cfg, window_T, sample_times)
     if system == "pair":
         traj = evolve_pair(state0, forcing, u0, g, solver_cfg, window_T=window_T,
@@ -315,29 +286,24 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
     )
     with _building():
         grid2 = PeriodicGrid(L=L, dim=2, N=ccfg.get("N", 32))
-        forcing = _build_forcing(grid2, cfg.get("forcing", {}), T)
+        forcing = build_forcing(grid2, cfg.get("forcing", {}), T)
+        # the mean comes from `initial` even when `initial_norms` gives the norms
+        state0 = _build_initial(grid2, cfg.get("initial", {}), seed)
     if "initial_norms" in cfg:
         norms = dict(cfg["initial_norms"])
-        h1_sq = norms.get("h1_sq", norms["l2_sq"] + norms["grad_sq"])
+        norms.setdefault("h1_sq", norms["l2_sq"] + norms["grad_sq"])
     else:
-        with _building():
-            state0 = _build_initial(grid2, cfg.get("initial", {}), seed)
-        norms = {
-            "l2_sq": state0.field.sobolev_norm_sq(0),
-            "grad_sq": state0.field.grad_norm_sq(),
-            "grad2_sq": state0.field.sobolev_norm_sq(2) - state0.field.sobolev_norm_sq(1),
-        }
-        h1_sq = norms["l2_sq"] + norms["grad_sq"]
+        norms = initial_norms(state0.field)
     k_max = ccfg.get("k_max", 64)
-    ab = abar_chain(forcing, h1_sq, T, pc, ic, k_max=k_max)
-    ach = a_chain(forcing, norms, T, pc, ic, k_max=k_max)
+    ab = abar_chain(forcing, norms["h1_sq"], T, pc, ic, k_max=k_max, initial_mean=state0.mean)
+    ach = a_chain(forcing, norms, T, pc, ic, k_max=k_max, initial_mean=state0.mean)
     bch = None
     sm = None
     gamma = ccfg.get("gamma", 0.0)
     if "perturbation_norms" in cfg or gamma:
         with _building():
             g3 = PeriodicGrid(L=L, dim=3, N=ccfg.get("N", 32))
-            g = _build_forcing(g3, cfg.get("g_forcing", {}), T)
+            g = build_forcing(g3, cfg.get("g_forcing", {}), T)
         u0n = cfg.get("perturbation_norms", {"l2_sq": 0.0})
         bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma,
                       epsilon=ccfg.get("epsilon", 0.5), k_max=k_max)
@@ -359,12 +325,7 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
 def _scenario_from_config(cfg: dict) -> Scenario:
     s = dict(cfg.get("scenario", {}))
     resume = s.pop("resume", None)
-    p = cfg.get("perturbation", {})
-    pert = PerturbationSpec(
-        gamma=p.get("gamma", 1e-4), k0=p.get("k0", 5.0),
-        band=tuple(p.get("band", (1, 8))), seed=p.get("seed", 7),
-        mean=tuple(p.get("mean", (0.0, 0.0, 0.0))),
-    )
+    pert = PerturbationSpec(**cfg.get("perturbation", {}))
     for tup in ("force_constant", "force_mode", "g_mode"):
         if tup in s:
             s[tup] = tuple(s[tup])

@@ -28,10 +28,18 @@ from nsbox.forcing import (
     ConstantMeanForcing,
     DecayingModeForcing,
     Forcing,
+    OscillatingMeanForcing,
     PeriodicExtensionForcing,
     ZeroForcing,
 )
-from nsbox.solver import FlowState, SolverConfig, Trajectory, evolve_pair, taylor_green_state
+from nsbox.solver import (
+    FlowState,
+    SolverAbort,
+    SolverConfig,
+    Trajectory,
+    evolve_pair,
+    taylor_green_state,
+)
 from nsbox.spectral import PeriodicGrid, SpectralField, random_field, transform_forward
 
 __all__ = [
@@ -42,7 +50,8 @@ __all__ = [
     "ExperimentResult",
     "single_mode_profile",
     "make_perturbation",
-    "forcing_families",
+    "build_forcing",
+    "initial_norms",
     "example_one_threshold",
     "run_stability_experiment",
     "barrier_monitor",
@@ -66,7 +75,6 @@ def single_mode_profile(grid: PeriodicGrid, mode, amplitude=1.0, normalize=None)
     a = 2.0 * np.pi / grid.L
     phase = np.cos(a * sum(mc * x for mc, x in zip(m, grid.coords()))) * np.ones(grid.shape)
     f = transform_forward(grid, np.stack([p * phase for p in perp]))
-    f = SpectralField(grid, f.coeffs, mean_free=True, solenoidal=True)
     if normalize == "l2":
         f = f * (1.0 / f.sobolev_norm(0))
     elif normalize == "h1":
@@ -81,6 +89,13 @@ class PerturbationSpec:
     band: tuple = (1, 8)
     seed: int = 7
     mean: tuple = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        self.band, self.mean = tuple(self.band), tuple(self.mean)
+        if len(self.band) != 2:
+            raise ValueError("perturbation band must be [lo, hi]")
+        if len(self.mean) != 3:
+            raise ValueError("perturbation mean must have 3 entries")
 
     def mean_h1_sq(self, L: float) -> float:
         """H1 norm squared of the constant mean on [0, L]^3; raises ValueError
@@ -141,12 +156,12 @@ class Scenario:
 
     def forcings(self) -> tuple:
         """(base forcing on the 2D grid, difference forcing g on the 3D grid)."""
-        fs = forcing_families(PeriodicGrid(L=self.L, dim=2, N=self.N), self)
-        grid3 = PeriodicGrid(L=self.L, dim=3, N=self.N)
-        if self.g_amplitude <= 0.0:
-            return fs, ZeroForcing(grid3, 3)
-        prof3 = single_mode_profile(grid3, self.g_mode, normalize="l2")
-        return fs, DecayingModeForcing(prof3, rate=self.g_rate, amplitude=self.g_amplitude)
+        base = {"family": self.force_family, "constant": self.force_constant,
+                "amplitude": self.force_amplitude, "rate": self.force_rate, "mode": self.force_mode}
+        g = {"family": "decaying_mode" if self.g_amplitude > 0.0 else "zero",
+             "amplitude": self.g_amplitude, "rate": self.g_rate, "mode": self.g_mode}
+        return (build_forcing(PeriodicGrid(L=self.L, dim=2, N=self.N), base, self.T),
+                build_forcing(PeriodicGrid(L=self.L, dim=3, N=self.N), g))
 
 
 def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
@@ -160,21 +175,45 @@ def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
     return FlowState(0.0, u * scale, np.asarray(spec.mean, dtype=float), "perturbation")
 
 
-def forcing_families(grid2: PeriodicGrid, scenario: Scenario) -> Forcing:
-    """Build the base forcing named by the scenario.
+def build_forcing(grid: PeriodicGrid, fcfg: dict, window_T=None) -> Forcing:
+    """The forcing family named by a config section, on a 2D or 3D grid.
 
     example1: constant force plus a decaying square-integrable fluctuation.
     example2: the window-periodic extension of the decaying fluctuation.
+    Raises ValueError for an unknown family or an invalid parameter.
     """
-    if scenario.force_family == "zero":
-        return ZeroForcing(grid2, 2)
-    profile = single_mode_profile(grid2, scenario.force_mode, normalize="l2")
-    h = DecayingModeForcing(profile, rate=scenario.force_rate, amplitude=scenario.force_amplitude)
-    if scenario.force_family == "example1":
-        return CompositeForcing([ConstantMeanForcing(grid2, list(scenario.force_constant)), h])
-    if scenario.force_family == "example2":
-        return PeriodicExtensionForcing(h, scenario.T)
-    raise ValueError(f"unknown forcing family {scenario.force_family!r}")
+    family = fcfg.get("family", "zero")
+    comp = 2 if grid.dim == 2 else 3
+    if family == "zero":
+        return ZeroForcing(grid, comp)
+    if family == "constant_mean":
+        return ConstantMeanForcing(grid, fcfg.get("constant", [0.0] * comp))
+    if family == "oscillating_mean":
+        return OscillatingMeanForcing(grid, fcfg.get("constant", [1.0] + [0.0] * (comp - 1)),
+                                      omega=fcfg.get("omega", 1.0))
+    profile = single_mode_profile(grid, fcfg.get("mode", (1, 0)),
+                                  normalize=fcfg.get("normalize", "l2"))
+    h = DecayingModeForcing(profile, rate=fcfg.get("rate", 1.0),
+                            amplitude=fcfg.get("amplitude", 1.0))
+    if family == "decaying_mode":
+        return h
+    if family == "example1":
+        return CompositeForcing([ConstantMeanForcing(grid, fcfg.get("constant", [1.0, 0.0])), h])
+    if family == "example2":
+        return PeriodicExtensionForcing(h, fcfg.get("window", window_T or 1.0))
+    raise ValueError(f"unsupported forcing family {family!r}")
+
+
+def initial_norms(v0: SpectralField) -> dict:
+    """The norms of the initial mean-free base flow that the abar- and
+    a-chains read: ||v0||^2, ||grad v0||^2, ||grad2 v0||^2 and ||v0||_H1^2."""
+    h1_sq = v0.sobolev_norm_sq(1)
+    return {
+        "l2_sq": v0.sobolev_norm_sq(0),
+        "grad_sq": v0.grad_norm_sq(),
+        "grad2_sq": v0.sobolev_norm_sq(2) - h1_sq,
+        "h1_sq": h1_sq,
+    }
 
 
 def example_one_threshold(h: DecayingModeForcing, vbar0_h1_sq: float, pc, ic) -> float:
@@ -394,16 +433,6 @@ def h21_window_norm(traj: Trajectory, T: float, *, half_step: Trajectory | None 
     return out
 
 
-def _base_initial_norms(v0: SpectralField) -> dict:
-    h1 = v0.sobolev_norm_sq(1)
-    h2 = v0.sobolev_norm_sq(2)
-    return {
-        "l2_sq": v0.sobolev_norm_sq(0),
-        "grad_sq": v0.grad_norm_sq(),
-        "grad2_sq": h2 - h1,
-    }
-
-
 def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = None) -> ExperimentResult:
     """Full pipeline: chains from schedules, lockstep simulation, windowed
     statistics, barrier verdicts, one-sided bound checks."""
@@ -419,32 +448,18 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     u0 = u0_override if u0_override is not None else make_perturbation(grid3, scn.perturbation)
     gamma = scn.perturbation.gamma
 
-    norms0 = _base_initial_norms(base0.field)
-    ab = abar_chain(fs, base0.field.sobolev_norm_sq(1), scn.T, pc, ic, k_max=scn.k_max,
-                    initial_mean=base0.mean)
+    norms0 = initial_norms(base0.field)
+    ab = abar_chain(fs, norms0["h1_sq"], scn.T, pc, ic, k_max=scn.k_max, initial_mean=base0.mean)
     ach = a_chain(fs, norms0, scn.T, pc, ic, k_max=scn.k_max, initial_mean=base0.mean)
     bch = b_chain(g, {"l2_sq": u0.field.sobolev_norm_sq(0)}, ach, pc, ic, scn.T,
                   gamma=gamma, epsilon=scn.epsilon, k_max=scn.k_max, u0_mean=u0.mean)
 
-    cfg = scn.solver_config()
-    aborted = False
-    diagnostic = None
     try:
-        pert = evolve_pair(base0, fs, u0, g, cfg, window_T=scn.T)
-    except Exception as exc:  # solver aborts keep partial results upstream
-        from nsbox.solver import SolverAbort
-
-        if isinstance(exc, SolverAbort):
-            aborted = True
-            diagnostic = str(exc)
-            pert = None
-        else:
-            raise
-    if pert is None:
+        pert = evolve_pair(base0, fs, u0, g, scn.solver_config(), window_T=scn.T)
+    except SolverAbort as exc:  # the chains stand without the simulation
         cert = certificate_report(nu=scn.nu, L=scn.L, T=scn.T, constants=ic, abar=ab,
-                                  achain=ach, bchain=bch,
-                                  inputs=_scenario_inputs(scn))
-        return ExperimentResult(scn, None, None, [], {}, None, cert, {}, True, diagnostic)
+                                  achain=ach, bchain=bch, inputs=_scenario_inputs(scn))
+        return ExperimentResult(scn, None, None, [], {}, None, cert, {}, True, str(exc))
 
     base = pert.base
     t = pert.series["t"]

@@ -53,28 +53,34 @@ _GL4_WEIGHTS = np.array(
 
 
 def adaptive_simpson(f, a, b, rtol=1e-10, max_depth=30):
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
+    """Adaptive Simpson quadrature of a scalar function on [a, b].
+
+    The error budget is rtol times the size of the whole integral (the first
+    split's |left| + |right|), halved at each split, so a piece where f is
+    small is not refined to its own relative accuracy."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
         xm = 0.5 * (x0 + x2)
         xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
         fl, fr = f(xl), f(xr)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15 * rtol * (abs(left) + abs(right) + 1e-300):
+        if depth == 0:
+            tol = rtol * (abs(left) + abs(right))
+        if depth >= max_depth or abs(left + right - whole) <= 15 * tol:
             return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, depth + 1
+        return recurse(x0, xm, f0, fl, f1, left, tol / 2, depth + 1) + recurse(
+            xm, x2, f1, fr, f2, right, tol / 2, depth + 1
         )
 
     if b <= a:
         return 0.0
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), 0)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), None, 0)
 
 
 def _gl4(f, a, b):

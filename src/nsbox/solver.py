@@ -158,12 +158,6 @@ class Trajectory:
     initial: FlowState
     base: "Trajectory | None" = None
 
-    def state_at(self, t: float) -> FlowState:
-        for s in self.states:
-            if abs(s.t - t) <= 1e-9 * max(1.0, abs(t)):
-                return s
-        raise KeyError(f"no stored state at t={t}")
-
 
 # -- explicit terms on raw coefficient arrays ----------------------------------
 
@@ -199,7 +193,7 @@ def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=No
         raise ValueError("advecting field lives on a different grid")
     wmean = np.zeros(advecting.components) if advecting_mean is None else np.asarray(advecting_mean, float)
     conv, _ = _convective_raw(grid, grad_samples(grid, state.field.coeffs), advecting.physical(), wmean)
-    return SpectralField(grid, _explicit(grid, -conv)[0], mean_free=True, solenoidal=True)
+    return SpectralField(grid, _explicit(grid, -conv)[0])
 
 
 def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
@@ -527,7 +521,7 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
             speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
             if sampled:
-                field = SpectralField(st.system.grid, st.coeffs.copy(), mean_free=True, solenoidal=True)
+                field = SpectralField(st.system.grid, st.coeffs.copy())
                 out.append(FlowState(t, field, st.mean.copy(), st.system.role))
         if n == n_steps:
             break
@@ -637,5 +631,4 @@ def taylor_green_state(grid: PeriodicGrid, amplitude=1.0) -> FlowState:
         ]
     )
     f = SpectralField.from_physical(grid, samples)
-    f = SpectralField(grid, f.coeffs, mean_free=True, solenoidal=True)
     return FlowState(t=0.0, field=f, mean=np.zeros(2), role="base2d")

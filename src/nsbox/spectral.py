@@ -124,13 +124,12 @@ class SpectralField:
     """Real scalar/vector field stored as normalized Fourier coefficients.
 
     Fields are immutable values: every operation returns a new instance and
-    the coefficient array is marked read-only.  `mean_free` and `solenoidal`
-    are advisory flags maintained by the operations that guarantee them.
+    the coefficient array is marked read-only.
     """
 
-    __slots__ = ("grid", "coeffs", "mean_free", "solenoidal")
+    __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: PeriodicGrid, coeffs, *, mean_free=False, solenoidal=False):
+    def __init__(self, grid: PeriodicGrid, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != grid.shape:
             raise ValueError(
@@ -141,8 +140,6 @@ class SpectralField:
         coeffs.setflags(write=False)
         self.grid = grid
         self.coeffs = coeffs
-        self.mean_free = bool(mean_free)
-        self.solenoidal = bool(solenoidal)
 
     # -- construction -------------------------------------------------------
 
@@ -160,7 +157,7 @@ class SpectralField:
     @classmethod
     def zeros(cls, grid: PeriodicGrid, components: int) -> "SpectralField":
         c = np.zeros((components,) + grid.shape, dtype=np.complex128)
-        return cls(grid, c, mean_free=True, solenoidal=True)
+        return cls(grid, c)
 
     # -- basic queries -------------------------------------------------------
 
@@ -203,26 +200,22 @@ class SpectralField:
                 mult = mult * (1j * self.grid.k[a]) ** p
                 if p % 2 == 1:
                     mult[self.grid.modes[a] == -(self.grid.N // 2)] = 0.0
-        out = self.coeffs * mult
-        mean_free = self.mean_free or sum(alpha) >= 1
-        return SpectralField(self.grid, out, mean_free=mean_free, solenoidal=self.solenoidal)
+        return SpectralField(self.grid, self.coeffs * mult)
 
     def divergence(self) -> "SpectralField":
         if self.components != self.grid.dim:
             raise ValueError("divergence requires a full vector field")
         div = 1j * _k_dot(self.grid, self.coeffs)
-        return SpectralField(self.grid, div[None], mean_free=True)
+        return SpectralField(self.grid, div[None])
 
     def leray_project(self) -> "SpectralField":
         """Remove the gradient part per mode: u_hat -= k (k.u_hat)/|k|^2."""
         if self.components != self.grid.dim:
             raise ValueError("projection requires a vector field with components == dim")
-        out = leray_project_coeffs(self.grid, self.coeffs)
-        return SpectralField(self.grid, out, mean_free=self.mean_free, solenoidal=True)
+        return SpectralField(self.grid, leray_project_coeffs(self.grid, self.coeffs))
 
     def subtract_mean(self) -> "SpectralField":
-        out = zero_mode0(self.coeffs.copy())
-        return SpectralField(self.grid, out, mean_free=True, solenoidal=self.solenoidal)
+        return SpectralField(self.grid, zero_mode0(self.coeffs.copy()))
 
     def add_constant(self, vec) -> "SpectralField":
         vec = np.asarray(vec, dtype=np.float64)
@@ -230,13 +223,11 @@ class SpectralField:
             raise ValueError("constant vector length must equal components")
         out = self.coeffs.copy()
         out[_mode0(out)] += vec
-        sol = self.solenoidal  # constants are divergence free
-        return SpectralField(self.grid, out, mean_free=False, solenoidal=sol)
+        return SpectralField(self.grid, out)
 
     def dealias(self) -> "SpectralField":
         """Zero every mode with any |m_a| > N/3 (2/3 rule); idempotent."""
-        out = self.coeffs * self.grid.dealias_mask
-        return SpectralField(self.grid, out, mean_free=self.mean_free, solenoidal=self.solenoidal)
+        return SpectralField(self.grid, self.coeffs * self.grid.dealias_mask)
 
     # -- norms ---------------------------------------------------------------
 
@@ -275,37 +266,19 @@ class SpectralField:
 
     def __add__(self, other) -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(
-            self.grid,
-            self.coeffs + other.coeffs,
-            mean_free=self.mean_free and other.mean_free,
-            solenoidal=self.solenoidal and other.solenoidal,
-        )
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other) -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(
-            self.grid,
-            self.coeffs - other.coeffs,
-            mean_free=self.mean_free and other.mean_free,
-            solenoidal=self.solenoidal and other.solenoidal,
-        )
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(
-            self.grid,
-            self.coeffs * float(scalar),
-            mean_free=self.mean_free,
-            solenoidal=self.solenoidal,
-        )
+        return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return (
-            f"SpectralField(components={self.components}, grid={self.grid!r}, "
-            f"mean_free={self.mean_free}, solenoidal={self.solenoidal})"
-        )
+        return f"SpectralField(components={self.components}, grid={self.grid!r})"
 
 
 # -- kernel: operations on raw (C, grid) arrays in the layout above -----------
@@ -398,9 +371,7 @@ def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField
         raise ValueError("lift expects a 2-component velocity")
     out = np.zeros((3,) + grid3d.shape, dtype=np.complex128)
     out[0:2, :, :, 0] = field2d.coeffs
-    return SpectralField(
-        grid3d, out, mean_free=field2d.mean_free, solenoidal=field2d.solenoidal
-    )
+    return SpectralField(grid3d, out)
 
 
 def random_field(

@@ -27,7 +27,7 @@ from nsbox.constants import (
     poincare_constants,
 )
 from nsbox.forcing import CompositeForcing, ConstantMeanForcing, DecayingModeForcing, ZeroForcing
-from nsbox.spectral import PeriodicGrid, SpectralField, transform_forward
+from nsbox.spectral import PeriodicGrid, transform_forward
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,7 +39,6 @@ def unit_h1_profile(grid):
         [np.cos(a * (x1 + x2)) * np.ones(grid.shape), -np.cos(a * (x1 + x2)) * np.ones(grid.shape)]
     )
     f = transform_forward(grid, samples)
-    f = SpectralField(grid, f.coeffs, mean_free=True, solenoidal=True)
     return f * (1.0 / f.sobolev_norm(1))
 
 

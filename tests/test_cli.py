@@ -73,6 +73,10 @@ class TestConfigValidation:
         pytest.param("stability", {"perturbation": {"gamma": 1e-4, "mean": [0.01, 0, 0]}},
                      "perturbation mean alone exceeds the smallness target",
                      id="perturbation-mean-too-large"),
+        pytest.param("stability", {"perturbation": {"band": [3]}},
+                     "perturbation band must be [lo, hi]", id="perturbation-band-length"),
+        pytest.param("stability", {"perturbation": {"mean": [0.0]}},
+                     "perturbation mean must have 3 entries", id="perturbation-mean-length"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)
@@ -241,6 +245,23 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "certificate.json").read_text())
         assert doc["inputs"]["abar1_sq_upper"] == pytest.approx(0.5, rel=1e-12)
+
+    def test_initial_mean_enters_the_drift(self, tmp_path):
+        # zero constant force: the drift path is the initial mean for all time
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "certificate": {"nu": 1.0, "L": TWO_PI, "T": 6.0, "N": 8},
+                "forcing": {"family": "example1", "constant": [0, 0], "mode": [5, 0]},
+                "initial": {"kind": "zero", "mean": [0.3, 0]},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "certificate.json").read_text())
+        assert doc["a_chain"]["a9"] == 0.3
+        assert doc["abar_chain"]["abar4_sq"] == pytest.approx(0.09, rel=1e-15)
+        assert doc["truncation"]["base.a9"] and doc["truncation"]["abar.abar4_sq"]
 
     def test_gamma_violation_in_report(self, tmp_path):
         cfg = write_cfg(

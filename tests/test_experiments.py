@@ -11,9 +11,9 @@ from nsbox.experiments import (
     PerturbationSpec,
     Scenario,
     barrier_monitor,
+    build_forcing,
     default_scenario,
     example_one_threshold,
-    forcing_families,
     h21_window_norm,
     make_perturbation,
     run_stability_experiment,
@@ -78,26 +78,30 @@ class TestProfileAndPerturbation:
 class TestForcingFamilies:
     def test_example1_and_threshold(self, consts):
         pc, ic = consts
-        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
-        scn = default_scenario(N=16)
-        f = forcing_families(g2, scn)
+        f, _ = default_scenario(N=16).forcings()
         assert isinstance(f, CompositeForcing)
         h = [p for p in f.parts if isinstance(p, DecayingModeForcing)][0]
         thr = example_one_threshold(h, 0.01, pc, ic)
         assert thr >= t_star(pc)
 
     def test_example2_periodic(self):
-        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         scn = default_scenario(N=16, force_family="example2")
-        f = forcing_families(g2, scn)
+        f, _ = scn.forcings()
         w0 = f.window_bar_sq_integral(0, scn.T, "h1")
         w7 = f.window_bar_sq_integral(7, scn.T, "h1")
         assert w0 == pytest.approx(w7, rel=1e-13)
 
+    def test_g_forcing_zero_unless_amplitude(self):
+        _, g = default_scenario(N=8).forcings()
+        assert isinstance(g, ZeroForcing) and g.components == 3
+        _, g = default_scenario(N=8, g_amplitude=0.1, g_mode=(0, 1, 1)).forcings()
+        assert isinstance(g, DecayingModeForcing) and g.grid.dim == 3
+        assert g.bar_norm_sq(0.0) == pytest.approx(0.01, rel=1e-12)
+
     def test_unknown_family_rejected(self):
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
-        with pytest.raises(ValueError):
-            forcing_families(g2, default_scenario(N=16, force_family="bogus"))
+        with pytest.raises(ValueError, match="unsupported forcing family"):
+            build_forcing(g2, {"family": "bogus"})
 
 
 class TestBarrierMonitor:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nsbox.cli import _build_forcing
+from nsbox.experiments import build_forcing
 from nsbox.forcing import (
     CompositeForcing,
     ConstantMeanForcing,
@@ -16,7 +16,7 @@ from nsbox.forcing import (
     _gl4,
     adaptive_simpson,
 )
-from nsbox.spectral import PeriodicGrid, SpectralField, transform_forward
+from nsbox.spectral import PeriodicGrid, transform_forward
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,7 +29,6 @@ def unit_h1_profile(grid):
         [np.cos(a * (x1 + x2)) * np.ones(grid.shape), -np.cos(a * (x1 + x2)) * np.ones(grid.shape)]
     )
     f = transform_forward(grid, samples)
-    f = SpectralField(grid, f.coeffs, mean_free=True, solenoidal=True)
     return f * (1.0 / f.sobolev_norm(1))
 
 
@@ -45,6 +44,22 @@ class TestAdaptiveSimpson:
     def test_exponential(self):
         val = adaptive_simpson(lambda t: math.exp(-2 * t), 0.0, 3.0)
         assert val == pytest.approx((1 - math.exp(-6)) / 2, rel=1e-10)
+
+    def test_high_order_zero_not_refined_to_its_own_scale(self):
+        # (1 - cos t)^2 has a fourth-order zero at 2 pi; a per-piece relative
+        # tolerance split there to max_depth (about 70 000 evaluations)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return (1.0 - math.cos(t)) ** 2
+
+        def antiderivative(t):
+            return 1.5 * t - 2.0 * math.sin(t) + math.sin(2.0 * t) / 4.0
+
+        val = adaptive_simpson(f, 6.0, 12.0)
+        assert val == pytest.approx(antiderivative(12.0) - antiderivative(6.0), abs=1e-10)
+        assert len(calls) < 2000
 
 
 class TestDecayingMode:
@@ -166,7 +181,7 @@ def declaration_case(grid, name):
                                  OscillatingMeanForcing(grid, [0.0, 1.0]), ZeroForcing(grid, 2)])
     if name == "periodic":
         return PeriodicExtensionForcing(OscillatingMeanForcing(grid, [1.0, 0.0], omega=2.0), 1.5)
-    return _build_forcing(grid, {"family": name, "constant": [0.5, -0.25]}, 2.0)
+    return build_forcing(grid, {"family": name, "constant": [0.5, -0.25]}, 2.0)
 
 
 class TestDeclarations:
@@ -204,7 +219,7 @@ class TestDeclarations:
         assert certified and sup == pytest.approx(0.5, rel=1e-15)
 
     def test_example_one_with_zero_constant_certifies_drift(self, grid):
-        f = _build_forcing(grid, {"family": "example1", "constant": [0.0, 0.0]})
+        f = build_forcing(grid, {"family": "example1", "constant": [0.0, 0.0]})
         m0 = np.array([0.3, 0.4])
         assert f.drift_sup_abs(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
         assert f.sup_window_drift_sq(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)

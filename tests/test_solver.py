@@ -49,8 +49,7 @@ def solenoidal_mode_2d(grid, amplitude=1.0):
     samples = np.stack(
         [c * np.cos(a * (x1 + x2)) * np.ones(grid.shape), -c * np.cos(a * (x1 + x2)) * np.ones(grid.shape)]
     )
-    f = transform_forward(grid, samples)
-    return SpectralField(grid, f.coeffs, mean_free=True, solenoidal=True)
+    return transform_forward(grid, samples)
 
 
 class TestNonlinearTerm:

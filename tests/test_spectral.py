@@ -107,7 +107,6 @@ class TestDerivative:
         f = transform_forward(g, np.ones(g.shape))
         d = f.derivative((1, 0))
         assert np.max(np.abs(d.coeffs)) < 1e-14
-        assert d.mean_free
 
     def test_sine_derivative_closed_form(self):
         L = 5.0
