@@ -276,6 +276,10 @@ def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
 
 
 def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
+    if "initial_norms" in cfg:
+        missing = [k for k in ("l2_sq", "grad_sq", "grad2_sq") if k not in cfg["initial_norms"]]
+        if missing:
+            raise ConfigError(f"initial_norms is missing {', '.join(missing)}")
     ccfg = cfg.get("certificate", {})
     nu, L, T = ccfg.get("nu", 1.0), ccfg.get("L", 2 * np.pi), ccfg.get("T", 4.0)
     mode = ccfg.get("constants_mode", "analytic_conservative")
@@ -322,7 +326,8 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
 
 
 @_building()
-def _scenario_from_config(cfg: dict) -> Scenario:
+def _scenario_from_config(cfg: dict) -> tuple:
+    """The scenario of a stability config and its `resume` snapshot path (or None)."""
     s = dict(cfg.get("scenario", {}))
     resume = s.pop("resume", None)
     pert = PerturbationSpec(**cfg.get("perturbation", {}))
@@ -334,14 +339,13 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     scn.solver_config()
     scn.forcings()
     pert.mean_h1_sq(scn.L)
-    scn._resume = resume
-    return scn
+    return scn, resume
 
 
-def _run_one_stability(scn: Scenario, outdir: str, svg: bool) -> dict:
+def _run_one_stability(scn: Scenario, resume, outdir: str, svg: bool) -> dict:
     u0 = None
-    if getattr(scn, "_resume", None):
-        u0 = nsio.read_snapshot(scn._resume)  # integrity-checked; exit 3 on corruption
+    if resume:
+        u0 = nsio.read_snapshot(resume)  # integrity-checked; exit 3 on corruption
         u0.role = "perturbation"
     res = run_stability_experiment(scn, u0_override=u0)
     doc = {
@@ -392,23 +396,23 @@ def cmd_stability(cfg: dict, outdir: str, seed, svg: bool, jobs: int) -> int:
         for i, sub in enumerate(cfg["scenarios"]):
             validate_config(sub, {k: v for k, v in SCHEMAS["stability"].items()
                                   if k != "scenarios"})
-            scns.append((_scenario_from_config(sub), os.path.join(outdir, f"scenario_{i:03d}")))
+            scns.append((*_scenario_from_config(sub), os.path.join(outdir, f"scenario_{i:03d}")))
         if jobs > 1:
             import concurrent.futures as cf
 
             with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
-                futs = [ex.submit(_run_one_stability, s, d, svg) for s, d in scns]
+                futs = [ex.submit(_run_one_stability, s, r, d, svg) for s, r, d in scns]
                 for f in futs:
                     f.result()
         else:
-            for s, d in scns:
-                _run_one_stability(s, d, svg)
+            for s, r, d in scns:
+                _run_one_stability(s, r, d, svg)
         print(f"stability: ran {len(scns)} scenarios under {outdir}")
         return EXIT_OK
-    scn = _scenario_from_config(cfg)
+    scn, resume = _scenario_from_config(cfg)
     if seed is not None:
         scn.perturbation.seed = seed
-    doc = _run_one_stability(scn, outdir, svg)
+    doc = _run_one_stability(scn, resume, outdir, svg)
     verdict = doc["barrier"]["never_exceeded"] if doc.get("barrier") else None
     print(f"stability: never_exceeded={verdict} report={os.path.join(outdir, 'report.json')}")
     return EXIT_OK

@@ -57,7 +57,6 @@ __all__ = [
     "barrier_monitor",
     "window_statistics",
     "h21_window_norm",
-    "default_scenario",
 ]
 
 
@@ -541,11 +540,8 @@ def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
 
     # space-time second-order norms vs the reported envelopes (front
     # constants are unnamed: ratios are reported, asserted only when finite)
-    def h21(s):
-        return [w.step_sum(s["dudt_sq"], k) + w.simpson(s["h2_sq"], k)
-                + w.simpson(s["gradp_sq"], k) for k in ks]
-
-    h21_vs, h21_u = h21(bs), h21(ps)
+    h21_vs = [st.int_vst_sq + st.int_vs_h2_sq + st.int_gradp_sq for st in stats]
+    h21_u = [st.int_ut_sq + st.int_u_h2_sq + st.int_gradq_sq for st in stats]
     h21_ref = ach.h21_reference()
     h21_env = {
         "values": h21_vs,
@@ -573,9 +569,3 @@ def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
             and check_b7["ok"] in (True, None)
         ),
     }
-
-
-def default_scenario(**overrides) -> Scenario:
-    """The reference small-data scenario used by the acceptance suite."""
-    scn = Scenario(**overrides)
-    return scn

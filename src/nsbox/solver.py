@@ -1,8 +1,10 @@
 """Time integration of the periodic-box flow systems with exact mean tracking.
 
-Three systems share one stepper: the 2D base flow, the full 3D flow, and the
-3D perturbation around a lifted 2D base flow.  Each advances its mean-free,
-solenoidal part spectrally and its spatial mean by the exact mean ODE
+One system class serves the 2D base flow, the full 3D flow, and the 3D
+perturbation u = v - v_s around a lifted 2D base flow v_s: the perturbation
+is the flow equation plus the terms of the base flow, and with v_s = 0 it is
+the single-flow equation.  Each system advances its mean-free, solenoidal
+part spectrally and its spatial mean by the exact mean ODE
 d/dt mean = (1/|box|) int f dx.
 
 Scheme: per-mode integrating factor exp(-nu |k|^2 dt - i k . int mean dt)
@@ -14,7 +16,7 @@ Adams-Bashforth 2 with a Runge-Kutta 3 startup step, or RK3 throughout.
 
 One driver steps every system: a single flow alone, or the base flow and the
 perturbation in lockstep.  Each RHS evaluation returns a record (explicit
-term, raw term, speed, physical velocity, gradients, mean); the
+term, raw term, speed, physical velocity, gradients, mean, forcing); the
 perturbation's RHS takes the base's record as an argument, so the base's
 velocity and gradients are transformed once per stage and shared with the
 perturbation and the recorder.  A step runs stage by stage (t, and under
@@ -129,10 +131,6 @@ class FlowState:
         if self.mean.shape != (self.field.components,):
             raise ValueError("mean length must equal field components")
 
-    def velocity(self) -> SpectralField:
-        """Recompose the unsplit velocity: mean-free part plus mean."""
-        return self.field.add_constant(self.mean)
-
     def validate(self, div_tol=1e-11, mean_tol=1e-14):
         h1 = self.field.sobolev_norm(1)
         div = self.field.div_norm()
@@ -147,33 +145,13 @@ class FlowState:
 class Trajectory:
     """Sampled states plus dense per-step scalar series."""
 
-    role: str
-    grid: PeriodicGrid
     cfg: SolverConfig
-    window_T: float | None
-    sample_times: list
     states: list
     series: dict
-    forcing: Forcing
-    initial: FlowState
     base: "Trajectory | None" = None
 
 
 # -- explicit terms on raw coefficient arrays ----------------------------------
-
-
-def _convective_raw(grid, grads, wbar_phys, wmean):
-    """(w . grad) u pseudo-spectrally from the physical gradients of u;
-    returns (coeffs, max advecting speed)."""
-    C = grads.shape[1]
-    conv = np.zeros((C,) + grid.shape, dtype=float)
-    speedsq = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        wa = wbar_phys[a] + wmean[a]
-        for c in range(C):
-            conv[c] += wa * grads[a][c]
-        speedsq += wa**2
-    return to_coeffs(grid, conv), float(np.sqrt(np.max(speedsq)))
 
 
 def _explicit(grid, raw, fbar=None):
@@ -192,13 +170,28 @@ def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=No
     if advecting.grid != grid:
         raise ValueError("advecting field lives on a different grid")
     wmean = np.zeros(advecting.components) if advecting_mean is None else np.asarray(advecting_mean, float)
-    conv, _ = _convective_raw(grid, grad_samples(grid, state.field.coeffs), advecting.physical(), wmean)
-    return SpectralField(grid, _explicit(grid, -conv)[0])
+    w = advecting.physical()
+    grads = grad_samples(grid, state.field.coeffs)
+    conv = np.zeros((state.field.components,) + grid.shape)
+    for a in range(grid.dim):
+        wa = w[a] + wmean[a]
+        for c in range(len(conv)):
+            conv[c] += wa * grads[a][c]
+    return SpectralField(grid, _explicit(grid, -to_coeffs(grid, conv))[0])
+
+
+def _pad(v, dim):
+    v = np.asarray(v, dtype=float)
+    if len(v) < dim:
+        return np.concatenate([v, np.zeros(dim - len(v))])
+    return v
 
 
 def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
-    """mean(t+dt) = mean(t) + int_t^{t+dt} (1/|box|) int f dx dt'."""
-    return np.asarray(mean, dtype=float) + forcing.mean_integral(t, t + dt)
+    """mean(t+dt) = mean(t) + int_t^{t+dt} (1/|box|) int f dx dt'; a forcing
+    with fewer components than the mean leaves the others unforced."""
+    mean = np.asarray(mean, dtype=float)
+    return mean + _pad(forcing.mean_integral(t, t + dt), len(mean))
 
 
 # -- systems ------------------------------------------------------------------
@@ -213,80 +206,53 @@ class _Eval(NamedTuple):
     phys: np.ndarray   # grid samples of the mean-free velocity
     grads: np.ndarray  # (dim, C, grid) physical gradients of the mean-free velocity
     mean: np.ndarray   # the spatial mean the evaluation used
+    fbar: SpectralField | None  # the mean-free forcing the evaluation used
 
 
-class _SingleFlow:
-    """Self-advecting flow (2D base or full 3D) under a given forcing."""
+class _Flow:
+    """A flow under a given forcing, optionally around a lifted 2D base flow.
 
-    def __init__(self, grid, forcing, role):
+    d/dt ubar = -( (u + v_s) . grad ) ubar - ( u . grad ) vbar_s + fbar
+    with u = ubar + mean_u and v_s the base flow (zero for a single flow);
+    advection of ubar by mean_u + mean_vs goes into the integrating factor.
+    """
+
+    def __init__(self, grid, forcing, role, base_forcing=None):
         self.grid = grid
         self.forcing = forcing
         self.role = role
-
-    def advecting_mean_forcings(self):
-        return (self.forcing,)
+        # the forcings of the advecting means, in the order of the stepper's means
+        self.mean_forcings = (forcing,) if base_forcing is None else (forcing, base_forcing)
 
     def rhs(self, coeffs, mean, t, base=None):
-        """`base` is unused: a single flow is advected by itself."""
+        """`base` is the base flow's evaluation at the same stage, or None for
+        a single flow; its x3-independent fields enter the 3D products as
+        broadcast views."""
         grid = self.grid
         ubar_phys = to_samples(grid, coeffs)
         grads = grad_samples(grid, coeffs)
-        conv, speed = _convective_raw(grid, grads, ubar_phys, np.zeros(len(mean)))
-        rhs, raw = _explicit(grid, -conv, self.forcing.bar_field(t))
-        return _Eval(rhs, raw, speed + float(np.linalg.norm(mean)), ubar_phys, grads, mean)
-
-
-class _PerturbationFlow:
-    """One-way coupled perturbation around a 2D base flow.
-
-    d/dt ubar = -( (u + v_s) . grad ) ubar - ( u . grad ) vbar_s + gbar
-    with u = ubar + mean_u and v_s the lifted base flow; advection of ubar
-    by mean_u + mean_vs goes into the integrating factor.
-    """
-
-    def __init__(self, grid3, g_forcing, base_forcing, role="perturbation"):
-        self.grid = grid3
-        self.forcing = g_forcing
-        self.base_forcing = base_forcing
-        self.role = role
-
-    def advecting_mean_forcings(self):
-        return (self.forcing, self.base_forcing)
-
-    def rhs(self, coeffs, mean, t, base):
-        """`base` is the base flow's evaluation at the same stage; its
-        x3-independent fields enter the 3D products as broadcast views."""
-        grid = self.grid
-        vs_phys2, grad_vs2 = base.phys, base.grads
-        ubar_phys = to_samples(grid, coeffs)
-        grads_u = grad_samples(grid, coeffs)
-        total_mean = mean + np.concatenate([base.mean, [0.0]])
-        conv = np.zeros((3,) + grid.shape)
+        total_mean = mean if base is None else mean + _pad(base.mean, grid.dim)
+        nb = 0 if base is None else len(base.phys)  # the base flow's components
+        conv = np.zeros((len(coeffs),) + grid.shape)
         speedsq = np.zeros(grid.shape)
-        for a in range(3):
+        for a in range(grid.dim):
             wa = ubar_phys[a]
-            if a < 2:
-                wa = wa + vs_phys2[a][..., None]
-            for c in range(3):
-                conv[c] += wa * grads_u[a][c]
+            if a < nb:
+                wa = wa + base.phys[a][..., None]
+            for c in range(len(conv)):
+                conv[c] += wa * grads[a][c]
             speedsq += (wa + total_mean[a]) ** 2
         # (u . grad) vbar_s with u = ubar + mean_u (x3-derivative vanishes)
-        for a in range(2):
+        for a in range(nb):
             ua = ubar_phys[a] + mean[a]
-            for c in range(2):
-                conv[c] += ua * grad_vs2[a][c][..., None]
-        rhs, raw = _explicit(grid, -to_coeffs(grid, conv), self.forcing.bar_field(t))
-        return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), ubar_phys, grads_u, mean)
+            for c in range(nb):
+                conv[c] += ua * base.grads[a][c][..., None]
+        fbar = self.forcing.bar_field(t)
+        rhs, raw = _explicit(grid, -to_coeffs(grid, conv), fbar)
+        return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), ubar_phys, grads, mean, fbar)
 
 
 # -- stepping ----------------------------------------------------------------
-
-
-def _pad(v, dim):
-    v = np.asarray(v, dtype=float)
-    if len(v) < dim:
-        return np.concatenate([v, np.zeros(dim - len(v))])
-    return v
 
 
 def _mean_path_integrals(forcings, means, t, dt, dim):
@@ -356,7 +322,7 @@ class _Stepper:
         advecting system's mean."""
         system, t, dt = self.system, self.t, self.dt
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
-        I1, I2 = _mean_path_integrals(system.advecting_mean_forcings(), means, t, dt, system.grid.dim)
+        I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, system.grid.dim)
         if use_rk3:
             self.lam_h = tuple(_integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
@@ -391,11 +357,7 @@ class _Stepper:
 
     def _mean_at(self, h):
         """The mean at t + h, by the exact mean ODE."""
-        m = self.mean.copy()
-        acc = np.zeros_like(m)
-        mi = self.system.forcing.mean_integral(self.t, self.t + h)
-        acc[: len(mi)] += mi
-        return m + acc
+        return mean_ode_step(self.mean, self.system.forcing, self.t, h)
 
 
 # -- recording ----------------------------------------------------------------
@@ -404,10 +366,9 @@ class _Stepper:
 class _Recorder:
     """Dense per-step scalar series."""
 
-    def __init__(self, grid, role, forcing):
+    def __init__(self, grid, role):
         self.grid = grid
         self.role = role
-        self.forcing = forcing
         self.data = {
             k: []
             for k in (
@@ -442,7 +403,7 @@ class _Recorder:
         d["h2_sq"].append(sob[2])
         d["h3_sq"].append(sob[3])
         d["grad_sq"].append(float(g.volume * np.sum(g.ksq.ravel() * esq)))
-        fbar = self.forcing.bar_field(t)
+        fbar = ev.fbar
         if fbar is None:
             d["forcing_inner"].append(0.0)
             d["fbar_l2_sq"].append(0.0)
@@ -510,7 +471,7 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
     n_steps = cfg.n_steps
     rk3 = cfg.scheme == "rk3-imex"
     steppers = [_Stepper(s, cfg, s0) for s, s0 in zip(systems, states0)]
-    recs = [_Recorder(s.grid, s.role, s.forcing) for s in systems]
+    recs = [_Recorder(s.grid, s.role) for s in systems]
     states = [[] for _ in systems]
     for n in range(n_steps + 1):
         t = n * cfg.dt
@@ -543,10 +504,7 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
             st.finish()
             if not np.all(np.isfinite(st.coeffs.view(float))):
                 raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
-    return [
-        Trajectory(s.role, s.grid, cfg, window_T, plan, out, rec.finalize(), s.forcing, s0)
-        for s, s0, out, rec in zip(systems, states0, states, recs)
-    ]
+    return [Trajectory(cfg, out, rec.finalize()) for out, rec in zip(states, recs)]
 
 
 def evolve_base_2d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
@@ -555,7 +513,7 @@ def evolve_base_2d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
     (mean-free part plus its exactly tracked mean)."""
     if state0.field.grid.dim != 2:
         raise ValueError("base flow must live on a 2D grid")
-    sys2 = _SingleFlow(state0.field.grid, forcing, "base2d")
+    sys2 = _Flow(state0.field.grid, forcing, "base2d")
     return _evolve([sys2], [state0], cfg, window_T, sample_times)[0]
 
 
@@ -563,7 +521,7 @@ def evolve_full_3d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
                    *, window_T=None, sample_times=None) -> Trajectory:
     if state0.field.grid.dim != 3:
         raise ValueError("full flow must live on a 3D grid")
-    sys3 = _SingleFlow(state0.field.grid, forcing, "full3d")
+    sys3 = _Flow(state0.field.grid, forcing, "full3d")
     return _evolve([sys3], [state0], cfg, window_T, sample_times)[0]
 
 
@@ -578,27 +536,15 @@ def evolve_pair(
     sample_times=None,
 ) -> Trajectory:
     """Advance base flow and perturbation in lockstep; returns the
-    perturbation trajectory with `.base` attached.
-
-    The base flow may be given as (initial state, forcing) or as a
-    previously computed `Trajectory`, which is replayed step-for-step
-    (deterministically identical to the original run).
-    """
-    if isinstance(base_state0, Trajectory):
-        traj = base_state0
-        if base_forcing is None:
-            base_forcing = traj.forcing
-        if abs(traj.cfg.dt - cfg.dt) > 1e-15 or traj.cfg.scheme != cfg.scheme:
-            raise ValueError("base trajectory time stepping does not align with cfg")
-        base_state0 = traj.initial
+    perturbation trajectory with `.base` attached."""
     grid2 = base_state0.field.grid
     grid3 = u0.field.grid
     if grid2.dim != 2 or grid3.dim != 3:
         raise ValueError("pair expects a 2D base state and a 3D perturbation")
     if grid2.L != grid3.L or grid2.N != grid3.N:
         raise ValueError("base and perturbation grids must share L and N")
-    base_sys = _SingleFlow(grid2, base_forcing, "base2d")
-    pert_sys = _PerturbationFlow(grid3, g_forcing, base_forcing)
+    base_sys = _Flow(grid2, base_forcing, "base2d")
+    pert_sys = _Flow(grid3, g_forcing, "perturbation", base_forcing)
     base, pert = _evolve([base_sys, pert_sys], [base_state0, u0], cfg, window_T, sample_times)
     pert.base = base
     return pert

@@ -21,8 +21,8 @@ from nsbox.certificate import (
 from nsbox.constants import interpolation_constants, poincare_constants
 from nsbox.experiments import (
     PerturbationSpec,
+    Scenario,
     barrier_monitor,
-    default_scenario,
     example_one_threshold,
     h21_window_norm,
     run_stability_experiment,
@@ -66,7 +66,7 @@ def _embed_2d(field, gbig):
 def stability_run():
     """Criterion-6 scenario at full scale: 5 windows (criterion 9 needs 5;
     criteria 6-7 read the same run)."""
-    scn = default_scenario()
+    scn = Scenario()
     t0 = time.monotonic()
     res = run_stability_experiment(scn)
     elapsed = time.monotonic() - t0
@@ -77,7 +77,7 @@ def stability_run():
 def stability_run_gamma4(stability_run):
     """Same scenario at 4x the smallness level, one window (criterion 8)."""
     scn, _, _ = stability_run
-    scn4 = default_scenario(
+    scn4 = Scenario(
         windows=1,
         perturbation=PerturbationSpec(
             gamma=4e-4, k0=scn.perturbation.k0, band=scn.perturbation.band,

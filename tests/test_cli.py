@@ -77,6 +77,9 @@ class TestConfigValidation:
                      "perturbation band must be [lo, hi]", id="perturbation-band-length"),
         pytest.param("stability", {"perturbation": {"mean": [0.0]}},
                      "perturbation mean must have 3 entries", id="perturbation-mean-length"),
+        pytest.param("certify", {"certificate": {"T": 5.0, "N": 8},
+                                 "initial_norms": {"l2_sq": 0.1}},
+                     "initial_norms is missing grad_sq, grad2_sq", id="initial-norms-incomplete"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)
@@ -314,6 +317,29 @@ class TestStability:
         d1.pop("timestamp"), d2.pop("timestamp")
         assert d1 == d2
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+
+    def test_resume_matches_fresh_run(self, tmp_path):
+        # resuming from a snapshot of the seeded perturbation reproduces the
+        # fresh run up to the snapshot's roundoff; the snapshot path stays out
+        # of the report
+        from nsbox.experiments import PerturbationSpec, make_perturbation
+        from nsbox.spectral import PeriodicGrid
+
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
+        snap = tmp_path / "u0.snap"
+        u0 = make_perturbation(g3, PerturbationSpec(gamma=1e-4, seed=3, band=(1, 2)))
+        write_snapshot(snap, u0)
+        docs = []
+        for name, over in (("fresh", {}), ("resumed", {"resume": str(snap)})):
+            cfg = write_cfg(tmp_path, self._scn_cfg(**over), name=f"{name}.json")
+            assert main(["stability", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+            docs.append(json.loads((tmp_path / name / "report.json").read_text()))
+        for doc in docs:
+            assert "_resume" not in doc["scenario"]
+            assert "_resume" not in doc["certificate"]["inputs"]
+        assert docs[0]["barrier"]["never_exceeded"] is docs[1]["barrier"]["never_exceeded"] is True
+        sups = [doc["checks"]["barrier_sup"]["sup_x2"] for doc in docs]
+        assert sups[1] == pytest.approx(sups[0], rel=1e-12)
 
     def test_corrupted_resume_snapshot_exit3(self, tmp_path, capsys):
         # build a valid perturbation snapshot, then corrupt it

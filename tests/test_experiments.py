@@ -12,7 +12,6 @@ from nsbox.experiments import (
     Scenario,
     barrier_monitor,
     build_forcing,
-    default_scenario,
     example_one_threshold,
     h21_window_norm,
     make_perturbation,
@@ -78,23 +77,23 @@ class TestProfileAndPerturbation:
 class TestForcingFamilies:
     def test_example1_and_threshold(self, consts):
         pc, ic = consts
-        f, _ = default_scenario(N=16).forcings()
+        f, _ = Scenario(N=16).forcings()
         assert isinstance(f, CompositeForcing)
         h = [p for p in f.parts if isinstance(p, DecayingModeForcing)][0]
         thr = example_one_threshold(h, 0.01, pc, ic)
         assert thr >= t_star(pc)
 
     def test_example2_periodic(self):
-        scn = default_scenario(N=16, force_family="example2")
+        scn = Scenario(N=16, force_family="example2")
         f, _ = scn.forcings()
         w0 = f.window_bar_sq_integral(0, scn.T, "h1")
         w7 = f.window_bar_sq_integral(7, scn.T, "h1")
         assert w0 == pytest.approx(w7, rel=1e-13)
 
     def test_g_forcing_zero_unless_amplitude(self):
-        _, g = default_scenario(N=8).forcings()
+        _, g = Scenario(N=8).forcings()
         assert isinstance(g, ZeroForcing) and g.components == 3
-        _, g = default_scenario(N=8, g_amplitude=0.1, g_mode=(0, 1, 1)).forcings()
+        _, g = Scenario(N=8, g_amplitude=0.1, g_mode=(0, 1, 1)).forcings()
         assert isinstance(g, DecayingModeForcing) and g.grid.dim == 3
         assert g.bar_norm_sq(0.0) == pytest.approx(0.01, rel=1e-12)
 
@@ -218,7 +217,7 @@ class TestH21Norms:
 
 class TestRunExperiment:
     def test_zero_base_scenario(self):
-        scn = default_scenario(
+        scn = Scenario(
             N=8, windows=1, T=4.0, dt=0.01, base_amplitude=0.0, force_family="zero",
             calibration_fields=40,
         )
@@ -235,7 +234,7 @@ class TestRunExperiment:
             assert res.checks[name]["ok"]
 
     def test_small_scenario_passes_all_checks(self):
-        scn = default_scenario(N=16, windows=2, dt=5e-3, calibration_fields=150)
+        scn = Scenario(N=16, windows=2, dt=5e-3, calibration_fields=150)
         res = run_stability_experiment(scn)
         assert not res.aborted
         assert res.barrier.never_exceeded
@@ -249,7 +248,7 @@ class TestRunExperiment:
         assert np.all(res.barrier.x2 <= envelope)
 
     def test_large_gamma_flagged_not_raised(self):
-        scn = default_scenario(
+        scn = Scenario(
             N=8, windows=1, T=4.0, dt=0.01, calibration_fields=40,
             perturbation=PerturbationSpec(gamma=0.9, seed=1),
         )
@@ -260,7 +259,7 @@ class TestRunExperiment:
     def test_seeded_reports_identical(self):
         from nsbox.io import content_hash
 
-        scn = default_scenario(N=8, windows=1, T=4.0, dt=0.02, calibration_fields=40)
+        scn = Scenario(N=8, windows=1, T=4.0, dt=0.02, calibration_fields=40)
         r1 = run_stability_experiment(scn)
         r2 = run_stability_experiment(scn)
         assert content_hash(r1.certificate) == content_hash(r2.certificate)

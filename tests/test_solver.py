@@ -16,7 +16,6 @@ from nsbox.solver import (
     FlowState,
     SolverAbort,
     SolverConfig,
-    Trajectory,
     energy_balance_residual,
     evolve_base_2d,
     evolve_full_3d,
@@ -222,6 +221,21 @@ class TestMeanTracking:
         f = ConstantMeanForcing(g, [2.0, 0.0])
         m = mean_ode_step(np.array([1.0, 1.0]), f, 0.0, 0.25)
         assert m == pytest.approx([1.5, 1.0])
+        # a forcing with fewer components than the mean leaves the rest unforced
+        m3 = mean_ode_step(np.array([1.0, 1.0, 1.0]), f, 0.0, 0.25)
+        assert m3 == pytest.approx([1.5, 1.0, 1.0])
+
+    def test_speed_includes_mean(self):
+        # the recorded speed is the max of |u + m| over the grid, the speed
+        # the CFL check reads
+        g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
+        m = np.array([0.3, -0.2])
+        s0 = FlowState(0.0, taylor_green_state(g).field, m)
+        traj = evolve_base_2d(s0, ZeroForcing(g, 2), SolverConfig(nu=1.0, dt=1e-2, t_end=0.02))
+        u = s0.field.physical()
+        want = np.sqrt(np.max((u[0] + m[0]) ** 2 + (u[1] + m[1]) ** 2))
+        assert traj.series["speed"][0] == pytest.approx(want, rel=1e-14)
+        assert traj.series["speed"][0] < np.max(np.sqrt(u[0] ** 2 + u[1] ** 2)) + np.linalg.norm(m)
 
     def test_mean_decoupling(self):
         # mode 0 of the mean-free part stays < 1e-14 under mean forcing
@@ -350,24 +364,3 @@ class TestPair:
         cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError):
             evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
-
-    def test_accepts_base_trajectory(self):
-        # the base flow can be handed over as a computed trajectory, which
-        # is replayed in lockstep bit-for-bit
-        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
-        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=16)
-        base0 = taylor_green_state(g2, amplitude=0.1)
-        cfg = SolverConfig(nu=0.5, dt=5e-3, t_end=0.1)
-        base_traj = evolve_base_2d(base0, ZeroForcing(g2, 2), cfg)
-        rng = np.random.default_rng(40)
-        u0 = FlowState(0.0, random_field(g3, 3, rng, band=(1, 4), solenoidal=True) * 1e-4,
-                       np.zeros(3), "perturbation")
-        via_traj = evolve_pair(base_traj, None, u0, ZeroForcing(g3, 3), cfg)
-        via_state = evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
-        assert np.array_equal(via_traj.states[-1].field.coeffs,
-                              via_state.states[-1].field.coeffs)
-        assert np.array_equal(via_traj.base.states[-1].field.coeffs,
-                              base_traj.states[-1].field.coeffs)
-        with pytest.raises(ValueError):
-            evolve_pair(base_traj, None, u0, ZeroForcing(g3, 3),
-                        SolverConfig(nu=0.5, dt=2.5e-3, t_end=0.1))
