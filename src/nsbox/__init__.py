@@ -3,8 +3,6 @@
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
-    transform_forward,
-    transform_backward,
     lift_2d_to_3d,
 )
 
@@ -13,7 +11,5 @@ __version__ = "0.1.0"
 __all__ = [
     "PeriodicGrid",
     "SpectralField",
-    "transform_forward",
-    "transform_backward",
     "lift_2d_to_3d",
 ]

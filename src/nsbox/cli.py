@@ -8,7 +8,9 @@ overrides of the form NSBOX_<SECTION>_<KEY>=<json-or-string>.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import concurrent.futures as cf
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -70,13 +72,17 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _count(x):
+    return _is_int(x) and x >= 0
+
+
 def _numbers(x):
     return isinstance(x, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
     )
 
 
-_GRID = {"L": _positive, "N": _is_int, "dim": _is_int}
+_GRID = {"L": _positive, "N": _is_int}
 _SOLVER = {
     "nu": _positive, "dt": _positive, "t_end": _positive,
     "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
@@ -94,8 +100,7 @@ _FORCING = {
     "omega": _positive, "window": _positive,
     "normalize": lambda v: v in ("l2", "h1"),
 }
-_OUTPUT = {"dir": lambda v: isinstance(v, str), "window_T": _positive, "sample_times": _numbers,
-           "svg": lambda v: isinstance(v, bool)}
+_OUTPUT = {"window_T": _positive, "sample_times": _numbers}
 
 SCHEMAS = {
     "simulate": {
@@ -107,7 +112,7 @@ SCHEMAS = {
         "certificate": {
             "nu": _positive, "L": _positive, "T": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
-            "k_max": _is_int, "calibration_seed": _is_int, "calibration_fields": _is_int,
+            "k_max": _count, "calibration_seed": _is_int, "calibration_fields": _is_int,
             "gamma": _nonneg, "epsilon": _positive, "N": _is_int,
         },
         "forcing": _FORCING,
@@ -124,7 +129,7 @@ SCHEMAS = {
             "windows": _is_int, "dt": _positive,
             "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
-            "calibration_seed": _is_int, "calibration_fields": _is_int, "k_max": _is_int,
+            "calibration_seed": _is_int, "calibration_fields": _is_int, "k_max": _count,
             "base_amplitude": _nonneg, "force_constant": _numbers, "force_amplitude": _nonneg,
             "force_rate": _positive, "force_mode": _numbers,
             "force_family": lambda v: v in ("example1", "example2", "zero"),
@@ -154,17 +159,25 @@ def validate_config(cfg: dict, schema: dict, path="") -> None:
             raise ConfigError(f"invalid value for {where!r}: {val!r}")
 
 
+# config sections, longest first, so NSBOX_INITIAL_NORMS_* finds initial_norms
+_SECTIONS = sorted({name for schema in SCHEMAS.values() for name, spec in schema.items()
+                    if isinstance(spec, dict)}, key=len, reverse=True)
+
+
 def apply_env_overrides(cfg: dict, environ=None) -> dict:
-    """NSBOX_SECTION_KEY=value overrides config[section][key]."""
+    """NSBOX_SECTION_KEY=value overrides config[section][key]; SECTION is the
+    longest config section the name starts with, else the name up to its
+    first underscore (an unknown section, which validation then names)."""
     environ = os.environ if environ is None else environ
     out = json.loads(json.dumps(cfg))
     for name, raw in environ.items():
         if not name.startswith(ENV_PREFIX + "_"):
             continue
-        parts = name[len(ENV_PREFIX) + 1:].lower().split("_", 1)
-        if len(parts) != 2:
+        rest = name[len(ENV_PREFIX) + 1:].lower()
+        section = next((s for s in _SECTIONS if rest.startswith(s + "_")), rest.split("_")[0])
+        key = rest[len(section) + 1:]
+        if not key:
             continue
-        section, key = parts
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -200,9 +213,9 @@ def _building():
         raise ConfigError(str(exc)) from exc
 
 
-def _build_grid(cfg, default_dim):
+def _build_grid(cfg, dim):
     g = cfg.get("grid", {})
-    return PeriodicGrid(L=g.get("L", 2 * np.pi), dim=g.get("dim", default_dim), N=g.get("N", 32))
+    return PeriodicGrid(L=g.get("L", 2 * np.pi), dim=dim, N=g.get("N", 32))
 
 
 def _build_initial(grid, icfg, seed_override=None, role="base2d"):
@@ -350,12 +363,12 @@ def _run_one_stability(scn: Scenario, resume, outdir: str, svg: bool) -> dict:
     res = run_stability_experiment(scn, u0_override=u0)
     doc = {
         "schema": "nsbox-stability/1",
-        "scenario": res.certificate.get("inputs", {}),
+        "scenario": res.certificate["inputs"],
         "certificate": res.certificate,
-        "barrier": res.barrier.verdicts() if res.barrier else None,
+        "barrier": res.barrier,
         "checks": res.checks,
-        "windows": [w.as_dict() for w in res.windows],
-        "uniformity": res.uniformity,
+        "windows": [dataclasses.asdict(w) for w in res.windows],
+        "uniformity": res.checks.get("uniformity", {}),
         "aborted": res.aborted,
         "abort_diagnostic": res.abort_diagnostic,
     }
@@ -363,23 +376,23 @@ def _run_one_stability(scn: Scenario, resume, outdir: str, svg: bool) -> dict:
     doc["timestamp"] = time.time()
     nsio.write_report_json(os.path.join(outdir, "report.json"), doc)
     if res.pert is not None:
-        t = res.pert.series["t"]
+        ps, bs = res.pert.series, res.pert.base.series
         series = {
-            "t": t,
-            "X2": res.barrier.x2,
-            "Y2": res.barrier.y2,
-            "G2": res.barrier.g2,
-            "u_l2_sq": res.pert.series["l2_sq"],
-            "vs_h1_sq": res.base.series["h1_sq"],
-            "vs_h2_sq": res.base.series["h2_sq"],
-            "vs_gradv_l3": res.base.series["gradv_l3"],
+            "t": ps["t"],
+            "X2": ps["h1_sq"],
+            "Y2": ps["h2_sq"],
+            "G2": res.g2,
+            "u_l2_sq": ps["l2_sq"],
+            "vs_h1_sq": bs["h1_sq"],
+            "vs_h2_sq": bs["h2_sq"],
+            "vs_gradv_l3": bs["gradv_l3"],
         }
         nsio.write_series_csv(os.path.join(outdir, "series.csv"), series)
         nsio.write_windows_csv(os.path.join(outdir, "windows.csv"), res.windows)
         if svg:
             nsio.write_svg_lines(
-                os.path.join(outdir, "x2_vs_gamma.svg"), t,
-                {"X2": res.barrier.x2, "gamma": np.full_like(t, res.barrier.gamma)},
+                os.path.join(outdir, "x2_vs_gamma.svg"), ps["t"],
+                {"X2": ps["h1_sq"], "gamma": np.full_like(ps["t"], scn.perturbation.gamma)},
                 title="perturbation size vs smallness level",
             )
             sups = {"sup_u_h1": [w.sup_u_h1 for w in res.windows]}
@@ -391,30 +404,31 @@ def _run_one_stability(scn: Scenario, resume, outdir: str, svg: bool) -> dict:
 
 
 def cmd_stability(cfg: dict, outdir: str, seed, svg: bool, jobs: int) -> int:
+    """Run every scenario of the config: a plain config is one scenario written
+    to `outdir`, a `scenarios` list one scenario per entry under scenario_NNN/.
+    All are validated and built before any of them runs."""
     if "scenarios" in cfg:
-        scns = []
-        for i, sub in enumerate(cfg["scenarios"]):
-            validate_config(sub, {k: v for k, v in SCHEMAS["stability"].items()
-                                  if k != "scenarios"})
-            scns.append((*_scenario_from_config(sub), os.path.join(outdir, f"scenario_{i:03d}")))
-        if jobs > 1:
-            import concurrent.futures as cf
-
-            with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
-                futs = [ex.submit(_run_one_stability, s, r, d, svg) for s, r, d in scns]
-                for f in futs:
-                    f.result()
-        else:
-            for s, r, d in scns:
-                _run_one_stability(s, r, d, svg)
-        print(f"stability: ran {len(scns)} scenarios under {outdir}")
-        return EXIT_OK
-    scn, resume = _scenario_from_config(cfg)
-    if seed is not None:
-        scn.perturbation.seed = seed
-    doc = _run_one_stability(scn, resume, outdir, svg)
-    verdict = doc["barrier"]["never_exceeded"] if doc.get("barrier") else None
-    print(f"stability: never_exceeded={verdict} report={os.path.join(outdir, 'report.json')}")
+        schema = {k: v for k, v in SCHEMAS["stability"].items() if k != "scenarios"}
+        for sub in cfg["scenarios"]:
+            validate_config(sub, schema)
+        subs = [(sub, os.path.join(outdir, f"scenario_{i:03d}"))
+                for i, sub in enumerate(cfg["scenarios"])]
+    else:
+        subs = [(cfg, outdir)]
+    runs = []
+    for sub, subdir in subs:
+        scn, resume = _scenario_from_config(sub)
+        if seed is not None:
+            scn.perturbation.seed = seed
+        runs.append((scn, resume, subdir, svg))
+    if jobs > 1 and len(runs) > 1:
+        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
+            docs = list(ex.map(_run_one_stability, *zip(*runs)))
+    else:
+        docs = map(_run_one_stability, *zip(*runs))
+    for (_, _, subdir, _), doc in zip(runs, docs):
+        verdict = doc["barrier"]["never_exceeded"] if doc["barrier"] else None
+        print(f"stability: never_exceeded={verdict} report={os.path.join(subdir, 'report.json')}")
     return EXIT_OK
 
 

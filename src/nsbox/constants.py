@@ -26,11 +26,11 @@ import numpy as np
 
 from nsbox.spectral import (
     PeriodicGrid,
+    SpectralField,
     grad_l3_norm,
     grad_samples,
     lift_2d_to_3d,
     random_field,
-    transform_forward,
 )
 
 __all__ = [
@@ -76,7 +76,7 @@ def certify_poincare_sharpness(pc: PoincareConstants, grid: PeriodicGrid, rng=No
         u = random_field(grid, grid.dim, rng, mean_free=True)
         worst = min(worst, pc.nu * u.grad_norm_sq() / u.sobolev_norm_sq(1))
     x = grid.coords()[0]
-    low = transform_forward(grid, np.sin(2 * np.pi * x / grid.L) * np.ones(grid.shape))
+    low = SpectralField.from_physical(grid, np.sin(2 * np.pi * x / grid.L) * np.ones(grid.shape))
     at_low = pc.nu * low.grad_norm_sq() / low.sobolev_norm_sq(1)
     return {"min_ratio": float(worst), "lowest_mode_ratio": float(at_low)}
 
@@ -147,7 +147,7 @@ def _ratio_fields(grid, rng, n_fields):
     low2 = np.cos(2 * np.pi * (x[0] + x[1]) / grid.L) * np.ones(shape)
     for low in (low1, low2):
         stackd = np.stack([low] * grid.dim)
-        fields.append(transform_forward(grid, stackd))
+        fields.append(SpectralField.from_physical(grid, stackd))
     return fields
 
 

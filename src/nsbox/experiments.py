@@ -9,7 +9,7 @@ below its certified bound and that the smallness/barrier predictions hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from nsbox.certificate import (
     abar_chain,
     b_chain,
     certificate_report,
-    gamma_star,
     smallness_check,
     t_star,
 )
@@ -40,13 +39,12 @@ from nsbox.solver import (
     evolve_pair,
     taylor_green_state,
 )
-from nsbox.spectral import PeriodicGrid, SpectralField, random_field, transform_forward
+from nsbox.spectral import PeriodicGrid, SpectralField, random_field
 
 __all__ = [
     "PerturbationSpec",
     "Scenario",
     "WindowStats",
-    "BarrierReport",
     "ExperimentResult",
     "single_mode_profile",
     "make_perturbation",
@@ -73,7 +71,7 @@ def single_mode_profile(grid: PeriodicGrid, mode, amplitude=1.0, normalize=None)
         perp = perp / np.linalg.norm(perp)
     a = 2.0 * np.pi / grid.L
     phase = np.cos(a * sum(mc * x for mc, x in zip(m, grid.coords()))) * np.ones(grid.shape)
-    f = transform_forward(grid, np.stack([p * phase for p in perp]))
+    f = SpectralField.from_physical(grid, np.stack([p * phase for p in perp]))
     if normalize == "l2":
         f = f * (1.0 / f.sobolev_norm(0))
     elif normalize == "h1":
@@ -242,48 +240,24 @@ class WindowStats:
     int_gradp_sq: float
     int_gradq_sq: float
 
-    def as_dict(self):
-        return {k: (int(v) if k == "k" else float(v)) for k, v in self.__dict__.items()}
-
-
-@dataclass
-class BarrierReport:
-    times: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
-    g2: np.ndarray
-    gamma: float
-    gamma_star: float
-    never_exceeded: bool
-    first_exceedance_time: float | None
-    residual_reduced_max: float
-    residual_cubic_max: float
-    tol_slack: float
-    violations_reduced: int
-
-    def verdicts(self):
-        return {
-            "never_exceeded": self.never_exceeded,
-            "first_exceedance_time": self.first_exceedance_time,
-            "residual_reduced_max": self.residual_reduced_max,
-            "residual_cubic_max": self.residual_cubic_max,
-            "tol_slack": self.tol_slack,
-            "violations_reduced": self.violations_reduced,
-        }
-
 
 @dataclass
 class ExperimentResult:
+    """A stability run, section by section as the report holds it; on a
+    solver abort only the scenario, the certificate and the diagnostic."""
+
     scenario: Scenario
-    base: Trajectory
-    pert: Trajectory
-    windows: list
-    uniformity: dict
-    barrier: BarrierReport
-    certificate: dict
-    checks: dict
-    aborted: bool = False
+    pert: Trajectory | None = None  # the perturbation; its `base` is the 2D flow
+    windows: list = field(default_factory=list)
+    barrier: dict | None = None
+    g2: np.ndarray | None = None  # the barrier budget G2(t)
+    certificate: dict = field(default_factory=dict)
+    checks: dict = field(default_factory=dict)
     abort_diagnostic: str | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_diagnostic is not None
 
 
 def _simpson(y, dt):
@@ -330,7 +304,7 @@ class WindowedSeries:
         return float(np.max(self.window(level, k) + c * cum))
 
 
-def barrier_monitor(times, x2, g2, pc, ic, gamma, *, y2=None) -> dict:
+def barrier_monitor(times, x2, g2, pc, ic, gamma) -> dict:
     """Discrete residuals of the barrier differential inequalities.
 
     Forward-difference form: (X2(t+dt) - X2(t))/dt <= -(c_1/2) X2 + G2 + slack
@@ -351,7 +325,7 @@ def barrier_monitor(times, x2, g2, pc, ic, gamma, *, y2=None) -> dict:
     r_reduced = diff + (pc.c_1 / 2.0) * x2[:-1] - g2[:-1]
     r_cubic = diff + x2[:-1] * (pc.c_1 - ic.c_3 * x2[:-1] ** 2) - g2[:-1]
     exceed = np.nonzero(x2 > gamma)[0]
-    out = {
+    return {
         "tol_slack": slack,
         "residual_reduced_max": float(np.max(r_reduced)) if len(r_reduced) else 0.0,
         "residual_cubic_max": float(np.max(r_cubic)) if len(r_cubic) else 0.0,
@@ -360,7 +334,6 @@ def barrier_monitor(times, x2, g2, pc, ic, gamma, *, y2=None) -> dict:
         "never_exceeded": len(exceed) == 0,
         "first_exceedance_time": float(times[exceed[0]]) if len(exceed) else None,
     }
-    return out
 
 
 def window_statistics(pert: Trajectory, T: float) -> tuple:
@@ -448,102 +421,86 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     gamma = scn.perturbation.gamma
 
     norms0 = initial_norms(base0.field)
+    u0_norms = {"l2_sq": u0.field.sobolev_norm_sq(0)}
     ab = abar_chain(fs, norms0["h1_sq"], scn.T, pc, ic, k_max=scn.k_max, initial_mean=base0.mean)
     ach = a_chain(fs, norms0, scn.T, pc, ic, k_max=scn.k_max, initial_mean=base0.mean)
-    bch = b_chain(g, {"l2_sq": u0.field.sobolev_norm_sq(0)}, ach, pc, ic, scn.T,
-                  gamma=gamma, epsilon=scn.epsilon, k_max=scn.k_max, u0_mean=u0.mean)
+    bch = b_chain(g, u0_norms, ach, pc, ic, scn.T, gamma=gamma, epsilon=scn.epsilon,
+                  k_max=scn.k_max, u0_mean=u0.mean)
 
+    sm = None
+    res = ExperimentResult(scn)
     try:
-        pert = evolve_pair(base0, fs, u0, g, scn.solver_config(), window_T=scn.T)
+        res.pert = evolve_pair(base0, fs, u0, g, scn.solver_config(), window_T=scn.T)
     except SolverAbort as exc:  # the chains stand without the simulation
-        cert = certificate_report(nu=scn.nu, L=scn.L, T=scn.T, constants=ic, abar=ab,
-                                  achain=ach, bchain=bch, inputs=_scenario_inputs(scn))
-        return ExperimentResult(scn, None, None, [], {}, None, cert, {}, True, str(exc))
-
-    base = pert.base
-    t = pert.series["t"]
-    x2 = pert.series["h1_sq"]
-    y2 = pert.series["h2_sq"]
-    sm = smallness_check(
-        gamma, scn.epsilon, pc, ic, bch,
-        gradv_l3_series=base.series["gradv_l3"], g_schedule=g,
-        u0_norms={"l2_sq": u0.field.sobolev_norm_sq(0)}, u0_mean=u0.mean, times=t,
-    )
-    g2 = sm["g2_series"]
-
-    mon = barrier_monitor(t, x2, g2, pc, ic, gamma, y2=y2)
-    barrier = BarrierReport(
-        times=t, x2=x2, y2=y2, g2=g2, gamma=gamma, gamma_star=bch.gamma_star,
-        never_exceeded=mon["never_exceeded"],
-        first_exceedance_time=mon["first_exceedance_time"],
-        residual_reduced_max=mon["residual_reduced_max"],
-        residual_cubic_max=mon["residual_cubic_max"],
-        tol_slack=mon["tol_slack"], violations_reduced=mon["violations_reduced"],
-    )
-
-    stats, uniformity = window_statistics(pert, scn.T)
-    checks = _bound_checks(pert, stats, pc, ic, ach, bch, scn.T, gamma)
-    checks["uniformity"] = uniformity
-    cert = certificate_report(
+        res.abort_diagnostic = str(exc)
+    else:
+        ps = res.pert.series
+        sm = smallness_check(
+            gamma, scn.epsilon, pc, ic, bch,
+            gradv_l3_series=res.pert.base.series["gradv_l3"], g_schedule=g,
+            u0_norms=u0_norms, u0_mean=u0.mean, times=ps["t"],
+        )
+        res.g2 = sm["g2_series"]
+        res.barrier = barrier_monitor(ps["t"], ps["h1_sq"], res.g2, pc, ic, gamma)
+        res.windows, uniformity = window_statistics(res.pert, scn.T)
+        res.checks = _bound_checks(res.pert, res.windows, pc, ach, bch, scn.T, gamma)
+        res.checks["uniformity"] = uniformity
+    res.certificate = certificate_report(
         nu=scn.nu, L=scn.L, T=scn.T, constants=ic, abar=ab, achain=ach, bchain=bch,
-        smallness=sm, inputs=_scenario_inputs(scn),
+        smallness=sm, inputs=asdict(scn),
     )
-    return ExperimentResult(scn, base, pert, stats, uniformity, barrier, cert, checks)
+    return res
 
 
-def _scenario_inputs(scn: Scenario) -> dict:
-    d = dict(scn.__dict__)
-    d["perturbation"] = dict(scn.perturbation.__dict__)
-    return d
+def _one_sided(values, bound, carry=None) -> dict:
+    """Simulated window values against a certified bound (and the bound
+    carried over from the previous window, when the chain gives one)."""
+    out = {"values": values, "bound": bound, "ok": bool(max(values) <= bound)}
+    if carry is not None:
+        out.update(bound_carry=carry, ok_carry=bool(max(values) <= carry))
+    return out
 
 
-def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
+def _bound_checks(pert, stats, pc, ach, bch, T, gamma) -> dict:
     """One-sided comparisons of simulated window quantities against the
     certified chain values (a violation is an actionable failure)."""
     bs, ps = pert.base.series, pert.series
     w = WindowedSeries(ps["t"], T)
     ks = range(len(stats))
 
-    # window-start kinetic energy vs the iteration bound
+    # window-start kinetic energy; energy + dissipation along each window
     starts = [bs["l2_sq"][k * w.per] for k in range(len(stats) + 1)]
-    check_31 = {"values": starts, "bound": ach.a2_sq, "ok": bool(max(starts) <= ach.a2_sq)}
-
-    # energy + dissipation along each window vs the window bound
     q_energy = [w.energy_sup(bs["l2_sq"], bs["h1_sq"], pc.c_s1, k) for k in ks]
     q_grad = [w.energy_sup(bs["grad_sq"], bs["h2_sq"], pc.c_s1, k) for k in ks]
     q_pert = [w.energy_sup(ps["l2_sq"], ps["h1_sq"], pc.c_1, k) for k in ks]
     d2 = bs["h2_sq"] - bs["h1_sq"]
     sup_grad2 = [float(np.max(w.window(d2, k))) for k in ks]
-    check_32 = {"values": q_energy, "bound": ach.a3_sq, "ok": bool(max(q_energy) <= ach.a3_sq)}
-    check_36 = {"values": q_grad, "bound": ach.a8_sq, "ok": bool(max(q_grad) <= ach.a8_sq)}
-    check_315 = {"values": sup_grad2, "bound": ach.a13_sq,
-                 "ok": bool(max(sup_grad2) <= ach.a13_sq)}
-    check_41 = {
-        "values": q_pert,
-        "bound": bch.b5_sq,
-        "bound_carry": bch.b5_sq_carry,
-        "ok": bool(max(q_pert) <= bch.b5_sq),
-        "ok_carry": bool(max(q_pert) <= bch.b5_sq_carry),
-    }
-    x2max = float(np.max(ps["h1_sq"]))
-    check_415 = {"sup_x2": x2max, "gamma": gamma, "ok": bool(x2max < gamma)}
-    # nesting of the perturbation norms
-    check_xy = bool(np.all(ps["h1_sq"] <= ps["h2_sq"] * (1 + 1e-12) + 1e-300))
-
     # second-derivative window form: the derivative-tensor H1 integral is
     # over-counted (multiplicity <= 3 per third-order index) so the check is
     # conservative
     d2_h1_upper = 3.0 * (bs["h3_sq"] - bs["h2_sq"]) + d2
     q_grad2 = [w.energy_sup(d2, d2_h1_upper, pc.c_s1, k) for k in ks]
-    check_316 = {"values": q_grad2, "bound": ach.a14_sq,
-                 "ok": bool(max(q_grad2) <= ach.a14_sq)}
+    x2max = float(np.max(ps["h1_sq"]))
+    checks = {
+        "window_start_energy": _one_sided(starts, ach.a2_sq),
+        "window_energy": _one_sided(q_energy, ach.a3_sq),
+        "window_gradient": _one_sided(q_grad, ach.a8_sq),
+        "grad2_sup": _one_sided(sup_grad2, ach.a13_sq),
+        "grad2_window": _one_sided(q_grad2, ach.a14_sq),
+        "pert_energy": _one_sided(q_pert, bch.b5_sq, carry=bch.b5_sq_carry),
+        "barrier_sup": {"sup_x2": x2max, "gamma": gamma, "ok": bool(x2max < gamma)},
+    }
+    # nesting of the perturbation norms
+    x_le_y = bool(np.all(ps["h1_sq"] <= ps["h2_sq"] * (1 + 1e-12) + 1e-300))
+    all_ok = x_le_y and all(c["ok"] for c in checks.values())
+    checks["x_le_y"] = x_le_y
 
     # space-time second-order norms vs the reported envelopes (front
     # constants are unnamed: ratios are reported, asserted only when finite)
     h21_vs = [st.int_vst_sq + st.int_vs_h2_sq + st.int_gradp_sq for st in stats]
     h21_u = [st.int_ut_sq + st.int_u_h2_sq + st.int_gradq_sq for st in stats]
     h21_ref = ach.h21_reference()
-    h21_env = {
+    checks["h21_envelope"] = {
         "values": h21_vs,
         "reference": h21_ref,
         "envelope_ratio": (max(h21_vs) / h21_ref if math.isfinite(h21_ref) and h21_ref > 0
@@ -551,21 +508,6 @@ def _bound_checks(pert, stats, pc, ic, ach, bch, T, gamma) -> dict:
     }
     check_b7 = {"values": h21_u, "bound": bch.b7_sq}
     check_b7["ok"] = bool(max(h21_u) <= bch.b7_sq) if math.isfinite(bch.b7_sq) else None
-
-    return {
-        "window_start_energy": check_31,
-        "window_energy": check_32,
-        "window_gradient": check_36,
-        "grad2_sup": check_315,
-        "grad2_window": check_316,
-        "pert_energy": check_41,
-        "barrier_sup": check_415,
-        "x_le_y": check_xy,
-        "h21_envelope": h21_env,
-        "pert_h21": check_b7,
-        "all_ok": bool(
-            check_31["ok"] and check_32["ok"] and check_36["ok"] and check_315["ok"]
-            and check_316["ok"] and check_41["ok"] and check_415["ok"] and check_xy
-            and check_b7["ok"] in (True, None)
-        ),
-    }
+    checks["pert_h21"] = check_b7
+    checks["all_ok"] = bool(all_ok and check_b7["ok"] in (True, None))
+    return checks

@@ -8,6 +8,7 @@ covers the payload; a mismatch on read is a data-integrity error.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -63,6 +64,8 @@ def write_snapshot(path, state: FlowState) -> None:
 
 
 def read_snapshot(path) -> FlowState:
+    """The stored state; SnapshotError when the file is not a snapshot, its
+    payload fails the checksum, or its header does not describe a state."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_MAGIC):
@@ -71,27 +74,29 @@ def read_snapshot(path) -> FlowState:
     nl = rest.find(b"\n")
     if nl < 0:
         raise SnapshotError(f"{path}: truncated header")
+    payload = rest[nl + 1:]
     try:
         header = json.loads(rest[:nl])
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"{path}: bad header: {exc}") from exc
-    payload = rest[nl + 1:]
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-        raise SnapshotError(f"{path}: checksum mismatch (corrupt payload)")
-    grid = PeriodicGrid(L=header["L"], dim=header["dim"], N=header["N"])
-    comp = header["components"]
-    flat = np.frombuffer(payload, dtype="<f8")
-    expect = comp * grid.N**grid.dim
-    if flat.size != expect:
-        raise SnapshotError(f"{path}: payload size {flat.size} != {expect}")
-    shaped = flat.reshape((comp,) + (grid.N,) * grid.dim)
-    spatial = list(range(1, grid.dim + 1))
-    samples = shaped.transpose([0] + spatial[::-1])
-    field = SpectralField.from_physical(grid, samples)
-    return FlowState(
-        t=header["time"], field=field, mean=np.asarray(header["mean"], float),
-        role=header.get("role", "base2d"),
-    )
+        if not isinstance(header, dict):
+            raise SnapshotError(f"{path}: bad header: not an object")
+        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+            raise SnapshotError(f"{path}: checksum mismatch (corrupt payload)")
+        grid = PeriodicGrid(L=header["L"], dim=header["dim"], N=header["N"])
+        comp = header["components"]
+        flat = np.frombuffer(payload, dtype="<f8")
+        expect = comp * grid.N**grid.dim
+        if flat.size != expect:
+            raise SnapshotError(f"{path}: payload size {flat.size} != {expect}")
+        shaped = flat.reshape((comp,) + (grid.N,) * grid.dim)
+        spatial = list(range(1, grid.dim + 1))
+        samples = shaped.transpose([0] + spatial[::-1])
+        field = SpectralField.from_physical(grid, samples)
+        return FlowState(
+            t=header["time"], field=field, mean=np.asarray(header["mean"], float),
+            role=header.get("role", "base2d"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise SnapshotError(f"{path}: bad header: {exc!r}") from exc
 
 
 def write_trajectory(outdir, traj, prefix="state") -> None:
@@ -132,14 +137,10 @@ def write_series_csv(path, series: dict, columns=None) -> None:
 
 
 def write_windows_csv(path, window_stats) -> None:
-    if not window_stats:
-        _atomic_write_bytes(path, b"k\n")
-        return
-    cols = list(window_stats[0].as_dict().keys())
-    lines = [",".join(cols)]
-    for w in window_stats:
-        d = w.as_dict()
-        lines.append(",".join(_fmt(d[c]) for c in cols))
+    """One row per window: the fields of each `WindowStats` record."""
+    rows = [dataclasses.asdict(w) for w in window_stats]
+    cols = list(rows[0]) if rows else ["k"]
+    lines = [",".join(cols)] + [",".join(_fmt(r[c]) for c in cols) for r in rows]
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 

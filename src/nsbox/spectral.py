@@ -22,8 +22,6 @@ import scipy.fft as _fft
 __all__ = [
     "PeriodicGrid",
     "SpectralField",
-    "transform_forward",
-    "transform_backward",
     "to_coeffs",
     "to_samples",
     "grad_samples",
@@ -346,15 +344,6 @@ def leray_project_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
 def gradient_part_normsq(grid: PeriodicGrid, coeffs) -> float:
     """||c - P c||_L2^2 = |box| sum |k.c|^2/|k|^2 for the Leray projection P."""
     return float(grid.volume * np.sum(np.abs(_k_dot(grid, coeffs)) ** 2 * grid.inv_ksq))
-
-
-def transform_forward(grid: PeriodicGrid, samples) -> SpectralField:
-    """Exact DFT of physical samples; inverse of `transform_backward`."""
-    return SpectralField.from_physical(grid, samples)
-
-
-def transform_backward(field: SpectralField) -> np.ndarray:
-    return field.physical()
 
 
 def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField:

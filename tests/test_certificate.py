@@ -27,7 +27,7 @@ from nsbox.constants import (
     poincare_constants,
 )
 from nsbox.forcing import CompositeForcing, ConstantMeanForcing, DecayingModeForcing, ZeroForcing
-from nsbox.spectral import PeriodicGrid, transform_forward
+from nsbox.spectral import PeriodicGrid, SpectralField
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,7 +38,7 @@ def unit_h1_profile(grid):
     samples = np.stack(
         [np.cos(a * (x1 + x2)) * np.ones(grid.shape), -np.cos(a * (x1 + x2)) * np.ones(grid.shape)]
     )
-    f = transform_forward(grid, samples)
+    f = SpectralField.from_physical(grid, samples)
     return f * (1.0 / f.sobolev_norm(1))
 
 
@@ -72,7 +72,7 @@ class TestPoincare:
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         pc = poincare_constants(1.0, TWO_PI)
         x1 = g.coords()[0]
-        low = transform_forward(g, np.sin(x1) * np.ones(g.shape))
+        low = SpectralField.from_physical(g, np.sin(x1) * np.ones(g.shape))
         ratio = pc.nu * low.grad_norm_sq() / low.sobolev_norm_sq(1)
         assert ratio == pytest.approx(pc.c_s1, rel=1e-12)
 
@@ -189,7 +189,7 @@ class TestConstants:
         ic = interpolation_constants(1.0, TWO_PI, "empirical_calibrated", n_fields=60, seed=0)
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         x1 = g.coords()[0]
-        u = transform_forward(g, np.sin(x1) * np.ones(g.shape)).subtract_mean()
+        u = SpectralField.from_physical(g, np.sin(x1) * np.ones(g.shape)).subtract_mean()
         ratio = u.lp_norm(3) / (np.sqrt(u.grad_norm_sq()) ** (1 / 3) * u.sobolev_norm(0) ** (2 / 3))
         assert ratio <= ic.primitives["c_l3_interp_2d"]
 

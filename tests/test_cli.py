@@ -80,6 +80,21 @@ class TestConfigValidation:
         pytest.param("certify", {"certificate": {"T": 5.0, "N": 8},
                                  "initial_norms": {"l2_sq": 0.1}},
                      "initial_norms is missing grad_sq, grad2_sq", id="initial-norms-incomplete"),
+        # keys nothing reads: files go to --out, plots follow --svg, and the
+        # grid's dimension follows `system`
+        pytest.param("simulate", {"grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.02},
+                                  "output": {"dir": "elsewhere"}}, "output.dir", id="output.dir"),
+        pytest.param("simulate", {"grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.02},
+                                  "output": {"svg": True}}, "output.svg", id="output.svg"),
+        pytest.param("simulate", {"system": "base2d", "grid": {"N": 8, "dim": 3},
+                                  "solver": {"dt": 0.01, "t_end": 0.02}}, "grid.dim",
+                     id="grid.dim"),
+        pytest.param("certify", {"certificate": {"T": 5.0, "N": 8, "k_max": -1},
+                                 "forcing": {"family": "oscillating_mean"}},
+                     "certificate.k_max", id="certificate.k_max-negative"),
+        pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
+                                                "calibration_fields": 20, "k_max": -1}},
+                     "scenario.k_max", id="scenario.k_max-negative"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)
@@ -97,6 +112,13 @@ class TestConfigValidation:
         assert out["solver"]["nu"] == 2.5
         out2 = apply_env_overrides(cfg, {"NSBOX_SOLVER_SCHEME": "rk3-imex"})
         assert out2["solver"]["scheme"] == "rk3-imex"
+        # a section with an underscore in its name: the longest section wins
+        out3 = apply_env_overrides({"initial": {"kind": "zero"}}, {
+            "NSBOX_INITIAL_NORMS_L2_SQ": "0.5", "NSBOX_G_FORCING_FAMILY": "zero",
+            "NSBOX_INITIAL_KIND": "taylor_green",
+        })
+        assert out3 == {"initial": {"kind": "taylor_green"}, "initial_norms": {"l2_sq": 0.5},
+                        "g_forcing": {"family": "zero"}}
 
 
 class TestSimulate:
@@ -302,6 +324,7 @@ class TestStability:
         assert rc == EXIT_OK
         doc = json.loads((out / "report.json").read_text())
         assert doc["barrier"]["never_exceeded"] is True
+        assert isinstance(doc["barrier"]["violations_cubic"], int)
         assert (out / "series.csv").exists()
         assert (out / "windows.csv").exists()
         assert (out / "x2_vs_gamma.svg").exists()
@@ -341,7 +364,12 @@ class TestStability:
         sups = [doc["checks"]["barrier_sup"]["sup_x2"] for doc in docs]
         assert sups[1] == pytest.approx(sups[0], rel=1e-12)
 
-    def test_corrupted_resume_snapshot_exit3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda blob: blob[:-3] + bytes([blob[-3] ^ 0x55]) + blob[-2:], id="payload"),
+        # the checksum covers only the payload
+        pytest.param(lambda blob: blob.replace(b'"N": 8', b'"N": 9', 1), id="header"),
+    ])
+    def test_corrupted_resume_snapshot_exit3(self, tmp_path, capsys, corrupt):
         # build a valid perturbation snapshot, then corrupt it
         from nsbox.experiments import PerturbationSpec, make_perturbation
         from nsbox.spectral import PeriodicGrid
@@ -350,9 +378,9 @@ class TestStability:
         u0 = make_perturbation(g3, PerturbationSpec(gamma=1e-4, seed=3, band=(1, 2)))
         snap = tmp_path / "u0.snap"
         write_snapshot(snap, u0)
-        blob = bytearray(snap.read_bytes())
-        blob[-3] ^= 0x55
-        snap.write_bytes(bytes(blob))
+        blob = snap.read_bytes()
+        snap.write_bytes(corrupt(blob))
+        assert snap.read_bytes() != blob
         cfg_doc = self._scn_cfg(resume=str(snap))
         cfg = write_cfg(tmp_path, cfg_doc)
         rc = main(["stability", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -367,3 +395,31 @@ class TestStability:
         for i in range(2):
             doc_i = json.loads((out / f"scenario_{i:03d}" / "report.json").read_text())
             assert doc_i["barrier"]["never_exceeded"] is True
+
+    def test_solver_abort_report_keeps_the_chains(self, tmp_path):
+        # the run blows up (no CFL limit): the report keeps the certificate
+        # without the simulated sections
+        cfg = write_cfg(tmp_path, {"scenario": {
+            "N": 8, "T": 9.0, "windows": 1, "dt": 0.9, "nu": 1e-8, "base_amplitude": 50.0,
+            "cfl_max": math.inf, "calibration_fields": 20,
+        }})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["stability", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["aborted"] is True and "non-finite" in doc["abort_diagnostic"]
+        assert doc["barrier"] is None and doc["checks"] == {} and doc["windows"] == []
+        assert "b_chain" in doc["certificate"] and "smallness" not in doc["certificate"]
+        assert not (out / "series.csv").exists()
+
+    def test_sweep_applies_seed(self, tmp_path, capsys):
+        doc = {"scenarios": [self._scn_cfg(), self._scn_cfg(T=5.0, dt=0.025)]}
+        cfg = write_cfg(tmp_path, doc)
+        out = tmp_path / "sweep"
+        assert main(["stability", "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            report = out / f"scenario_{i:03d}" / "report.json"
+            assert line == f"stability: never_exceeded=True report={report}"
+            assert json.loads(report.read_text())["scenario"]["perturbation"]["seed"] == 5

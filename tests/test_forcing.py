@@ -16,7 +16,7 @@ from nsbox.forcing import (
     _gl4,
     adaptive_simpson,
 )
-from nsbox.spectral import PeriodicGrid, transform_forward
+from nsbox.spectral import PeriodicGrid, SpectralField
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,7 +28,7 @@ def unit_h1_profile(grid):
     samples = np.stack(
         [np.cos(a * (x1 + x2)) * np.ones(grid.shape), -np.cos(a * (x1 + x2)) * np.ones(grid.shape)]
     )
-    f = transform_forward(grid, samples)
+    f = SpectralField.from_physical(grid, samples)
     return f * (1.0 / f.sobolev_norm(1))
 
 

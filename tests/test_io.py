@@ -44,9 +44,9 @@ class TestSnapshot:
         # stripe in x1 varies within the first N doubles of the payload
         g = PeriodicGrid(L=TWO_PI, dim=2, N=8)
         x1 = g.coords()[0]
-        from nsbox.spectral import transform_forward
+        from nsbox.spectral import SpectralField
 
-        f = transform_forward(g, np.sin(x1) * np.ones(g.shape))
+        f = SpectralField.from_physical(g, np.sin(x1) * np.ones(g.shape))
         path = tmp_path / "s.snap"
         write_snapshot(path, FlowState(0.0, f, np.zeros(1), "base2d"))
         blob = path.read_bytes()
@@ -69,6 +69,23 @@ class TestSnapshot:
         path = tmp_path / "junk.snap"
         path.write_bytes(b"not a snapshot")
         with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: [h], id="not-an-object"),
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "components"},
+                     id="missing-key"),
+        pytest.param(lambda h: {**h, "N": h["N"] + 1}, id="odd-N"),
+        pytest.param(lambda h: {**h, "mean": h["mean"][:1]}, id="mean-length"),
+    ])
+    def test_bad_header_detected(self, tmp_path, edit):
+        # the checksum covers only the payload; the header is checked on read
+        path = tmp_path / "f.snap"
+        write_snapshot(path, self._state())
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header = json.dumps(edit(json.loads(header))).encode()
+        path.write_bytes(b"\n".join([magic, header, payload]))
+        with pytest.raises(SnapshotError, match="bad header"):
             read_snapshot(path)
 
 

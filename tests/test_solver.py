@@ -30,7 +30,6 @@ from nsbox.spectral import (
     inner_l2,
     lift_2d_to_3d,
     random_field,
-    transform_forward,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -48,7 +47,7 @@ def solenoidal_mode_2d(grid, amplitude=1.0):
     samples = np.stack(
         [c * np.cos(a * (x1 + x2)) * np.ones(grid.shape), -c * np.cos(a * (x1 + x2)) * np.ones(grid.shape)]
     )
-    return transform_forward(grid, samples)
+    return SpectralField.from_physical(grid, samples)
 
 
 class TestNonlinearTerm:
@@ -64,11 +63,13 @@ class TestNonlinearTerm:
         # i.e. two product modes (cos(x1-x2) - cos(x1+x2))/2
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         x1, x2 = g.coords()
-        w = transform_forward(g, np.stack([np.sin(x2) * np.ones(g.shape), np.zeros(g.shape)]))
-        u = transform_forward(g, np.stack([np.zeros(g.shape), np.cos(x1) * np.ones(g.shape)]))
+        w = SpectralField.from_physical(
+            g, np.stack([np.sin(x2) * np.ones(g.shape), np.zeros(g.shape)]))
+        u = SpectralField.from_physical(
+            g, np.stack([np.zeros(g.shape), np.cos(x1) * np.ones(g.shape)]))
         state = FlowState(0.0, u, np.zeros(2), "base2d")
         out = nonlinear_term(state, w)
-        hand = transform_forward(
+        hand = SpectralField.from_physical(
             g, np.stack([np.zeros(g.shape), np.sin(x1) * np.sin(x2) * np.ones(g.shape)])
         ).leray_project()
         assert np.max(np.abs(out.coeffs - hand.coeffs)) < 1e-13

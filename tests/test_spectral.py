@@ -1,6 +1,8 @@
 """Spectral field operators: transforms, calculus, projections, norms."""
 
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
@@ -15,8 +17,6 @@ from nsbox.spectral import (
     random_field,
     to_coeffs,
     to_samples,
-    transform_backward,
-    transform_forward,
     zero_mode0,
 )
 
@@ -68,7 +68,7 @@ class TestGrid:
 class TestTransforms:
     def test_constant_field(self):
         g = PeriodicGrid(L=1.5, dim=3, N=8)
-        f = transform_forward(g, 2.5 * np.ones(g.shape))
+        f = SpectralField.from_physical(g, 2.5 * np.ones(g.shape))
         zero = (0,) + (0,) * 3
         assert f.coeffs[zero] == pytest.approx(2.5)
         other = f.coeffs.copy()
@@ -79,7 +79,7 @@ class TestTransforms:
         L = 3.0
         g = PeriodicGrid(L=L, dim=3, N=8)
         x1 = g.coords()[0]
-        f = transform_forward(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
+        f = SpectralField.from_physical(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
         assert f.coeffs[0, 1, 0, 0] == pytest.approx(-0.5j, abs=1e-14)
         assert f.coeffs[0, -1, 0, 0] == pytest.approx(0.5j, abs=1e-14)
         c = f.coeffs.copy()
@@ -91,20 +91,20 @@ class TestTransforms:
         rng = np.random.default_rng(1)
         g = PeriodicGrid(L=2.0, dim=2, N=8)
         samples = rng.standard_normal((2,) + g.shape)
-        f = transform_forward(g, samples)
+        f = SpectralField.from_physical(g, samples)
         assert np.max(np.abs(f.coeffs - naive_dft(samples, g))) < 1e-12
-        assert np.max(np.abs(transform_backward(f) - samples)) < 1e-12
+        assert np.max(np.abs(f.physical() - samples)) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         g = PeriodicGrid(L=1.0, dim=2, N=8)
         with pytest.raises(ValueError):
-            transform_forward(g, np.zeros((7, 8)))
+            SpectralField.from_physical(g, np.zeros((7, 8)))
 
 
 class TestDerivative:
     def test_constant_derivative_zero(self):
         g = PeriodicGrid(L=1.0, dim=2, N=8)
-        f = transform_forward(g, np.ones(g.shape))
+        f = SpectralField.from_physical(g, np.ones(g.shape))
         d = f.derivative((1, 0))
         assert np.max(np.abs(d.coeffs)) < 1e-14
 
@@ -112,7 +112,7 @@ class TestDerivative:
         L = 5.0
         g = PeriodicGrid(L=L, dim=2, N=16)
         x1 = g.coords()[0]
-        f = transform_forward(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
+        f = SpectralField.from_physical(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
         d = f.derivative((1, 0)).physical()[0]
         expected = (TWO_PI / L) * np.cos(TWO_PI * np.broadcast_to(x1, g.shape) / L)
         assert np.max(np.abs(d - expected)) < 1e-12
@@ -185,7 +185,7 @@ class TestKernel:
         # u = (sin x1, cos x1) has |grad u| = 1 pointwise, so ||grad u||_L3 = L^(2/3)
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         x1, _ = g.coords()
-        u = transform_forward(g, np.stack([np.sin(x1), np.cos(x1)]) * np.ones(g.shape))
+        u = SpectralField.from_physical(g, np.stack([np.sin(x1), np.cos(x1)]) * np.ones(g.shape))
         assert grad_l3_norm(g, grad_samples(g, u.coeffs)) == pytest.approx(
             TWO_PI ** (2 / 3), rel=1e-12)
 
@@ -202,7 +202,7 @@ class TestLerayProjection:
         L = TWO_PI
         g = PeriodicGrid(L=L, dim=3, N=8)
         x1 = g.coords()[0]
-        phi = transform_forward(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
+        phi = SpectralField.from_physical(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
         gradphi = np.concatenate([phi.derivative(e).coeffs for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
         p = SpectralField(g, gradphi).leray_project()
         assert np.max(np.abs(p.coeffs)) < 1e-14
@@ -240,7 +240,8 @@ class TestLerayProjection:
 class TestMean:
     def test_constant(self):
         g = PeriodicGrid(L=2.0, dim=2, N=8)
-        f = transform_forward(g, np.stack([3.0 * np.ones(g.shape), -1.0 * np.ones(g.shape)]))
+        f = SpectralField.from_physical(
+            g, np.stack([3.0 * np.ones(g.shape), -1.0 * np.ones(g.shape)]))
         assert f.mean() == pytest.approx([3.0, -1.0])
         assert f.subtract_mean().sobolev_norm(0) == 0.0
 
@@ -248,7 +249,7 @@ class TestMean:
         L = 2.0
         g = PeriodicGrid(L=L, dim=2, N=8)
         x1 = g.coords()[0]
-        f = transform_forward(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
+        f = SpectralField.from_physical(g, np.sin(TWO_PI * x1 / L) * np.ones(g.shape))
         assert abs(f.mean()[0]) < 1e-15
         assert np.max(np.abs(f.subtract_mean().coeffs - f.coeffs)) < 1e-15
 
@@ -256,7 +257,7 @@ class TestMean:
         rng = np.random.default_rng(9)
         g = PeriodicGrid(L=3.0, dim=3, N=8)
         samples = rng.standard_normal((3,) + g.shape)
-        f = transform_forward(g, samples)
+        f = SpectralField.from_physical(g, samples)
         assert np.max(np.abs(f.mean() - samples.mean(axis=(1, 2, 3)))) < 1e-13
 
     def test_exact_split(self):
@@ -278,7 +279,7 @@ class TestSobolevNorm:
         L = TWO_PI
         g = PeriodicGrid(L=L, dim=3, N=16)
         x1 = g.coords()[0]
-        u = transform_forward(g, np.sin(x1) * np.ones(g.shape))
+        u = SpectralField.from_physical(g, np.sin(x1) * np.ones(g.shape))
         vol = L**3
         assert u.sobolev_norm_sq(0) == pytest.approx(vol / 2, rel=1e-12)
         assert u.sobolev_norm_sq(1) == pytest.approx(2 * vol / 2, rel=1e-12)
@@ -290,7 +291,7 @@ class TestSobolevNorm:
         x = L * np.arange(n) / n
         val = np.sum(np.sin(x) ** 2) * (L / n) * L**2
         g = PeriodicGrid(L=L, dim=3, N=8)
-        u = transform_forward(g, np.sin(g.coords()[0]) * np.ones(g.shape))
+        u = SpectralField.from_physical(g, np.sin(g.coords()[0]) * np.ones(g.shape))
         assert u.sobolev_norm_sq(0) == pytest.approx(val, rel=1e-12)
 
     def test_h1_matches_physical_quadrature(self):
@@ -312,7 +313,7 @@ class TestSobolevNorm:
 class TestLpNorm:
     def test_constant(self):
         g = PeriodicGrid(L=2.0, dim=3, N=8)
-        f = transform_forward(g, -1.5 * np.ones(g.shape))
+        f = SpectralField.from_physical(g, -1.5 * np.ones(g.shape))
         vol = 2.0**3
         for p in (2, 3, 4, 6):
             assert f.lp_norm(p) == pytest.approx(1.5 * vol ** (1 / p), rel=1e-13)
@@ -321,7 +322,7 @@ class TestLpNorm:
     def test_sine_l4_closed_form(self):
         L = TWO_PI
         g = PeriodicGrid(L=L, dim=3, N=16)
-        u = transform_forward(g, np.sin(g.coords()[0]) * np.ones(g.shape))
+        u = SpectralField.from_physical(g, np.sin(g.coords()[0]) * np.ones(g.shape))
         # integral of sin^4 over the box: (3/8) * (2 pi)^3
         assert u.lp_norm(4) ** 4 == pytest.approx(0.375 * (2 * np.pi) ** 3, rel=1e-12)
 
@@ -390,7 +391,7 @@ class TestLift:
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         x1, x2 = g2.coords()
         tg = np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)])
-        u3 = lift_2d_to_3d(transform_forward(g2, tg), g3)
+        u3 = lift_2d_to_3d(SpectralField.from_physical(g2, tg), g3)
         assert np.max(np.abs(u3.coeffs[:, :, :, 1:])) == 0.0
         assert np.max(np.abs(u3.derivative((0, 0, 1)).coeffs)) == 0.0
         assert np.max(np.abs(u3.coeffs[2])) == 0.0
@@ -436,7 +437,7 @@ class TestStructuralProperties:
             assert u.grad_norm_sq() >= kappa * u.sobolev_norm_sq(0) * (1 - 1e-12)
         # equality on a lowest mode
         x1 = g.coords()[0]
-        low = transform_forward(g, np.sin(2 * np.pi * x1 / L) * np.ones(g.shape))
+        low = SpectralField.from_physical(g, np.sin(2 * np.pi * x1 / L) * np.ones(g.shape))
         ratio = low.grad_norm_sq() / low.sobolev_norm_sq(0)
         assert ratio == pytest.approx(kappa, rel=1e-12)
 
@@ -469,3 +470,14 @@ class TestStructuralProperties:
         u = SpectralField.zeros(g, 2)
         with pytest.raises(ValueError):
             u.coeffs[0, 0, 0] = 1.0
+
+
+def test_exports_resolve():
+    """Every name in `nsbox.__all__` and in each nsbox module's `__all__` exists."""
+    import nsbox
+
+    modules = [nsbox] + [importlib.import_module(f"nsbox.{m.name}")
+                         for m in pkgutil.iter_modules(nsbox.__path__)]
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not stale
