@@ -90,7 +90,7 @@ def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *, k_max=64,
     abar4_sq = squared sup of the mean-drift path.
     Membership requires T >= t_star and T > abar3_sq.
     """
-    _require_nonneg(vbar0_h1_sq=vbar0_h1_sq, T=T)
+    _require_nonneg(vbar0_h1_sq=vbar0_h1_sq, T=T, k_max=k_max)
     a1, cert1 = schedule.sup_window_bar_sq(T, k_max, "h1")
     if not math.isfinite(a1):
         raise ValueError("forcing schedule is not window-integrable in H1")
@@ -178,7 +178,7 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
     for key in ("l2_sq", "grad_sq", "grad2_sq"):
         if key not in initial_norms:
             raise ValueError(f"initial_norms missing {key!r}")
-    _require_nonneg(T=T, **{k: float(v) for k, v in initial_norms.items()})
+    _require_nonneg(T=T, k_max=k_max, **{k: float(v) for k, v in initial_norms.items()})
     m0 = np.asarray(initial_mean, float)
 
     f_l2, cert_l2 = schedule.sup_window_bar_sq(T, k_max, "l2")
@@ -256,7 +256,7 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
         raise ValueError("b_chain requires the base-flow chain")
     if "l2_sq" not in u0_norms:
         raise ValueError("u0_norms must provide 'l2_sq'")
-    _require_nonneg(T=T, gamma=gamma, u0_l2_sq=u0_norms["l2_sq"])
+    _require_nonneg(T=T, gamma=gamma, u0_l2_sq=u0_norms["l2_sq"], k_max=k_max)
     m0 = np.asarray(u0_mean, float)
     a3, a8, a9 = achain.a3_sq, achain.a8_sq, achain.a9
 

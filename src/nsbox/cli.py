@@ -76,6 +76,10 @@ def _count(x):
     return _is_int(x) and x >= 0
 
 
+def _positive_count(x):
+    return _is_int(x) and x >= 1
+
+
 def _numbers(x):
     return isinstance(x, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
@@ -112,7 +116,7 @@ SCHEMAS = {
         "certificate": {
             "nu": _positive, "L": _positive, "T": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
-            "k_max": _count, "calibration_seed": _is_int, "calibration_fields": _is_int,
+            "k_max": _count, "calibration_seed": _count, "calibration_fields": _positive_count,
             "gamma": _nonneg, "epsilon": _positive, "N": _is_int,
         },
         "forcing": _FORCING,
@@ -129,7 +133,7 @@ SCHEMAS = {
             "windows": _is_int, "dt": _positive,
             "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
-            "calibration_seed": _is_int, "calibration_fields": _is_int, "k_max": _count,
+            "calibration_seed": _count, "calibration_fields": _positive_count, "k_max": _count,
             "base_amplitude": _nonneg, "force_constant": _numbers, "force_amplitude": _nonneg,
             "force_rate": _positive, "force_mode": _numbers,
             "force_family": lambda v: v in ("example1", "example2", "zero"),

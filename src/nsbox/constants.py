@@ -7,9 +7,10 @@ Two sources for the interpolation/embedding primitives:
   Cauchy-Schwarz on the Fourier side, and Hausdorff-Young interpolation.
   They depend only on the box size L (and the dimension).
 * ``empirical_calibrated`` -- each primitive replaced by 1.1x the largest
-  Rayleigh ratio observed over a calibration set of >= 1000 random
-  band-limited mean-free fields (plus deliberate lowest-mode extremizers,
-  which maximize gradient-normalized ratios).
+  Rayleigh ratio observed over a seeded calibration set of random
+  band-limited mean-free fields (1000 in 2D and 333 in 3D by default) plus
+  deliberate lowest-mode extremizers, which maximize gradient-normalized
+  ratios (docs/constants.md section 6).
 
 The chain constants c_s2, c_s3, c_2, c_3, c_4 are assembled from the
 primitives by the documented formulas below; the assembly includes the
@@ -21,16 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
-    grad_l3_norm,
+    derivative_multiplier,
     grad_samples,
-    lift_2d_to_3d,
     random_field,
+    to_samples,
+    weighted_norm_sq,
 )
 
 __all__ = [
@@ -92,11 +95,11 @@ def lattice_sum(power: int, dim: int, box_modes: int = 100) -> float:
     if power <= dim:
         raise ValueError("lattice sum diverges for power <= dim")
     M = box_modes
-    m1 = np.arange(-M, M + 1)
-    grids = np.meshgrid(*([m1] * dim), indexing="ij")
-    msq = sum(g.astype(np.float64) ** 2 for g in grids)
+    sq = np.arange(-M, M + 1, dtype=np.float64) ** 2
+    # |m|^2 on the (2M+1)^dim box, one float array built by broadcasting
+    msq = sum(sq.reshape((-1,) + (1,) * (dim - 1 - a)) for a in range(dim))
     msq[(M,) * dim] = np.inf  # exclude origin
-    partial = float(np.sum(msq ** (-power / 2.0)))
+    partial = float(np.sum(np.power(msq, -power / 2.0, out=msq)))
     tail = 2 * dim * 3 ** (dim - 1) * M ** (dim - power) / (power - dim)
     return partial + tail
 
@@ -131,64 +134,109 @@ def analytic_primitives(L: float) -> dict:
     return out
 
 
+_BATCH = 16  # fields per stacked transform: less time and memory than 64 or 256
+
+
 def _ratio_fields(grid, rng, n_fields):
-    """Calibration set: random band-limited mean-free fields of varied
-    spectral concentration plus pure lowest-mode extremizers."""
-    fields = []
+    """Calibration set, drawn lazily in order: random band-limited mean-free
+    fields of varied spectral concentration, then pure lowest-mode extremizers."""
     k0_cycle = (1.5, 2.5, 4.0, grid.N / 4.0)
     hi = max(2, grid.N // 3)
     for i in range(n_fields):
-        fields.append(
-            random_field(grid, grid.dim, rng, band=(1, hi), k0=k0_cycle[i % len(k0_cycle)])
-        )
+        yield random_field(grid, grid.dim, rng, band=(1, hi), k0=k0_cycle[i % len(k0_cycle)])
     x = grid.coords()
-    shape = grid.shape
-    low1 = np.sin(2 * np.pi * x[0] / grid.L) * np.ones(shape)
-    low2 = np.cos(2 * np.pi * (x[0] + x[1]) / grid.L) * np.ones(shape)
-    for low in (low1, low2):
-        stackd = np.stack([low] * grid.dim)
-        fields.append(SpectralField.from_physical(grid, stackd))
-    return fields
+    for low in (np.sin(2 * np.pi * x[0] / grid.L), np.cos(2 * np.pi * (x[0] + x[1]) / grid.L)):
+        low = low * np.ones(grid.shape)
+        yield SpectralField.from_physical(grid, np.stack([low] * grid.dim))
+
+
+def _batches(fields):
+    """The fields' coefficients as (B, C, grid) stacks of at most _BATCH fields."""
+    fields = iter(fields)
+    while batch := [u.coeffs for u in islice(fields, _BATCH)]:
+        yield np.stack(batch)
+
+
+def _grid_sum(grid, a):
+    """Per-field sums over the grid axes of a (B, grid) array."""
+    return np.sum(a, axis=tuple(range(-grid.dim, 0)))
+
+
+def _root(values, p):
+    """values ** (1/p), one float at a time: numpy's vectorized power can round
+    differently from the scalar pow that `SpectralField.lp_norm` uses."""
+    return [v ** (1.0 / p) for v in values.tolist()]
+
+
+def _lp(grid, magsq, p):
+    """||u||_Lp per field from the (B, grid) samples of |u|^2, as
+    `SpectralField.lp_norm` computes it."""
+    if p == np.inf:
+        return np.max(np.sqrt(magsq), axis=tuple(range(-grid.dim, 0))).tolist()
+    return _root(grid.cell_volume * _grid_sum(grid, magsq ** (p / 2.0)), p)
+
+
+def _scores(grid, coeffs, ps):
+    """Per field of a (B, C, grid) stack, as lists: ||u||_L2, ||grad u||_L2 and
+    ||u||_Lp for each p in ps, computed as the `SpectralField` norms compute them."""
+    l2 = np.sqrt(weighted_norm_sq(grid, coeffs, grid.sobolev_multiplier(0)))
+    gr = np.sqrt(weighted_norm_sq(grid, coeffs, grid.ksq))
+    magsq = np.sum(to_samples(grid, coeffs) ** 2, axis=1)
+    return (l2.tolist(), gr.tolist(), *(_lp(grid, magsq, p) for p in ps))
+
+
+def _scores_2d(grid, coeffs):
+    """Per field of a (B, 2, grid) stack, as lists: ||u||_L2, ||grad u||_L2,
+    ||lap u||_L2, ||u||_L3, ||u||_L4, ||u||_Loo, and ||grad w||_L3 and
+    ||w||_H2 of the lift w(x1, x2, x3) = u(x1, x2) to the 3D box."""
+    l2, gr, l3, l4, linf = _scores(grid, coeffs, (3, 4, np.inf))
+    # ||D20 u||^2 + ||D02 u||^2 + 2 ||D11 u||^2, each through its own multiplier
+    # as `SpectralField.derivative` takes it: one k1^4 + k2^4 + 2 k1^2 k2^2
+    # weight rounds differently
+    mult0 = grid.sobolev_multiplier(0)
+    d20, d02, d11 = (weighted_norm_sq(grid, coeffs * derivative_multiplier(grid, a), mult0)
+                     for a in ((2, 0), (0, 2), (1, 1)))
+    lap = np.sqrt(d20 + d02 + 2 * d11).tolist()
+    # w does not depend on x3: ||grad w||_L3^3 = L int |grad u|^3, ||w||_H2^2 = L ||u||_H2^2
+    gradsq = np.zeros((len(coeffs),) + grid.shape)
+    for d in grad_samples(grid, coeffs):
+        gradsq += np.sum(d**2, axis=1)
+    lift_l3 = _root(grid.L * grid.cell_volume * _grid_sum(grid, gradsq**1.5), 3)
+    lift_h2 = np.sqrt(grid.L * weighted_norm_sq(grid, coeffs, grid.sobolev_multiplier(2)))
+    return l2, gr, lap, l3, l4, linf, lift_l3, lift_h2.tolist()
 
 
 def calibrated_primitives(
     L: float, *, n_fields: int = 1000, seed: int = 0, headroom: float = 1.1, N2d: int = 24, N3d: int = 12
 ) -> dict:
     """Empirical primitives: headroom x max Rayleigh ratio over the
-    calibration set.  Deterministic for a fixed seed."""
+    calibration set, scored _BATCH fields at a time.  Deterministic for a
+    fixed seed."""
+    if n_fields < 1:
+        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     rng = np.random.default_rng(seed)
     g2 = PeriodicGrid(L=L, dim=2, N=N2d)
     g3 = PeriodicGrid(L=L, dim=3, N=N3d)
-    g3_lift = PeriodicGrid(L=L, dim=3, N=N2d)
 
     r = {k: 0.0 for k in (
         "c_l3_grad_2d", "c_l3_grad_3d", "c_l4_grad_2d", "c_l4_grad_3d",
         "c_l6_grad_3d", "c_linf_lap_2d", "c_l3_interp_2d", "c_l3_interp_3d",
         "c_l3_lift",
     )}
-    for u in _ratio_fields(g2, rng, n_fields):
-        l2 = u.sobolev_norm(0)
-        gr = np.sqrt(u.grad_norm_sq())
-        lap = np.sqrt(u.derivative((2, 0)).sobolev_norm_sq(0) + u.derivative((0, 2)).sobolev_norm_sq(0)
-                      + 2 * u.derivative((1, 1)).sobolev_norm_sq(0))
-        l3, l4, linf = u.lp_norm(3), u.lp_norm(4), u.lp_norm(np.inf)
-        r["c_l3_grad_2d"] = max(r["c_l3_grad_2d"], l3 / gr)
-        r["c_l4_grad_2d"] = max(r["c_l4_grad_2d"], l4 / gr)
-        r["c_linf_lap_2d"] = max(r["c_linf_lap_2d"], linf / lap)
-        r["c_l3_interp_2d"] = max(r["c_l3_interp_2d"], l3 / (gr ** (1 / 3) * l2 ** (2 / 3)))
-        # lifted gradient-L3 against the 3D H2 norm of the lifted field
-        lifted = lift_2d_to_3d(u, g3_lift)
-        gl3 = grad_l3_norm(g3_lift, grad_samples(g3_lift, lifted.coeffs))
-        r["c_l3_lift"] = max(r["c_l3_lift"], gl3 / lifted.sobolev_norm(2))
+    for c in _batches(_ratio_fields(g2, rng, n_fields)):
+        for l2, gr, lap, l3, l4, linf, gl3, h2 in zip(*_scores_2d(g2, c)):
+            r["c_l3_grad_2d"] = max(r["c_l3_grad_2d"], l3 / gr)
+            r["c_l4_grad_2d"] = max(r["c_l4_grad_2d"], l4 / gr)
+            r["c_linf_lap_2d"] = max(r["c_linf_lap_2d"], linf / lap)
+            r["c_l3_interp_2d"] = max(r["c_l3_interp_2d"], l3 / (gr ** (1 / 3) * l2 ** (2 / 3)))
+            r["c_l3_lift"] = max(r["c_l3_lift"], gl3 / h2)
     n3 = max(200, n_fields // 3)
-    for u in _ratio_fields(g3, rng, n3):
-        l2 = u.sobolev_norm(0)
-        gr = np.sqrt(u.grad_norm_sq())
-        l3, l4, l6 = u.lp_norm(3), u.lp_norm(4), u.lp_norm(6)
-        r["c_l3_grad_3d"] = max(r["c_l3_grad_3d"], l3 / gr)
-        r["c_l4_grad_3d"] = max(r["c_l4_grad_3d"], l4 / gr)
-        r["c_l6_grad_3d"] = max(r["c_l6_grad_3d"], l6 / gr)
-        r["c_l3_interp_3d"] = max(r["c_l3_interp_3d"], l3 / (gr ** 0.5 * l2 ** 0.5))
+    for c in _batches(_ratio_fields(g3, rng, n3)):
+        for l2, gr, l3, l4, l6 in zip(*_scores(g3, c, (3, 4, 6))):
+            r["c_l3_grad_3d"] = max(r["c_l3_grad_3d"], l3 / gr)
+            r["c_l4_grad_3d"] = max(r["c_l4_grad_3d"], l4 / gr)
+            r["c_l6_grad_3d"] = max(r["c_l6_grad_3d"], l6 / gr)
+            r["c_l3_interp_3d"] = max(r["c_l3_interp_3d"], l3 / (gr ** 0.5 * l2 ** 0.5))
     return {k: headroom * v for k, v in r.items()}
 
 

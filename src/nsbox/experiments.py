@@ -138,6 +138,8 @@ class Scenario:
             raise ValueError("need at least one window")
         if self.T <= 0 or self.dt <= 0:
             raise ValueError("T and dt must be positive")
+        if self.k_max < 0:
+            raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide the window length")

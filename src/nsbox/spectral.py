@@ -8,8 +8,10 @@ Parseval reads ||u||_L2^2 = L^d sum_m |u_hat(m)|^2.
 
 This module is the only one that knows that layout.  The kernel functions
 below `SpectralField` act on raw (C, grid) arrays in it (transforms, physical
-gradients, mode-0 zeroing, Leray projection, gradient norms); the field
-methods, the solver and the constants calibration are built on them.
+gradients, Parseval norms, derivative multipliers, mode-0 zeroing, Leray
+projection, gradient norms); the transforms, physical gradients and Parseval
+norms also take stacks with leading batch axes.  The field methods, the solver
+and the constants calibration are built on them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "to_coeffs",
     "to_samples",
     "grad_samples",
+    "weighted_norm_sq",
+    "derivative_multiplier",
     "zero_mode0",
     "grad_l3_norm",
     "lift_2d_to_3d",
@@ -182,23 +186,8 @@ class SpectralField:
     # -- calculus ------------------------------------------------------------
 
     def derivative(self, alpha) -> "SpectralField":
-        """Mixed partial D^alpha via the (i k)^alpha multiplier.
-
-        The Nyquist plane carries no odd-derivative content (its sign is not
-        representable), so odd powers zero it.
-        """
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.grid.dim or any(a < 0 for a in alpha):
-            raise ValueError(f"bad multi-index {alpha} for dim {self.grid.dim}")
-        if sum(alpha) > 3:
-            raise ValueError(f"derivative order {sum(alpha)} exceeds 3")
-        mult = np.ones(self.grid.shape, dtype=np.complex128)
-        for a, p in enumerate(alpha):
-            if p:
-                mult = mult * (1j * self.grid.k[a]) ** p
-                if p % 2 == 1:
-                    mult[self.grid.modes[a] == -(self.grid.N // 2)] = 0.0
-        return SpectralField(self.grid, self.coeffs * mult)
+        """Mixed partial D^alpha via the (i k)^alpha `derivative_multiplier`."""
+        return SpectralField(self.grid, self.coeffs * derivative_multiplier(self.grid, alpha))
 
     def divergence(self) -> "SpectralField":
         if self.components != self.grid.dim:
@@ -234,14 +223,11 @@ class SpectralField:
         return float(np.sqrt(self.sobolev_norm_sq(s)))
 
     def sobolev_norm_sq(self, s: int) -> float:
-        mult = self.grid.sobolev_multiplier(s)
-        return float(self.grid.volume * np.sum(mult * np.sum(np.abs(self.coeffs) ** 2, axis=0)))
+        return float(weighted_norm_sq(self.grid, self.coeffs, self.grid.sobolev_multiplier(s)))
 
     def grad_norm_sq(self) -> float:
         """||grad u||_L2^2 = sum over first derivatives of all components."""
-        return float(
-            self.grid.volume * np.sum(self.grid.ksq * np.sum(np.abs(self.coeffs) ** 2, axis=0))
-        )
+        return float(weighted_norm_sq(self.grid, self.coeffs, self.grid.ksq))
 
     def lp_norm(self, p) -> float:
         """L_p norm of the pointwise magnitude via equal-weight quadrature."""
@@ -283,17 +269,17 @@ class SpectralField:
 
 
 def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
-    """Normalized coefficients of a raw (C, grid) sample array."""
-    return _fft.fftn(samples, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+    """Normalized coefficients of a raw (..., C, grid) sample array."""
+    return _fft.fftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
 def to_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """Grid samples of a raw (C, grid) coefficient array (real part of the inverse)."""
-    return _fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1)), norm="forward").real
+    """Grid samples of a raw (..., C, grid) coefficient array (real part of the inverse)."""
+    return _fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0)), norm="forward").real
 
 
 def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """(dim, C, grid) physical first derivatives of a raw (C, grid) coefficient array.
+    """(dim, ..., C, grid) physical first derivatives of a raw (..., C, grid) coefficient array.
 
     The Nyquist plane is differentiated as mode -N/2, where
     `SpectralField.derivative` zeroes it; the two agree on arrays without
@@ -303,6 +289,30 @@ def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
     for a in range(grid.dim):
         out[a] = to_samples(grid, 1j * grid.k[a] * coeffs)
     return out
+
+
+def weighted_norm_sq(grid: PeriodicGrid, coeffs, weight):
+    """|box| sum_m weight(m) |c(m)|^2 over the components of a raw (..., C, grid)
+    coefficient array: a squared norm by Parseval, one per leading index."""
+    power = np.sum(np.abs(coeffs) ** 2, axis=-grid.dim - 1)
+    return grid.volume * np.sum(weight * power, axis=tuple(range(-grid.dim, 0)))
+
+
+def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
+    """The (i k)^alpha multiplier of the mixed partial D^alpha, with the Nyquist
+    plane of every odd power zeroed (its sign is not representable)."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != grid.dim or any(a < 0 for a in alpha):
+        raise ValueError(f"bad multi-index {alpha} for dim {grid.dim}")
+    if sum(alpha) > 3:
+        raise ValueError(f"derivative order {sum(alpha)} exceeds 3")
+    mult = np.ones(grid.shape, dtype=np.complex128)
+    for a, p in enumerate(alpha):
+        if p:
+            mult = mult * (1j * grid.k[a]) ** p
+            if p % 2 == 1:
+                mult[grid.modes[a] == -(grid.N // 2)] = 0.0
+    return mult
 
 
 def _mode0(coeffs):

@@ -18,16 +18,29 @@ from nsbox.certificate import (
     t_star,
 )
 from nsbox.constants import (
+    _BATCH,
     InterpolationConstants,
     PoincareConstants,
+    _batches,
+    _ratio_fields,
+    _scores,
+    _scores_2d,
     analytic_primitives,
+    calibrated_primitives,
     certify_poincare_sharpness,
     interpolation_constants,
     lattice_sum,
     poincare_constants,
 )
 from nsbox.forcing import CompositeForcing, ConstantMeanForcing, DecayingModeForcing, ZeroForcing
-from nsbox.spectral import PeriodicGrid, SpectralField
+from nsbox.spectral import (
+    PeriodicGrid,
+    SpectralField,
+    grad_l3_norm,
+    grad_samples,
+    lift_2d_to_3d,
+    random_field,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -165,6 +178,16 @@ class TestConstants:
         assert lattice_sum(4, 2) >= partial
         assert lattice_sum(4, 2) < partial * 1.05
 
+    @pytest.mark.parametrize("power, dim", [(4, 2), (6, 2), (4, 3), (6, 3)])
+    def test_lattice_sum_equals_meshgrid_formula(self, power, dim):
+        M = 20
+        grids = np.meshgrid(*([np.arange(-M, M + 1)] * dim), indexing="ij")
+        msq = sum(g.astype(np.float64) ** 2 for g in grids)
+        msq[(M,) * dim] = np.inf
+        partial = float(np.sum(msq ** (-power / 2.0)))
+        tail = 2 * dim * 3 ** (dim - 1) * M ** (dim - power) / (power - dim)
+        assert lattice_sum(power, dim, M) == partial + tail
+
     def test_analytic_primitives_positive(self):
         prim = analytic_primitives(TWO_PI)
         assert all(v > 0 for v in prim.values())
@@ -192,6 +215,109 @@ class TestConstants:
         u = SpectralField.from_physical(g, np.sin(x1) * np.ones(g.shape)).subtract_mean()
         ratio = u.lp_norm(3) / (np.sqrt(u.grad_norm_sq()) ** (1 / 3) * u.sobolev_norm(0) ** (2 / 3))
         assert ratio <= ic.primitives["c_l3_interp_2d"]
+
+
+def calibration_set(grid, rng, n):
+    """The calibration fields as a list, drawn one by one."""
+    k0_cycle = (1.5, 2.5, 4.0, grid.N / 4.0)
+    hi = max(2, grid.N // 3)
+    out = [random_field(grid, grid.dim, rng, band=(1, hi), k0=k0_cycle[i % 4]) for i in range(n)]
+    x = grid.coords()
+    for low in (np.sin(2 * np.pi * x[0] / grid.L), np.cos(2 * np.pi * (x[0] + x[1]) / grid.L)):
+        out.append(SpectralField.from_physical(grid, np.stack([low * np.ones(grid.shape)] * grid.dim)))
+    return out
+
+
+def per_field_calibration(L, n_fields, seed, headroom=1.1, N2d=24, N3d=12):
+    """The calibration scored one field at a time through the field methods,
+    with each 2D field lifted onto a 3D grid: the reference that the batched
+    `calibrated_primitives` must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    g2 = PeriodicGrid(L=L, dim=2, N=N2d)
+    g3 = PeriodicGrid(L=L, dim=3, N=N3d)
+    g3_lift = PeriodicGrid(L=L, dim=3, N=N2d)
+    r = dict.fromkeys(("c_l3_grad_2d", "c_l3_grad_3d", "c_l4_grad_2d", "c_l4_grad_3d", "c_l6_grad_3d",
+                       "c_linf_lap_2d", "c_l3_interp_2d", "c_l3_interp_3d", "c_l3_lift"), 0.0)
+    for u in calibration_set(g2, rng, n_fields):
+        l2 = u.sobolev_norm(0)
+        gr = np.sqrt(u.grad_norm_sq())
+        lap = np.sqrt(u.derivative((2, 0)).sobolev_norm_sq(0) + u.derivative((0, 2)).sobolev_norm_sq(0)
+                      + 2 * u.derivative((1, 1)).sobolev_norm_sq(0))
+        l3, l4, linf = u.lp_norm(3), u.lp_norm(4), u.lp_norm(np.inf)
+        r["c_l3_grad_2d"] = max(r["c_l3_grad_2d"], l3 / gr)
+        r["c_l4_grad_2d"] = max(r["c_l4_grad_2d"], l4 / gr)
+        r["c_linf_lap_2d"] = max(r["c_linf_lap_2d"], linf / lap)
+        r["c_l3_interp_2d"] = max(r["c_l3_interp_2d"], l3 / (gr ** (1 / 3) * l2 ** (2 / 3)))
+        lifted = lift_2d_to_3d(u, g3_lift)
+        gl3 = grad_l3_norm(g3_lift, grad_samples(g3_lift, lifted.coeffs))
+        r["c_l3_lift"] = max(r["c_l3_lift"], gl3 / lifted.sobolev_norm(2))
+    for u in calibration_set(g3, rng, max(200, n_fields // 3)):
+        l2 = u.sobolev_norm(0)
+        gr = np.sqrt(u.grad_norm_sq())
+        l3, l4, l6 = u.lp_norm(3), u.lp_norm(4), u.lp_norm(6)
+        r["c_l3_grad_3d"] = max(r["c_l3_grad_3d"], l3 / gr)
+        r["c_l4_grad_3d"] = max(r["c_l4_grad_3d"], l4 / gr)
+        r["c_l6_grad_3d"] = max(r["c_l6_grad_3d"], l6 / gr)
+        r["c_l3_interp_3d"] = max(r["c_l3_interp_3d"], l3 / (gr ** 0.5 * l2 ** 0.5))
+    return {k: headroom * v for k, v in r.items()}
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("n_fields", [1, _BATCH + 1, 40])
+    def test_batches_equal_per_field_scoring(self, n_fields, seed):
+        # the batch boundaries and the lowest-mode tail change no bit
+        assert calibrated_primitives(TWO_PI, n_fields=n_fields, seed=seed) == \
+            per_field_calibration(TWO_PI, n_fields, seed)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batches_hold_the_fields_in_draw_order(self, dim):
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        n = 2 * _BATCH + 3
+        stacks = list(_batches(_ratio_fields(g, rng_a, n)))
+        assert [len(c) for c in stacks] == [_BATCH, _BATCH, 5]
+        want = calibration_set(g, rng_b, n)
+        assert np.array_equal(np.concatenate(stacks), np.stack([u.coeffs for u in want]))
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scores_equal_field_norms(self, dim):
+        # per field, not only at the maxima: every norm but the lift's is the field method's
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=12)
+        rng = np.random.default_rng(dim)
+        us = [random_field(g, dim, rng, band=(1, 4), k0=k0) for k0 in (1.5, 2.5, 4.0, 3.0, 1.5)]
+        c = np.stack([u.coeffs for u in us])
+        if dim == 2:
+            names, ps = ("l2", "gr", "lap", "l3", "l4", "linf"), (3, 4, np.inf)
+            scores = _scores_2d(g, c)[:6]
+        else:
+            names, ps = ("l2", "gr", "l3", "l4", "l6"), (3, 4, 6)
+            scores = _scores(g, c, (3, 4, 6))
+        for i, u in enumerate(us):
+            want = {"l2": u.sobolev_norm(0), "gr": np.sqrt(u.grad_norm_sq())}
+            want.update(zip(names[-3:], (u.lp_norm(p) for p in ps)))
+            if dim == 2:
+                want["lap"] = np.sqrt(sum(w * u.derivative(a).sobolev_norm_sq(0)
+                                          for a, w in (((2, 0), 1), ((0, 2), 1), ((1, 1), 2))))
+            assert {n: s[i] for n, s in zip(names, scores)} == want
+
+    def test_no_fields_rejected(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="n_fields"):
+                calibrated_primitives(TWO_PI, n_fields=n)
+
+    def test_lift_identity_matches_3d_grid(self):
+        # w(x1, x2, x3) = u(x1, x2): ||grad w||_L3(box^3) and ||w||_H2(box^3) from the 2D grid
+        L = 3.0
+        g2, g3 = PeriodicGrid(L=L, dim=2, N=12), PeriodicGrid(L=L, dim=3, N=12)
+        rng = np.random.default_rng(11)
+        us = [random_field(g2, 2, rng, k0=k0) for k0 in (1.5, 3.0, 6.0)]
+        scores = _scores_2d(g2, np.stack([u.coeffs for u in us]))
+        for u, gl3, h2 in zip(us, scores[6], scores[7]):
+            w = lift_2d_to_3d(u, g3)
+            assert gl3 == pytest.approx(grad_l3_norm(g3, grad_samples(g3, w.coeffs)), rel=1e-13)
+            assert h2 == pytest.approx(w.sobolev_norm(2), rel=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +433,20 @@ class TestAChain:
         pc, ic, grid = setup_2pi
         with pytest.raises(ValueError):
             a_chain(ZeroForcing(grid, 2), {"l2_sq": -1, "grad_sq": 0, "grad2_sq": 0}, 3.0, pc, ic)
+
+    def test_negative_k_max_rejected(self, setup_2pi):
+        # k_max = -1 would take the sups over no window at all
+        pc, ic, grid = setup_2pi
+        norms = {"l2_sq": 0.0, "grad_sq": 0.0, "grad2_sq": 0.0}
+        f = ConstantMeanForcing(grid, [1.0, 0.0])
+        with pytest.raises(ValueError, match="k_max"):
+            abar_chain(f, 0.0, 3.0, pc, ic, k_max=-1)
+        with pytest.raises(ValueError, match="k_max"):
+            a_chain(f, norms, 3.0, pc, ic, k_max=-1)
+        ach = a_chain(ZeroForcing(grid, 2), norms, 3.0, pc, ic)
+        with pytest.raises(ValueError, match="k_max"):
+            b_chain(ZeroForcing(PeriodicGrid(L=TWO_PI, dim=3, N=8), 3), {"l2_sq": 0.0}, ach,
+                    pc, ic, 3.0, k_max=-1)
 
     def test_unbounded_drift_reported(self, setup_2pi):
         pc, ic, grid = setup_2pi

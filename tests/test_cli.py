@@ -95,6 +95,18 @@ class TestConfigValidation:
         pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
                                                 "calibration_fields": 20, "k_max": -1}},
                      "scenario.k_max", id="scenario.k_max-negative"),
+        pytest.param("certify", {"certificate": {"T": 5.0, "N": 8, "calibration_seed": -1,
+                                                 "constants_mode": "empirical_calibrated"}},
+                     "certificate.calibration_seed", id="certificate.calibration_seed-negative"),
+        pytest.param("certify", {"certificate": {"T": 5.0, "N": 8, "calibration_fields": 0,
+                                                 "constants_mode": "empirical_calibrated"}},
+                     "certificate.calibration_fields", id="certificate.calibration_fields-zero"),
+        pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
+                                                "calibration_fields": 20, "calibration_seed": -1}},
+                     "scenario.calibration_seed", id="scenario.calibration_seed-negative"),
+        pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
+                                                "calibration_fields": -5}},
+                     "scenario.calibration_fields", id="scenario.calibration_fields-negative"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)

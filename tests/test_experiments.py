@@ -271,3 +271,5 @@ class TestRunExperiment:
             Scenario(T=1.0, dt=0.3)  # dt does not divide T
         with pytest.raises(ValueError):
             Scenario(windows=0)
+        with pytest.raises(ValueError, match="k_max"):
+            Scenario(N=8, k_max=-1)

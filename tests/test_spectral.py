@@ -174,6 +174,19 @@ class TestKernel:
         assert np.array_equal(to_coeffs(g, samples), f.coeffs)
         assert np.array_equal(to_samples(g, f.coeffs), f.physical())
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_transforms_equal_per_field_calls(self, dim):
+        # leading batch axes: a (B, C, grid) stack gives each field's arrays exactly
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
+        samples = np.random.default_rng(dim).standard_normal((5, dim) + g.shape)
+        coeffs = to_coeffs(g, samples)
+        phys, grads = to_samples(g, coeffs), grad_samples(g, coeffs)
+        assert grads.shape == (dim, 5, dim) + g.shape
+        for b in range(5):
+            assert np.array_equal(coeffs[b], to_coeffs(g, samples[b]))
+            assert np.array_equal(phys[b], to_samples(g, coeffs[b]))
+            assert np.array_equal(grads[:, b], grad_samples(g, coeffs[b]))
+
     def test_zero_mode0_in_place(self):
         g = PeriodicGrid(L=TWO_PI, dim=2, N=8)
         c = np.ones((2,) + g.shape, dtype=complex)
