@@ -133,7 +133,6 @@ class AChain:
     T: float
     hypotheses: dict = field(default_factory=dict)
     certified: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
 
     def h21_reference(self) -> float:
         """Reference magnitude a8(1 + a8) + a8 * a9^2 for the space-time
@@ -142,13 +141,6 @@ class AChain:
         if not math.isfinite(self.a9):
             return math.inf
         return self.a8_sq * (1.0 + self.a8_sq) + self.a8_sq * self.a9**2
-
-    def as_dict(self):
-        """The report entry: every field but `inputs`, plus `h21_reference`."""
-        d = asdict(self)
-        del d["inputs"]
-        d["h21_reference"] = self.h21_reference()
-        return d
 
 
 def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
@@ -210,7 +202,6 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
         a8_sq=a8, a9=a9, a10_sq=a10, a11_sq=a11, a12_sq=a12, a13_sq=a13,
         a14_sq=a14, T=T, hypotheses=hyp,
         certified={"a1_sq": cert_l2, "a9": cert_drift, "a10_sq": cert_grad},
-        inputs={"initial_norms": dict(initial_norms), "initial_mean": list(m0)},
     )
 
 
@@ -392,7 +383,7 @@ def certificate_report(
         hypotheses["membership"] = abar.member
         truncation.update({f"abar.{k}": v for k, v in abar.certified.items()})
     if achain is not None:
-        doc["a_chain"] = achain.as_dict()
+        doc["a_chain"] = {**asdict(achain), "h21_reference": achain.h21_reference()}
         hypotheses.update({f"base.{k}": v for k, v in achain.hypotheses.items()})
         truncation.update({f"base.{k}": v for k, v in achain.certified.items()})
     if bchain is not None:

@@ -125,7 +125,6 @@ SCHEMAS = {
                           "h1_sq": _nonneg},
         "perturbation_norms": {"l2_sq": _nonneg},
         "g_forcing": _FORCING,
-        "output": _OUTPUT,
     },
     "stability": {
         "scenario": {
@@ -142,7 +141,6 @@ SCHEMAS = {
         },
         "perturbation": {"gamma": _positive, "k0": _positive, "band": _numbers,
                          "seed": _is_int, "mean": _numbers},
-        "output": _OUTPUT,
         "scenarios": lambda v: isinstance(v, list),  # scenario dicts for sweeps
     },
     "report": {"path": lambda v: isinstance(v, str)},

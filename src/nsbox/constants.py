@@ -31,6 +31,8 @@ from nsbox.spectral import (
     SpectralField,
     derivative_multiplier,
     grad_samples,
+    gradient_magsq,
+    lp_norms,
     random_field,
     to_samples,
     weighted_norm_sq,
@@ -157,32 +159,13 @@ def _batches(fields):
         yield np.stack(batch)
 
 
-def _grid_sum(grid, a):
-    """Per-field sums over the grid axes of a (B, grid) array."""
-    return np.sum(a, axis=tuple(range(-grid.dim, 0)))
-
-
-def _root(values, p):
-    """values ** (1/p), one float at a time: numpy's vectorized power can round
-    differently from the scalar pow that `SpectralField.lp_norm` uses."""
-    return [v ** (1.0 / p) for v in values.tolist()]
-
-
-def _lp(grid, magsq, p):
-    """||u||_Lp per field from the (B, grid) samples of |u|^2, as
-    `SpectralField.lp_norm` computes it."""
-    if p == np.inf:
-        return np.max(np.sqrt(magsq), axis=tuple(range(-grid.dim, 0))).tolist()
-    return _root(grid.cell_volume * _grid_sum(grid, magsq ** (p / 2.0)), p)
-
-
 def _scores(grid, coeffs, ps):
     """Per field of a (B, C, grid) stack, as lists: ||u||_L2, ||grad u||_L2 and
     ||u||_Lp for each p in ps, computed as the `SpectralField` norms compute them."""
     l2 = np.sqrt(weighted_norm_sq(grid, coeffs, grid.sobolev_multiplier(0)))
     gr = np.sqrt(weighted_norm_sq(grid, coeffs, grid.ksq))
     magsq = np.sum(to_samples(grid, coeffs) ** 2, axis=1)
-    return (l2.tolist(), gr.tolist(), *(_lp(grid, magsq, p) for p in ps))
+    return (l2.tolist(), gr.tolist(), *(lp_norms(grid, magsq, p) for p in ps))
 
 
 def _scores_2d(grid, coeffs):
@@ -198,25 +181,25 @@ def _scores_2d(grid, coeffs):
                      for a in ((2, 0), (0, 2), (1, 1)))
     lap = np.sqrt(d20 + d02 + 2 * d11).tolist()
     # w does not depend on x3: ||grad w||_L3^3 = L int |grad u|^3, ||w||_H2^2 = L ||u||_H2^2
-    gradsq = np.zeros((len(coeffs),) + grid.shape)
-    for d in grad_samples(grid, coeffs):
-        gradsq += np.sum(d**2, axis=1)
-    lift_l3 = _root(grid.L * grid.cell_volume * _grid_sum(grid, gradsq**1.5), 3)
+    gradsq = gradient_magsq(grid, grad_samples(grid, coeffs))
+    lift_l3 = lp_norms(grid, gradsq, 3, cell=grid.L * grid.cell_volume)
     lift_h2 = np.sqrt(grid.L * weighted_norm_sq(grid, coeffs, grid.sobolev_multiplier(2)))
     return l2, gr, lap, l3, l4, linf, lift_l3, lift_h2.tolist()
 
 
-def calibrated_primitives(
-    L: float, *, n_fields: int = 1000, seed: int = 0, headroom: float = 1.1, N2d: int = 24, N3d: int = 12
-) -> dict:
-    """Empirical primitives: headroom x max Rayleigh ratio over the
+_HEADROOM = 1.1  # calibrated primitive = _HEADROOM x the largest observed ratio
+_N2D, _N3D = 24, 12  # calibration grid sizes in 2D and 3D
+
+
+def calibrated_primitives(L: float, *, n_fields: int = 1000, seed: int = 0) -> dict:
+    """Empirical primitives: _HEADROOM x max Rayleigh ratio over the
     calibration set, scored _BATCH fields at a time.  Deterministic for a
     fixed seed."""
     if n_fields < 1:
         raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     rng = np.random.default_rng(seed)
-    g2 = PeriodicGrid(L=L, dim=2, N=N2d)
-    g3 = PeriodicGrid(L=L, dim=3, N=N3d)
+    g2 = PeriodicGrid(L=L, dim=2, N=_N2D)
+    g3 = PeriodicGrid(L=L, dim=3, N=_N3D)
 
     r = {k: 0.0 for k in (
         "c_l3_grad_2d", "c_l3_grad_3d", "c_l4_grad_2d", "c_l4_grad_3d",
@@ -237,7 +220,7 @@ def calibrated_primitives(
             r["c_l4_grad_3d"] = max(r["c_l4_grad_3d"], l4 / gr)
             r["c_l6_grad_3d"] = max(r["c_l6_grad_3d"], l6 / gr)
             r["c_l3_interp_3d"] = max(r["c_l3_interp_3d"], l3 / (gr ** 0.5 * l2 ** 0.5))
-    return {k: headroom * v for k, v in r.items()}
+    return {k: _HEADROOM * v for k, v in r.items()}
 
 
 @dataclass(frozen=True)
@@ -272,14 +255,13 @@ def interpolation_constants(
     *,
     seed: int = 0,
     n_fields: int = 1000,
-    headroom: float = 1.1,
 ) -> InterpolationConstants:
     """Build the chain constants in either mode; see class docstring for
     the assembly formulas."""
     if mode == "analytic_conservative":
         prim = analytic_primitives(L)
     elif mode == "empirical_calibrated":
-        prim = _cached_calibration(L, seed, n_fields, headroom)
+        prim = _cached_calibration(L, seed, n_fields)
     else:
         raise ValueError(f"unknown constants mode {mode!r}")
     pc = poincare_constants(nu, L)
@@ -306,5 +288,5 @@ def interpolation_constants(
 
 
 @lru_cache(maxsize=8)
-def _cached_calibration(L, seed, n_fields, headroom):
-    return calibrated_primitives(L, n_fields=n_fields, seed=seed, headroom=headroom)
+def _cached_calibration(L, seed, n_fields):
+    return calibrated_primitives(L, n_fields=n_fields, seed=seed)

@@ -140,8 +140,7 @@ def write_windows_csv(path, window_stats) -> None:
     """One row per window: the fields of each `WindowStats` record."""
     rows = [dataclasses.asdict(w) for w in window_stats]
     cols = list(rows[0]) if rows else ["k"]
-    lines = [",".join(cols)] + [",".join(_fmt(r[c]) for c in cols) for r in rows]
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    write_series_csv(path, {c: [r[c] for r in rows] for c in cols})
 
 
 def _sanitize(obj):

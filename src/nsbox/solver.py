@@ -43,9 +43,12 @@ from nsbox.spectral import (
     grad_l3_norm,
     grad_samples,
     gradient_part_normsq,
+    inner_product,
+    integrating_factor,
     leray_project_coeffs,
     to_coeffs,
     to_samples,
+    weighted_norm_sq,
     zero_mode0,
 )
 
@@ -272,24 +275,6 @@ def _mean_path_integrals(forcings, means, t, dt, dim):
     return I1, I2
 
 
-def _integrating_factor(grid, visc, I_sub):
-    """Per-mode exp(-nu |k|^2 h - i k . I) from its viscous part visc.
-
-    The mean-advection phase factorizes over axes, so it costs one 1D
-    exponential per axis plus broadcast multiplies.
-    """
-    if not np.any(I_sub != 0.0):
-        return visc
-    lam = visc.astype(np.complex128)
-    for a in range(grid.dim):
-        if I_sub[a] != 0.0:
-            ph = np.exp(-1j * grid.k1d * I_sub[a])
-            shape = [1] * grid.dim
-            shape[a] = grid.N
-            lam = lam * ph.reshape(shape)
-    return lam
-
-
 class _Stepper:
     """Integrating-factor stepping for one system, one stage at a time.
 
@@ -324,10 +309,10 @@ class _Stepper:
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
         I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, system.grid.dim)
         if use_rk3:
-            self.lam_h = tuple(_integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
+            self.lam_h = tuple(integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
         else:
-            self.lam = _integrating_factor(system.grid, self._visc_full, I1 + I2)
+            self.lam = integrating_factor(system.grid, self._visc_full, I1 + I2)
         self.mean_next = self._mean_at(dt)
 
     def stage(self, base=None):
@@ -363,59 +348,42 @@ class _Stepper:
 # -- recording ----------------------------------------------------------------
 
 
+_PARSEVAL = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")  # squared norms by Parseval
+
+
 class _Recorder:
     """Dense per-step scalar series."""
 
     def __init__(self, grid, role):
         self.grid = grid
         self.role = role
-        self.data = {
-            k: []
-            for k in (
-                "t",
-                "l2_sq",
-                "h1_sq",
-                "h2_sq",
-                "h3_sq",
-                "grad_sq",
-                "forcing_inner",
-                "fbar_l2_sq",
-                "gradp_sq",
-                "speed",
-                "dudt_sq",
-            )
-        }
-        self.data["mean"] = []
-        if role == "base2d":
-            self.data["gradv_l3"] = []
-        self._mults = np.stack([grid.sobolev_multiplier(s).ravel() for s in range(4)])
+        keys = ("t", *_PARSEVAL, "forcing_inner", "fbar_l2_sq", "gradp_sq", "speed", "dudt_sq",
+                "mean") + (("gradv_l3",) if role == "base2d" else ())
+        self.data = {k: [] for k in keys}
+        # the Parseval weights of the _PARSEVAL series, stacked
+        self._weights = np.stack([grid.sobolev_multiplier(s) for s in range(4)] + [grid.ksq])
         self._prev_coeffs = None
 
     def record(self, t, coeffs, ev, dt):
         """Append the series at t from the state's coefficients and its evaluation `ev`."""
         g = self.grid
-        esq = np.sum(np.abs(coeffs) ** 2, axis=0).ravel()
-        sob = g.volume * (self._mults @ esq)
         d = self.data
         d["t"].append(t)
-        d["l2_sq"].append(sob[0])
-        d["h1_sq"].append(sob[1])
-        d["h2_sq"].append(sob[2])
-        d["h3_sq"].append(sob[3])
-        d["grad_sq"].append(float(g.volume * np.sum(g.ksq.ravel() * esq)))
+        for key, v in zip(_PARSEVAL, weighted_norm_sq(g, coeffs, self._weights).tolist()):
+            d[key].append(v)
         fbar = ev.fbar
         if fbar is None:
             d["forcing_inner"].append(0.0)
             d["fbar_l2_sq"].append(0.0)
         else:
-            d["forcing_inner"].append(float(g.volume * np.sum(np.conj(fbar.coeffs) * coeffs).real))
+            d["forcing_inner"].append(inner_product(g, fbar.coeffs, coeffs))
             d["fbar_l2_sq"].append(fbar.sobolev_norm_sq(0))
         d["gradp_sq"].append(gradient_part_normsq(g, ev.raw))
         d["speed"].append(ev.speed)
         d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
             diff = (coeffs - self._prev_coeffs) / dt
-            d["dudt_sq"].append(float(g.volume * np.sum(np.abs(diff) ** 2)))
+            d["dudt_sq"].append(float(weighted_norm_sq(g, diff, 1.0)))
         else:
             d["dudt_sq"].append(0.0)
         self._prev_coeffs = coeffs.copy()

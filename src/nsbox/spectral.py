@@ -7,11 +7,12 @@ the 1/N^d factor, so u_hat(0) is the arithmetic mean of the samples and
 Parseval reads ||u||_L2^2 = L^d sum_m |u_hat(m)|^2.
 
 This module is the only one that knows that layout.  The kernel functions
-below `SpectralField` act on raw (C, grid) arrays in it (transforms, physical
-gradients, Parseval norms, derivative multipliers, mode-0 zeroing, Leray
-projection, gradient norms); the transforms, physical gradients and Parseval
-norms also take stacks with leading batch axes.  The field methods, the solver
-and the constants calibration are built on them.
+below `SpectralField` act on raw (C, grid) arrays in it: transforms, physical
+gradients, Parseval norms and inner products, derivative multipliers,
+integrating factors, mode-0 zeroing, Leray projection, and L^p norms of
+pointwise magnitudes.  The transforms, physical gradients, Parseval norms and
+L^p norms also take stacks with leading batch axes.  The field methods, the
+solver and the constants calibration are built on them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ __all__ = [
     "to_samples",
     "grad_samples",
     "weighted_norm_sq",
+    "inner_product",
     "derivative_multiplier",
+    "integrating_factor",
     "zero_mode0",
+    "gradient_magsq",
+    "lp_norms",
     "grad_l3_norm",
     "lift_2d_to_3d",
     "random_field",
@@ -65,6 +70,7 @@ class PeriodicGrid:
         self.cell_volume = (self.L / N) ** dim
         self.volume = self.L**dim
         self.shape = (N,) * dim
+        self.axes = tuple(range(-dim, 0))  # the grid axes of a (..., grid) array
         self._sob_mult: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -74,6 +80,15 @@ class PeriodicGrid:
         nz = self.ksq > 0
         inv[nz] = 1.0 / self.ksq[nz]
         return inv
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """(dim, grid) first-derivative multipliers i k_a, with the Nyquist
+        plane of axis a zeroed (its sign is not representable)."""
+        ik = 1j * self.k
+        for a in range(self.dim):
+            ik[a][self.modes[a] == -(self.N // 2)] = 0.0
+        return ik
 
     def coords(self):
         """Sparse meshgrid of physical coordinates (x1, x2[, x3])."""
@@ -231,13 +246,9 @@ class SpectralField:
 
     def lp_norm(self, p) -> float:
         """L_p norm of the pointwise magnitude via equal-weight quadrature."""
-        if p == np.inf or p == "inf":
-            mag = np.sqrt(np.sum(self.physical() ** 2, axis=0))
-            return float(np.max(mag))
-        if p not in (2, 3, 4, 6):
+        if p not in (2, 3, 4, 6, np.inf, "inf"):
             raise ValueError(f"unsupported p={p}; use 2, 3, 4, 6 or inf")
-        magsq = np.sum(self.physical() ** 2, axis=0)
-        return float((self.grid.cell_volume * np.sum(magsq ** (p / 2.0))) ** (1.0 / p))
+        return lp_norms(self.grid, np.sum(self.physical() ** 2, axis=0)[None], float(p))[0]
 
     def div_norm(self) -> float:
         return self.divergence().sobolev_norm(0)
@@ -270,32 +281,36 @@ class SpectralField:
 
 def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
     """Normalized coefficients of a raw (..., C, grid) sample array."""
-    return _fft.fftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
+    return _fft.fftn(samples, axes=grid.axes, norm="forward")
 
 
 def to_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
     """Grid samples of a raw (..., C, grid) coefficient array (real part of the inverse)."""
-    return _fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0)), norm="forward").real
+    return _fft.ifftn(coeffs, axes=grid.axes, norm="forward").real
 
 
 def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """(dim, ..., C, grid) physical first derivatives of a raw (..., C, grid) coefficient array.
-
-    The Nyquist plane is differentiated as mode -N/2, where
-    `SpectralField.derivative` zeroes it; the two agree on arrays without
-    Nyquist content, such as dealiased ones.
-    """
+    """(dim, ..., C, grid) physical first derivatives of a raw (..., C, grid)
+    coefficient array, through `PeriodicGrid.ik`: the Nyquist plane is zeroed
+    as `SpectralField.derivative` zeroes it."""
     out = np.empty((grid.dim,) + coeffs.shape, dtype=float)
     for a in range(grid.dim):
-        out[a] = to_samples(grid, 1j * grid.k[a] * coeffs)
+        out[a] = to_samples(grid, grid.ik[a] * coeffs)
     return out
 
 
 def weighted_norm_sq(grid: PeriodicGrid, coeffs, weight):
     """|box| sum_m weight(m) |c(m)|^2 over the components of a raw (..., C, grid)
-    coefficient array: a squared norm by Parseval, one per leading index."""
+    coefficient array: a squared norm by Parseval, one per leading index of
+    the array and of a stacked (..., grid) weight."""
     power = np.sum(np.abs(coeffs) ** 2, axis=-grid.dim - 1)
-    return grid.volume * np.sum(weight * power, axis=tuple(range(-grid.dim, 0)))
+    return grid.volume * np.sum(weight * power, axis=grid.axes)
+
+
+def inner_product(grid: PeriodicGrid, a, b) -> float:
+    """|box| Re sum_m conj(a(m)) b(m) over all components of two raw (C, grid)
+    coefficient arrays: the L2 inner product by Parseval."""
+    return float(grid.volume * np.sum(np.conj(a) * b).real)
 
 
 def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
@@ -309,10 +324,27 @@ def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
     mult = np.ones(grid.shape, dtype=np.complex128)
     for a, p in enumerate(alpha):
         if p:
-            mult = mult * (1j * grid.k[a]) ** p
-            if p % 2 == 1:
-                mult[grid.modes[a] == -(grid.N // 2)] = 0.0
+            # odd powers through `grid.ik`, whose Nyquist plane is zero
+            mult = mult * (grid.ik[a] if p % 2 == 1 else 1j * grid.k[a]) ** p
     return mult
+
+
+def integrating_factor(grid: PeriodicGrid, visc, I_sub):
+    """Per-mode exp(-nu |k|^2 h - i k . I) from its viscous part visc.
+
+    The mean-advection phase factorizes over axes, so it costs one 1D
+    exponential per axis plus broadcast multiplies.
+    """
+    if not np.any(I_sub != 0.0):
+        return visc
+    lam = visc.astype(np.complex128)
+    for a in range(grid.dim):
+        if I_sub[a] != 0.0:
+            ph = np.exp(-1j * grid.k1d * I_sub[a])
+            shape = [1] * grid.dim
+            shape[a] = grid.N
+            lam = lam * ph.reshape(shape)
+    return lam
 
 
 def _mode0(coeffs):
@@ -326,12 +358,30 @@ def zero_mode0(coeffs) -> np.ndarray:
     return coeffs
 
 
+def gradient_magsq(grid: PeriodicGrid, grads) -> np.ndarray:
+    """(..., grid) samples of |grad u|^2, the squared Frobenius norm, from the
+    (dim, ..., C, grid) physical gradients that `grad_samples` returns."""
+    magsq = np.zeros(grads.shape[1:-grid.dim - 1] + grid.shape)
+    for g in grads:
+        magsq += np.sum(g**2, axis=-grid.dim - 1)
+    return magsq
+
+
+def lp_norms(grid: PeriodicGrid, magsq, p, cell=None) -> list:
+    """||u||_Lp per field of a (B, grid) stack of |u|^2 samples, as a list, by
+    equal-weight quadrature with weight `cell` per point (default the cell
+    volume).  Roots are taken one Python float at a time: numpy's vectorized
+    power can round differently from scalar pow."""
+    if p == np.inf:
+        return np.max(np.sqrt(magsq), axis=grid.axes).tolist()
+    cell = grid.cell_volume if cell is None else cell
+    sums = cell * np.sum(magsq ** (p / 2.0), axis=grid.axes)
+    return [v ** (1.0 / p) for v in sums.tolist()]
+
+
 def grad_l3_norm(grid: PeriodicGrid, grads) -> float:
     """L3 norm of the pointwise Frobenius norm of (dim, C, grid) physical gradients."""
-    magsq = np.zeros(grid.shape)
-    for g in grads:
-        magsq += np.sum(g**2, axis=0)
-    return float((grid.cell_volume * np.sum(magsq**1.5)) ** (1 / 3))
+    return lp_norms(grid, gradient_magsq(grid, grads[:, None]), 3)[0]
 
 
 def _k_dot(grid: PeriodicGrid, coeffs) -> np.ndarray:
@@ -409,4 +459,4 @@ def random_field(
 def inner_l2(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the box, summed over components."""
     f._check_compatible(g)
-    return float(f.grid.volume * np.sum(np.conj(f.coeffs) * g.coeffs).real)
+    return inner_product(f.grid, f.coeffs, g.coeffs)

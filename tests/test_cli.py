@@ -86,6 +86,14 @@ class TestConfigValidation:
                                   "output": {"dir": "elsewhere"}}, "output.dir", id="output.dir"),
         pytest.param("simulate", {"grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.02},
                                   "output": {"svg": True}}, "output.svg", id="output.svg"),
+        # only simulate reads an output section
+        pytest.param("certify", {"certificate": {"T": 5.0, "N": 8},
+                                 "output": {"window_T": 3}}, "unknown key 'output'",
+                     id="certify-output"),
+        pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
+                                                "calibration_fields": 20},
+                                   "output": {"window_T": 3}},
+                     "unknown key 'output'", id="stability-output"),
         pytest.param("simulate", {"system": "base2d", "grid": {"N": 8, "dim": 3},
                                   "solver": {"dt": 0.01, "t_end": 0.02}}, "grid.dim",
                      id="grid.dim"),

@@ -365,3 +365,45 @@ class TestPair:
         cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError):
             evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
+
+
+class TestRecorder:
+    """The recorded norm series equal the `SpectralField` norms of the stored
+    states bit for bit."""
+
+    @staticmethod
+    def assert_series_match(traj, forcing):
+        s = traj.series
+        for st in traj.states:
+            n = round(st.t / traj.cfg.dt)
+            u = st.field
+            assert [s[k][n] for k in ("l2_sq", "h1_sq", "h2_sq", "h3_sq")] == \
+                [u.sobolev_norm_sq(order) for order in range(4)]
+            assert s["grad_sq"][n] == u.grad_norm_sq()
+            assert s["forcing_inner"][n] == inner_l2(forcing.bar_field(st.t), u)
+
+    def test_base_2d(self):
+        rng = np.random.default_rng(40)
+        g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
+        u0 = random_field(g, 2, rng, band=(1, 5), solenoidal=True)
+        forcing = DecayingModeForcing(solenoidal_mode_2d(g, 0.3), rate=1.0)
+        cfg = SolverConfig(nu=0.5, dt=2e-3, t_end=0.1)
+        traj = evolve_base_2d(FlowState(0.0, u0, np.zeros(2)), forcing, cfg,
+                              sample_times=[0.02, 0.05, 0.08])
+        assert len(traj.states) == 5
+        self.assert_series_match(traj, forcing)
+
+    def test_pair(self):
+        rng = np.random.default_rng(41)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=12)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=12)
+        base0 = FlowState(0.0, random_field(g2, 2, rng, band=(1, 4), solenoidal=True), np.zeros(2))
+        u0f = random_field(g3, 3, rng, band=(1, 3), solenoidal=True) * 1e-2
+        fs = DecayingModeForcing(solenoidal_mode_2d(g2, 0.2), rate=1.0)
+        g = DecayingModeForcing(random_field(g3, 3, rng, band=(1, 2), solenoidal=True) * 1e-3,
+                                rate=0.5)
+        cfg = SolverConfig(nu=0.5, dt=5e-3, t_end=0.1)
+        pert = evolve_pair(base0, fs, FlowState(0.0, u0f, np.zeros(3), "perturbation"), g, cfg,
+                           sample_times=[0.03, 0.06])
+        self.assert_series_match(pert, g)
+        self.assert_series_match(pert.base, fs)
