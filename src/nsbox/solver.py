@@ -7,6 +7,12 @@ the single-flow equation.  Each system advances its mean-free, solenoidal
 part spectrally and its spatial mean by the exact mean ODE
 d/dt mean = (1/|box|) int f dx.
 
+Layout: a stepper holds its state on the half (rfftn) spectrum of
+`nsbox.spectral`, (C, N, ..., N/2 + 1) coefficients, and every per-step array
+(explicit terms, integrating factors, Parseval sums) lives there too.  Stored
+states are extended to the full-spectrum `SpectralField` at their sample
+times only, so trajectories keep the full layout.
+
 Scheme: per-mode integrating factor exp(-nu |k|^2 dt - i k . int mean dt)
 treats viscosity *and* advection by the spatial mean exactly (the latter is
 a pure phase; leaving it in the explicit term is weakly unstable once the
@@ -14,10 +20,24 @@ mean grows, e.g. under a constant mean force).  The remaining nonlinearity
 (advection by the mean-free velocity) and mean-free forcing are explicit:
 Adams-Bashforth 2 with a Runge-Kutta 3 startup step, or RK3 throughout.
 
+Nonlinear term: each RHS evaluation is one stacked inverse and one stacked
+forward transform.  The 2D flow takes the convective form (w . grad) u, from
+its velocity and gradients, which the perturbation's coupling and the
+recorder's `gradv_l3` read.  A 3D flow takes the rotational form:
+    (u + v_s) . grad u + (u + m) . grad v_s
+      = omega x (u + v_s) + omega_s e3 x u + m . grad v_s + grad phi,
+with omega = curl u, omega_s e3 = curl v_s, phi = |u|^2/2 + u . v_s and
+m the perturbation's mean (v_s = 0 for a single flow).  That is 6 inverse
+components (u, omega) and 4 forward (the vector and phi).  The Leray
+projection removes grad phi; it is kept in the raw term so that `gradp_sq`
+is the gradient part of the same term as in the convective form.  Both
+forms agree to roundoff because the 2/3 rule makes dealiased quadratic
+products exact truncations of their convolutions.
+
 One driver steps every system: a single flow alone, or the base flow and the
 perturbation in lockstep.  Each RHS evaluation returns a record (explicit
-term, raw term, speed, physical velocity, gradients, mean, forcing); the
-perturbation's RHS takes the base's record as an argument, so the base's
+term, raw term, speed, the 2D flow's velocity and gradients, mean, forcing);
+the perturbation's RHS takes the base's record as an argument, so the base's
 velocity and gradients are transformed once per stage and shared with the
 perturbation and the recorder.  A step runs stage by stage (t, and under
 RK3 also t + dt/2 and t + dt), and at each stage the perturbation reads the
@@ -40,6 +60,8 @@ from nsbox.forcing import Forcing
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
+    curl_coeffs,
+    derivative_coeffs,
     grad_l3_norm,
     grad_samples,
     gradient_part_normsq,
@@ -157,18 +179,20 @@ class Trajectory:
 # -- explicit terms on raw coefficient arrays ----------------------------------
 
 
-def _explicit(grid, raw, fbar=None):
-    """Add the mean-free forcing `fbar` (a field or None), dealias and
-    project: (rhs, raw)."""
+def _explicit(sp, raw, fbar=None):
+    """Add the mean-free forcing `fbar` (coefficients in the layout of the
+    spectrum descriptor `sp`, or None), dealias and project: (rhs, raw)."""
     if fbar is not None:
-        raw = raw + fbar.coeffs
-    raw = raw * grid.dealias_mask
-    return zero_mode0(leray_project_coeffs(grid, raw)), raw
+        raw = raw + fbar
+    raw = raw * sp.dealias_mask
+    return zero_mode0(leray_project_coeffs(sp, raw)), raw
 
 
 def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=None) -> SpectralField:
     """Leray-projected, dealiased -(w . grad) u for the unsplit advecting
-    velocity w (mean-free part `advecting` plus optional constant mean)."""
+    velocity w (mean-free part `advecting` plus optional constant mean), in
+    the convective form on the full spectrum: the tests' independent oracle
+    for the solver's right-hand sides."""
     grid = state.field.grid
     if advecting.grid != grid:
         raise ValueError("advecting field lives on a different grid")
@@ -206,8 +230,8 @@ class _Eval(NamedTuple):
     rhs: np.ndarray    # explicit term: dealiased, Leray-projected, mode 0 zeroed
     raw: np.ndarray    # the dealiased explicit term before projection
     speed: float       # max advecting speed, means included
-    phys: np.ndarray   # grid samples of the mean-free velocity
-    grads: np.ndarray  # (dim, C, grid) physical gradients of the mean-free velocity
+    phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
+    grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
     mean: np.ndarray   # the spatial mean the evaluation used
     fbar: SpectralField | None  # the mean-free forcing the evaluation used
 
@@ -218,41 +242,82 @@ class _Flow:
     d/dt ubar = -( (u + v_s) . grad ) ubar - ( u . grad ) vbar_s + fbar
     with u = ubar + mean_u and v_s the base flow (zero for a single flow);
     advection of ubar by mean_u + mean_vs goes into the integrating factor.
+    A 2D flow evaluates the product in convective form, a 3D flow in
+    rotational form (module docstring).
     """
 
     def __init__(self, grid, forcing, role, base_forcing=None):
         self.grid = grid
+        self.spec = grid.half
         self.forcing = forcing
         self.role = role
         # the forcings of the advecting means, in the order of the stepper's means
         self.mean_forcings = (forcing,) if base_forcing is None else (forcing, base_forcing)
+        # preallocated transform stacks: in 2D, u and grad u in and (u . grad) u
+        # out; in 3D, u and curl u in and the rotational vector and phi out
+        stack, products = ((3, 2), 2) if grid.dim == 2 else ((6,), 4)
+        self._coeff_stack = np.empty(stack + self.spec.shape, dtype=np.complex128)
+        self._products = np.empty((products,) + grid.shape)
 
     def rhs(self, coeffs, mean, t, base=None):
         """`base` is the base flow's evaluation at the same stage, or None for
         a single flow; its x3-independent fields enter the 3D products as
         broadcast views."""
-        grid = self.grid
-        ubar_phys = to_samples(grid, coeffs)
-        grads = grad_samples(grid, coeffs)
-        total_mean = mean if base is None else mean + _pad(base.mean, grid.dim)
-        nb = 0 if base is None else len(base.phys)  # the base flow's components
-        conv = np.zeros((len(coeffs),) + grid.shape)
-        speedsq = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            wa = ubar_phys[a]
-            if a < nb:
-                wa = wa + base.phys[a][..., None]
-            for c in range(len(conv)):
-                conv[c] += wa * grads[a][c]
-            speedsq += (wa + total_mean[a]) ** 2
-        # (u . grad) vbar_s with u = ubar + mean_u (x3-derivative vanishes)
-        for a in range(nb):
-            ua = ubar_phys[a] + mean[a]
-            for c in range(nb):
-                conv[c] += ua * base.grads[a][c][..., None]
+        sp, stack, prods = self.spec, self._coeff_stack, self._products
+        total_mean = mean if base is None else mean + _pad(base.mean, sp.dim)
+        if sp.dim == 2:
+            stack[0] = coeffs
+            derivative_coeffs(sp, coeffs, out=stack[1:])
+            samples = to_samples(sp, stack)
+            phys = w = samples[0]
+            grads = samples[1:]
+            np.multiply(w[0], grads[0], out=prods)
+            prods += w[1] * grads[1]
+            raw = to_coeffs(sp, prods)
+        else:
+            stack[:3] = coeffs
+            curl_coeffs(sp, coeffs, out=stack[3:])
+            w = self._rotational(to_samples(sp, stack), mean, base)
+            phys = grads = None
+            hat = to_coeffs(sp, prods)
+            raw = derivative_coeffs(sp, hat[3])
+            raw += hat[:3]
+        np.negative(raw, out=raw)
+        speedsq = np.square(w[0] + total_mean[0])
+        for a in range(1, sp.dim):
+            speedsq += np.square(w[a] + total_mean[a])
         fbar = self.forcing.bar_field(t)
-        rhs, raw = _explicit(grid, -to_coeffs(grid, conv), fbar)
-        return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), ubar_phys, grads, mean, fbar)
+        rhs, raw = _explicit(sp, raw, None if fbar is None else sp.restrict(fbar.coeffs))
+        return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), phys, grads, mean, fbar)
+
+    def _rotational(self, samples, mean, base):
+        """Fill the product stack with the samples of
+        omega x (u + v_s) + omega_s e3 x u + m . grad v_s and of
+        phi = |u|^2/2 + u . v_s from the (6, grid) samples of u and omega;
+        returns the advecting velocity u + v_s."""
+        u, om, prods = samples[:3], samples[3:], self._products
+        w = u
+        if base is not None:
+            w = u.copy()
+            w[:2] += base.phys[..., None]
+        for a in range(3):
+            b, c = (a + 1) % 3, (a + 2) % 3
+            np.multiply(om[b], w[c], out=prods[a])
+            prods[a] -= om[c] * w[b]
+        phi = np.multiply(u[0], u[0], out=prods[3])
+        phi += u[1] * u[1]
+        phi += u[2] * u[2]
+        phi *= 0.5
+        if base is not None:
+            vs, g = base.phys[..., None], base.grads[..., None]  # g[a][c] = d_a v_s,c
+            om_s = g[0][1] - g[1][0]
+            prods[0] -= om_s * u[1]
+            prods[0] += mean[0] * g[0][0] + mean[1] * g[1][0]
+            prods[1] += om_s * u[0]
+            prods[1] += mean[0] * g[0][1] + mean[1] * g[1][1]
+            phi += u[0] * vs[0]
+            phi += u[1] * vs[1]
+        return w
 
 
 # -- stepping ----------------------------------------------------------------
@@ -281,20 +346,22 @@ class _Stepper:
     A step from t is `evaluate` at the current state, `start`, two calls of
     `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`.  The
     stepper keeps only the explicit terms of the stages; each evaluation goes
-    on to the recorder or to the next system and is then dropped.
+    on to the recorder or to the next system and is then dropped.  Its state
+    `coeffs` and every array of a step are on the half spectrum.
     """
 
     def __init__(self, system, cfg, state0):
         self.system = system
         self.dt = cfg.dt
-        self.coeffs = state0.field.dealias().coeffs.copy()
+        sp = system.spec
+        self.coeffs = sp.restrict(state0.field.coeffs) * sp.dealias_mask
         self.mean = np.asarray(state0.mean, float).copy()
         self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
         self.prev_factor = None
         # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
-        self._visc_half = np.exp(-cfg.nu * system.grid.ksq * (cfg.dt / 2.0))
-        self._visc_full = np.exp(-cfg.nu * system.grid.ksq * cfg.dt)
+        self._visc_half = np.exp(-cfg.nu * sp.ksq * (cfg.dt / 2.0))
+        self._visc_full = np.exp(-cfg.nu * sp.ksq * cfg.dt)
 
     def evaluate(self, t, base=None):
         """The RHS at the current state at time t; the first stage of a step."""
@@ -309,10 +376,10 @@ class _Stepper:
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
         I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, system.grid.dim)
         if use_rk3:
-            self.lam_h = tuple(integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
+            self.lam_h = tuple(integrating_factor(system.spec, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
         else:
-            self.lam = integrating_factor(system.grid, self._visc_full, I1 + I2)
+            self.lam = integrating_factor(system.spec, self._visc_full, I1 + I2)
         self.mean_next = self._mean_at(dt)
 
     def stage(self, base=None):
@@ -352,43 +419,46 @@ _PARSEVAL = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")  # squared norms by 
 
 
 class _Recorder:
-    """Dense per-step scalar series."""
+    """Dense per-step scalar series, the Parseval sums on the half spectrum."""
 
     def __init__(self, grid, role):
         self.grid = grid
+        self.spec = grid.half
         self.role = role
         keys = ("t", *_PARSEVAL, "forcing_inner", "fbar_l2_sq", "gradp_sq", "speed", "dudt_sq",
                 "mean") + (("gradv_l3",) if role == "base2d" else ())
         self.data = {k: [] for k in keys}
         # the Parseval weights of the _PARSEVAL series, stacked
-        self._weights = np.stack([grid.sobolev_multiplier(s) for s in range(4)] + [grid.ksq])
+        self._weights = np.stack([self.spec.sobolev_multiplier(s) for s in range(4)]
+                                 + [self.spec.ksq])
         self._prev_coeffs = None
 
     def record(self, t, coeffs, ev, dt):
         """Append the series at t from the state's coefficients and its evaluation `ev`."""
-        g = self.grid
+        sp = self.spec
         d = self.data
         d["t"].append(t)
-        for key, v in zip(_PARSEVAL, weighted_norm_sq(g, coeffs, self._weights).tolist()):
+        for key, v in zip(_PARSEVAL, weighted_norm_sq(sp, coeffs, self._weights).tolist()):
             d[key].append(v)
-        fbar = ev.fbar
-        if fbar is None:
+        if ev.fbar is None:
             d["forcing_inner"].append(0.0)
             d["fbar_l2_sq"].append(0.0)
         else:
-            d["forcing_inner"].append(inner_product(g, fbar.coeffs, coeffs))
-            d["fbar_l2_sq"].append(fbar.sobolev_norm_sq(0))
-        d["gradp_sq"].append(gradient_part_normsq(g, ev.raw))
+            fbar = sp.restrict(ev.fbar.coeffs)
+            d["forcing_inner"].append(inner_product(sp, fbar, coeffs))
+            d["fbar_l2_sq"].append(float(weighted_norm_sq(sp, fbar, 1.0)))
+        d["gradp_sq"].append(gradient_part_normsq(sp, ev.raw))
         d["speed"].append(ev.speed)
         d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
             diff = (coeffs - self._prev_coeffs) / dt
-            d["dudt_sq"].append(float(weighted_norm_sq(g, diff, 1.0)))
+            d["dudt_sq"].append(float(weighted_norm_sq(sp, diff, 1.0)))
         else:
             d["dudt_sq"].append(0.0)
-        self._prev_coeffs = coeffs.copy()
+        # no copy: `_Stepper.finish` binds a new array and never writes to this one
+        self._prev_coeffs = coeffs
         if self.role == "base2d":
-            d["gradv_l3"].append(grad_l3_norm(g, ev.grads))
+            d["gradv_l3"].append(grad_l3_norm(self.grid, ev.grads))
 
     def finalize(self):
         out = {}
@@ -450,7 +520,7 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
             speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
             if sampled:
-                field = SpectralField(st.system.grid, st.coeffs.copy())
+                field = SpectralField(st.system.grid, st.system.spec.extend(st.coeffs))
                 out.append(FlowState(t, field, st.mean.copy(), st.system.role))
         if n == n_steps:
             break

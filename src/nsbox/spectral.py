@@ -6,13 +6,25 @@ and m runs over the usual FFT integer modes.  The forward transform carries
 the 1/N^d factor, so u_hat(0) is the arithmetic mean of the samples and
 Parseval reads ||u||_L2^2 = L^d sum_m |u_hat(m)|^2.
 
-This module is the only one that knows that layout.  The kernel functions
-below `SpectralField` act on raw (C, grid) arrays in it: transforms, physical
-gradients, Parseval norms and inner products, derivative multipliers,
-integrating factors, mode-0 zeroing, Leray projection, and L^p norms of
-pointwise magnitudes.  The transforms, physical gradients, Parseval norms and
-L^p norms also take stacks with leading batch axes.  The field methods, the
-solver and the constants calibration are built on them.
+This module is the only one that knows that layout, in two forms.  The full
+(fftn) layout stores every mode; `SpectralField` and the constants
+calibration use it.  The half (rfftn) layout stores the modes with last index
+0 <= m_last <= N/2, the first N/2 + 1 last-axis planes of the full array; the
+rest is their conjugate mirror c(-m) = conj(c(m)).  The solver steps on it.
+
+Each layout is a spectrum descriptor: `PeriodicGrid` itself for the full
+layout, and `PeriodicGrid.half` (a `HalfSpectrum`) for the half one.  Both
+carry the same data -- the coefficient `shape`, wavevectors `k`, `ksq`, `ik`,
+`inv_ksq`, the dealias mask, per-axis `k1d`, and the Hermitian weight `herm`
+of each stored mode in a Parseval sum (1 in the full layout; 2 on the
+interior last-axis planes of the half one) -- so the kernel functions below
+`SpectralField` take either.  They act on raw (C, shape) arrays: transforms,
+first-derivative and curl coefficients, physical gradients, Parseval norms
+and inner products, derivative multipliers, integrating factors, mode-0
+zeroing, Leray projection, and L^p norms of pointwise magnitudes.  The
+transforms, physical gradients, Parseval norms and L^p norms also take stacks
+with leading batch axes.  The field methods, the solver and the constants
+calibration are built on them.
 """
 
 from __future__ import annotations
@@ -24,10 +36,13 @@ import scipy.fft as _fft
 
 __all__ = [
     "PeriodicGrid",
+    "HalfSpectrum",
     "SpectralField",
     "to_coeffs",
     "to_samples",
     "grad_samples",
+    "derivative_coeffs",
+    "curl_coeffs",
     "weighted_norm_sq",
     "inner_product",
     "derivative_multiplier",
@@ -44,34 +59,9 @@ __all__ = [
 ]
 
 
-class PeriodicGrid:
-    """Uniform N^dim grid on the periodic cube [0, L]^dim.
-
-    N must be even and >= 4 so the 2/3-dealiased band is non-empty.
-    """
-
-    def __init__(self, L: float, dim: int, N: int):
-        if L <= 0:
-            raise ValueError(f"box size must be positive, got L={L}")
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
-        if N < 4 or N % 2 != 0:
-            raise ValueError(f"N must be even and >= 4, got {N}")
-        self.L = float(L)
-        self.dim = int(dim)
-        self.N = int(N)
-        m1 = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
-        self.k1d = (2.0 * np.pi / float(L)) * m1.astype(np.float64)
-        mgrids = np.meshgrid(*([m1] * dim), indexing="ij")
-        self.modes = np.stack(mgrids)  # (dim, N, ..., N) integer mode vectors
-        self.k = (2.0 * np.pi / self.L) * self.modes.astype(np.float64)
-        self.ksq = np.sum(self.k * self.k, axis=0)
-        self.dealias_mask = np.all(np.abs(self.modes) <= N / 3.0, axis=0)
-        self.cell_volume = (self.L / N) ** dim
-        self.volume = self.L**dim
-        self.shape = (N,) * dim
-        self.axes = tuple(range(-dim, 0))  # the grid axes of a (..., grid) array
-        self._sob_mult: dict[int, np.ndarray] = {}
+class _Spectrum:
+    """The mode data a spectrum descriptor derives from its wavevectors `k`,
+    `ksq` and integer `modes`, built on first use."""
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
@@ -83,17 +73,12 @@ class PeriodicGrid:
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """(dim, grid) first-derivative multipliers i k_a, with the Nyquist
+        """(dim, shape) first-derivative multipliers i k_a, with the Nyquist
         plane of axis a zeroed (its sign is not representable)."""
         ik = 1j * self.k
         for a in range(self.dim):
             ik[a][self.modes[a] == -(self.N // 2)] = 0.0
         return ik
-
-    def coords(self):
-        """Sparse meshgrid of physical coordinates (x1, x2[, x3])."""
-        x = self.L * np.arange(self.N) / self.N
-        return np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True)
 
     def sobolev_multiplier(self, s: int) -> np.ndarray:
         """sum_{|alpha| <= s} prod_a k_a^(2 alpha_a), the H^s Parseval weight."""
@@ -112,6 +97,56 @@ class PeriodicGrid:
             self._sob_mult[s] = mult
         return self._sob_mult[s]
 
+
+class PeriodicGrid(_Spectrum):
+    """Uniform N^dim grid on the periodic cube [0, L]^dim, and the spectrum
+    descriptor of its full (fftn) layout.
+
+    N must be even and >= 4 so the 2/3-dealiased band is non-empty.
+    """
+
+    real = False  # the full complex layout: fftn / ifftn
+    herm = 1.0    # Parseval weight of a stored mode: each mode is stored once
+
+    def __init__(self, L: float, dim: int, N: int):
+        if L <= 0:
+            raise ValueError(f"box size must be positive, got L={L}")
+        if dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {dim}")
+        if N < 4 or N % 2 != 0:
+            raise ValueError(f"N must be even and >= 4, got {N}")
+        self.L = float(L)
+        self.dim = int(dim)
+        self.N = int(N)
+        m1 = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
+        self.k1d = ((2.0 * np.pi / float(L)) * m1.astype(np.float64),) * dim  # per axis
+        mgrids = np.meshgrid(*([m1] * dim), indexing="ij")
+        self.modes = np.stack(mgrids)  # (dim, N, ..., N) integer mode vectors
+        self.k = (2.0 * np.pi / self.L) * self.modes.astype(np.float64)
+        self.ksq = np.sum(self.k * self.k, axis=0)
+        # 2/3 rule: |m_a| < N/3 on every axis, so a product's modes beyond the
+        # band (|m_a| < 2N/3) alias onto |m_a| > N/3, outside it
+        self.dealias_mask = np.all(np.abs(self.modes) < N / 3.0, axis=0)
+        self.cell_volume = (self.L / N) ** dim
+        self.volume = self.L**dim
+        self.shape = (N,) * dim
+        self.axes = tuple(range(-dim, 0))  # the grid axes of a (..., grid) array
+        self._sob_mult: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def half(self) -> "HalfSpectrum":
+        """The descriptor of the half (rfftn) layout of this grid's real fields."""
+        return HalfSpectrum(self)
+
+    def coords(self):
+        """Sparse meshgrid of physical coordinates (x1, x2[, x3])."""
+        x = self.L * np.arange(self.N) / self.N
+        return np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True)
+
+    # bound in the grid's own namespace too, where bench/spans.py looks for the
+    # public methods whose calls it counts
+    sobolev_multiplier = _Spectrum.sobolev_multiplier
+
     def __eq__(self, other):
         return (
             isinstance(other, PeriodicGrid)
@@ -125,6 +160,46 @@ class PeriodicGrid:
 
     def __repr__(self):
         return f"PeriodicGrid(L={self.L}, dim={self.dim}, N={self.N})"
+
+
+class HalfSpectrum(_Spectrum):
+    """The spectrum descriptor of a grid's half (rfftn) layout.
+
+    A real field's coefficients are stored on the first N/2 + 1 last-axis
+    planes of the full layout, 0 <= m_last <= N/2; the rest is their conjugate
+    mirror.  The descriptor's arrays are the grid's restricted to those planes.
+    In a Parseval sum the planes 0 < m_last < N/2 stand for themselves and
+    their mirror, so `herm` weights them by 2.  It keeps no reference to the
+    grid, so the grid's cache of it forms no reference cycle.
+    """
+
+    real = True  # rfftn / irfftn
+
+    def __init__(self, grid: PeriodicGrid):
+        self.dim, self.N, self.volume, self.axes = grid.dim, grid.N, grid.volume, grid.axes
+        self.samples_shape = grid.shape
+        self.n_last = grid.N // 2 + 1
+        self.shape = grid.shape[:-1] + (self.n_last,)
+        self.modes = self.restrict(grid.modes)
+        self.k, self.ksq, self.dealias_mask = (
+            np.ascontiguousarray(self.restrict(a)) for a in (grid.k, grid.ksq, grid.dealias_mask))
+        self.k1d = grid.k1d[:-1] + (grid.k1d[-1][: self.n_last],)
+        herm = np.full(self.n_last, 2.0)
+        herm[0] = herm[-1] = 1.0
+        self.herm = herm
+        self._sob_mult: dict[int, np.ndarray] = {}
+
+    def restrict(self, coeffs) -> np.ndarray:
+        """The half-layout part (a view) of a full-layout (..., C, grid) array."""
+        return coeffs[..., : self.n_last]
+
+    def extend(self, coeffs) -> np.ndarray:
+        """The full-layout array of a half-layout one: its planes as they are,
+        then their exact conjugate mirror c(-m) = conj(c(m)) for m_last < 0."""
+        tail = coeffs[..., self.n_last - 2 : 0 : -1]  # m_last = N/2 - 1, ..., 1
+        for ax in self.axes[:-1]:  # m_a -> -m_a on the other axes
+            tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
+        return np.concatenate((coeffs, np.conj(tail)), axis=-1)
 
 
 def _multi_indices(dim, total):
@@ -228,7 +303,7 @@ class SpectralField:
         return SpectralField(self.grid, out)
 
     def dealias(self) -> "SpectralField":
-        """Zero every mode with any |m_a| > N/3 (2/3 rule); idempotent."""
+        """Zero every mode with any |m_a| >= N/3 (2/3 rule); idempotent."""
         return SpectralField(self.grid, self.coeffs * self.grid.dealias_mask)
 
     # -- norms ---------------------------------------------------------------
@@ -276,41 +351,70 @@ class SpectralField:
         return f"SpectralField(components={self.components}, grid={self.grid!r})"
 
 
-# -- kernel: operations on raw (C, grid) arrays in the layout above -----------
+# -- kernel: operations on raw (C, shape) arrays in either layout -------------
+#
+# `sp` is a spectrum descriptor: a `PeriodicGrid` for the full layout or a
+# `HalfSpectrum` for the half one.
 
 
-def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
+def to_coeffs(sp, samples) -> np.ndarray:
     """Normalized coefficients of a raw (..., C, grid) sample array."""
-    return _fft.fftn(samples, axes=grid.axes, norm="forward")
+    if sp.real:
+        return _fft.rfftn(samples, axes=sp.axes, norm="forward")
+    return _fft.fftn(samples, axes=sp.axes, norm="forward")
 
 
-def to_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """Grid samples of a raw (..., C, grid) coefficient array (real part of the inverse)."""
-    return _fft.ifftn(coeffs, axes=grid.axes, norm="forward").real
+def to_samples(sp, coeffs) -> np.ndarray:
+    """Grid samples of a raw (..., C, shape) coefficient array (the real part
+    of the inverse in the full layout)."""
+    if sp.real:
+        return _fft.irfftn(coeffs, s=sp.samples_shape, axes=sp.axes, norm="forward")
+    return _fft.ifftn(coeffs, axes=sp.axes, norm="forward").real
+
+
+def derivative_coeffs(sp, coeffs, out=None) -> np.ndarray:
+    """(dim, ...) first-derivative coefficients i k_a c of a raw (..., shape)
+    coefficient array, through `ik`: the Nyquist plane is zeroed as
+    `SpectralField.derivative` zeroes it.  Written into `out` when given."""
+    ik = sp.ik.reshape((sp.dim,) + (1,) * (coeffs.ndim - sp.dim) + sp.shape)
+    return np.multiply(ik, coeffs, out=out)
+
+
+def curl_coeffs(sp, coeffs, out) -> np.ndarray:
+    """(3, shape) coefficients of the curl i k x c of a raw (3, shape) array,
+    written into `out`."""
+    ik = sp.ik
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        np.multiply(ik[b], coeffs[c], out=out[a])
+        out[a] -= ik[c] * coeffs[b]
+    return out
 
 
 def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
     """(dim, ..., C, grid) physical first derivatives of a raw (..., C, grid)
-    coefficient array, through `PeriodicGrid.ik`: the Nyquist plane is zeroed
-    as `SpectralField.derivative` zeroes it."""
+    full-layout coefficient array, through `PeriodicGrid.ik`: the Nyquist plane
+    is zeroed as `SpectralField.derivative` zeroes it."""
     out = np.empty((grid.dim,) + coeffs.shape, dtype=float)
     for a in range(grid.dim):
         out[a] = to_samples(grid, grid.ik[a] * coeffs)
     return out
 
 
-def weighted_norm_sq(grid: PeriodicGrid, coeffs, weight):
-    """|box| sum_m weight(m) |c(m)|^2 over the components of a raw (..., C, grid)
-    coefficient array: a squared norm by Parseval, one per leading index of
-    the array and of a stacked (..., grid) weight."""
-    power = np.sum(np.abs(coeffs) ** 2, axis=-grid.dim - 1)
-    return grid.volume * np.sum(weight * power, axis=grid.axes)
+def weighted_norm_sq(sp, coeffs, weight):
+    """|box| sum_m weight(m) |c(m)|^2 over the components of a raw (..., C, shape)
+    coefficient array and over the modes it stands for (`herm`): a squared
+    norm by Parseval, one per leading index of the array and of a stacked
+    (..., shape) weight."""
+    power = sp.herm * np.sum(np.abs(coeffs) ** 2, axis=-sp.dim - 1)
+    return sp.volume * np.sum(weight * power, axis=sp.axes)
 
 
-def inner_product(grid: PeriodicGrid, a, b) -> float:
-    """|box| Re sum_m conj(a(m)) b(m) over all components of two raw (C, grid)
-    coefficient arrays: the L2 inner product by Parseval."""
-    return float(grid.volume * np.sum(np.conj(a) * b).real)
+def inner_product(sp, a, b) -> float:
+    """|box| Re sum_m conj(a(m)) b(m) over all components of two raw (C, shape)
+    coefficient arrays and the modes they stand for: the L2 inner product by
+    Parseval."""
+    return float(sp.volume * np.sum(np.conj(a) * b * sp.herm).real)
 
 
 def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
@@ -329,7 +433,7 @@ def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
     return mult
 
 
-def integrating_factor(grid: PeriodicGrid, visc, I_sub):
+def integrating_factor(sp, visc, I_sub):
     """Per-mode exp(-nu |k|^2 h - i k . I) from its viscous part visc.
 
     The mean-advection phase factorizes over axes, so it costs one 1D
@@ -338,11 +442,11 @@ def integrating_factor(grid: PeriodicGrid, visc, I_sub):
     if not np.any(I_sub != 0.0):
         return visc
     lam = visc.astype(np.complex128)
-    for a in range(grid.dim):
+    for a in range(sp.dim):
         if I_sub[a] != 0.0:
-            ph = np.exp(-1j * grid.k1d * I_sub[a])
-            shape = [1] * grid.dim
-            shape[a] = grid.N
+            ph = np.exp(-1j * sp.k1d[a] * I_sub[a])
+            shape = [1] * sp.dim
+            shape[a] = len(ph)
             lam = lam * ph.reshape(shape)
     return lam
 
@@ -384,26 +488,26 @@ def grad_l3_norm(grid: PeriodicGrid, grads) -> float:
     return lp_norms(grid, gradient_magsq(grid, grads[:, None]), 3)[0]
 
 
-def _k_dot(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """k . c per mode for a (dim, grid) coefficient array."""
-    kdotu = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dim):
-        kdotu += grid.k[a] * coeffs[a]
+def _k_dot(sp, coeffs) -> np.ndarray:
+    """k . c per mode for a (dim, shape) coefficient array."""
+    kdotu = np.zeros(sp.shape, dtype=np.complex128)
+    for a in range(sp.dim):
+        kdotu += sp.k[a] * coeffs[a]
     return kdotu
 
 
-def leray_project_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """Leray projection of a raw (dim, grid) coefficient array: c - k (k.c)/|k|^2."""
-    corr = _k_dot(grid, coeffs) * grid.inv_ksq
+def leray_project_coeffs(sp, coeffs) -> np.ndarray:
+    """Leray projection of a raw (dim, shape) coefficient array: c - k (k.c)/|k|^2."""
+    corr = _k_dot(sp, coeffs) * sp.inv_ksq
     out = np.array(coeffs, dtype=np.complex128)
-    for a in range(grid.dim):
-        out[a] -= grid.k[a] * corr
+    for a in range(sp.dim):
+        out[a] -= sp.k[a] * corr
     return out
 
 
-def gradient_part_normsq(grid: PeriodicGrid, coeffs) -> float:
+def gradient_part_normsq(sp, coeffs) -> float:
     """||c - P c||_L2^2 = |box| sum |k.c|^2/|k|^2 for the Leray projection P."""
-    return float(grid.volume * np.sum(np.abs(_k_dot(grid, coeffs)) ** 2 * grid.inv_ksq))
+    return float(sp.volume * np.sum(np.abs(_k_dot(sp, coeffs)) ** 2 * sp.inv_ksq * sp.herm))
 
 
 def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField:

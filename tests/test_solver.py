@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import nsbox.solver
+import nsbox.spectral
 from nsbox.forcing import (
     CompositeForcing,
     ConstantMeanForcing,
@@ -28,8 +30,10 @@ from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
     inner_l2,
+    inner_product,
     lift_2d_to_3d,
     random_field,
+    weighted_norm_sq,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -90,6 +94,18 @@ class TestNonlinearTerm:
         ip = g.cell_volume * np.sum(conv * u.physical())
         scale = u.sobolev_norm_sq(1)
         assert abs(ip) < 1e-11 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("dim,N", [(2, 8), (2, 12), (2, 24), (2, 32), (3, 8), (3, 12),
+                                       (3, 16), (3, 24)])
+    def test_energy_neutral_on_the_grid(self, dim, N):
+        # <P D (u . grad) u, u> = 0 exactly on dealiased solenoidal u: the
+        # 2/3 rule leaves no aliased product mode in the band, also when 3 divides N
+        rng = np.random.default_rng(31)
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=N)
+        u = random_field(g, dim, rng, solenoidal=True).dealias()
+        nl = nonlinear_term(FlowState(0.0, u, np.zeros(dim)), u)
+        cosine = inner_l2(nl, u) / (nl.sobolev_norm(0) * u.sobolev_norm(0))
+        assert abs(cosine) < 1e-13
 
     def test_grid_mismatch_rejected(self):
         g1 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
@@ -368,8 +384,9 @@ class TestPair:
 
 
 class TestRecorder:
-    """The recorded norm series equal the `SpectralField` norms of the stored
-    states bit for bit."""
+    """The recorded norm series are the kernel's half-spectrum Parseval sums
+    of the stored states' first N/2 + 1 last-axis planes bit for bit, and the
+    `SpectralField` norms of the stored states to roundoff."""
 
     @staticmethod
     def assert_series_match(traj, forcing):
@@ -377,10 +394,17 @@ class TestRecorder:
         for st in traj.states:
             n = round(st.t / traj.cfg.dt)
             u = st.field
-            assert [s[k][n] for k in ("l2_sq", "h1_sq", "h2_sq", "h3_sq")] == \
-                [u.sobolev_norm_sq(order) for order in range(4)]
-            assert s["grad_sq"][n] == u.grad_norm_sq()
-            assert s["forcing_inner"][n] == inner_l2(forcing.bar_field(st.t), u)
+            half = u.grid.half
+            c = u.coeffs[..., :half.shape[-1]]
+            fbar = forcing.bar_field(st.t)
+            weights = np.stack([half.sobolev_multiplier(o) for o in range(4)] + [half.ksq])
+            keys = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")
+            assert [s[k][n] for k in keys] == weighted_norm_sq(half, c, weights).tolist()
+            assert s["forcing_inner"][n] == inner_product(half, fbar.coeffs[..., :c.shape[-1]], c)
+            full = [u.sobolev_norm_sq(order) for order in range(4)] + [u.grad_norm_sq()]
+            assert np.allclose([s[k][n] for k in keys], full, rtol=1e-14, atol=0)
+            scale = fbar.sobolev_norm(0) * u.sobolev_norm(0)
+            assert abs(s["forcing_inner"][n] - inner_l2(fbar, u)) <= 1e-14 * scale
 
     def test_base_2d(self):
         rng = np.random.default_rng(40)
@@ -407,3 +431,133 @@ class TestRecorder:
                            sample_times=[0.03, 0.06])
         self.assert_series_match(pert, g)
         self.assert_series_match(pert.base, fs)
+
+
+def random_state(grid, rng, mean, scale=1.0, role="base2d"):
+    """A dealiased solenoidal random state with the given mean."""
+    f = random_field(grid, grid.dim, rng, solenoidal=True).dealias() * scale
+    return FlowState(0.0, f, np.asarray(mean, float), role)
+
+
+def convective_raw(u, w, wmean=None):
+    """-(w + wmean) . grad u, dealiased and not projected, from physical products."""
+    g = u.grid
+    wp = w.physical()
+    if wmean is not None:
+        wp = wp + np.reshape(wmean, (-1,) + (1,) * g.dim)
+    conv = sum(wp[a] * u.derivative(tuple(int(j == a) for j in range(g.dim))).physical()
+               for a in range(g.dim))
+    return -SpectralField.from_physical(g, conv).dealias().coeffs
+
+
+class TestHalfSpectrumStepping:
+    """The stepper on the half (rfftn) spectrum: its right-hand sides against
+    the convective `nonlinear_term`, its stored states, its transform count."""
+
+    @staticmethod
+    def evaluate(system, state, t=0.0, base=None):
+        """The system's RHS evaluation at `state`, on the half spectrum."""
+        c = state.field.coeffs[..., :system.spec.shape[-1]]
+        return system.rhs(c, state.mean, t, base)
+
+    @pytest.mark.parametrize("N", [8, 12, 16])
+    def test_rotational_rhs_matches_convective_oracle(self, N):
+        rng = np.random.default_rng(N)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=N)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=N)
+        vs = random_state(g2, rng, [0.4, -0.3])
+        u = random_state(g3, rng, [0.2, -0.5, 0.7], scale=0.3, role="perturbation")
+        zero2, zero3 = ZeroForcing(g2, 2), ZeroForcing(g3, 3)
+        n = N // 2 + 1
+
+        def close(ev, oracle, raw):
+            # the projected term, and the raw term: the rotational form's grad phi
+            # is the gradient part of the convective product, not an extra term
+            assert np.max(np.abs(ev.rhs - oracle.coeffs[..., :n])) <= \
+                1e-13 * np.max(np.abs(oracle.coeffs))
+            assert np.max(np.abs(ev.raw - raw[..., :n])) <= 1e-13 * np.max(np.abs(raw))
+
+        # the 2D base flow (convective form) and the full 3D flow
+        base = self.evaluate(nsbox.solver._Flow(g2, zero2, "base2d"), vs)
+        close(base, nonlinear_term(vs, vs.field), convective_raw(vs.field, vs.field))
+        close(self.evaluate(nsbox.solver._Flow(g3, zero3, "full3d"), u),
+              nonlinear_term(u, u.field), convective_raw(u.field, u.field))
+        # the perturbation: -(u + v_s) . grad u - (u + m) . grad v_s, the means
+        # of u and v_s in the integrating factor
+        lifted = FlowState(0.0, lift_2d_to_3d(vs.field, g3), np.zeros(3))
+        pert = self.evaluate(nsbox.solver._Flow(g3, zero3, "perturbation", zero2), u, base=base)
+        oracle = (nonlinear_term(u, u.field + lifted.field)
+                  + nonlinear_term(lifted, u.field, advecting_mean=u.mean))
+        raw = (convective_raw(u.field, u.field + lifted.field)
+               + convective_raw(lifted.field, u.field, u.mean))
+        close(pert, oracle, raw)
+
+    def test_stored_states_extend_the_stepper_state(self, monkeypatch):
+        recorded = {}
+        record = nsbox.solver._Recorder.record
+
+        def spy(self, t, coeffs, ev, dt):
+            recorded[(self.role, round(t, 9))] = coeffs.copy()
+            return record(self, t, coeffs, ev, dt)
+
+        monkeypatch.setattr(nsbox.solver._Recorder, "record", spy)
+        rng = np.random.default_rng(42)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=8)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
+        fs = DecayingModeForcing(solenoidal_mode_2d(g2, 0.2), rate=1.0)
+        pert = evolve_pair(random_state(g2, rng, [0.3, 0.1]), fs,
+                           random_state(g3, rng, [0.1, 0.0, -0.2], 0.1, "perturbation"),
+                           ZeroForcing(g3, 3), SolverConfig(nu=0.5, dt=1e-2, t_end=0.1),
+                           sample_times=[0.05])
+        for traj in (pert, pert.base):
+            assert len(traj.states) == 3
+            for st in traj.states:
+                full, dim = st.field.coeffs, st.field.grid.dim
+                n = st.field.grid.N // 2 + 1
+                assert np.array_equal(full[..., :n], recorded[(st.role, round(st.t, 9))])
+                mirrored = full  # c(-m) at index m
+                for ax in range(1, dim + 1):
+                    mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
+                assert np.array_equal(full[..., n:], np.conj(mirrored[..., n:]))
+
+    @staticmethod
+    def count_transforms(monkeypatch, run):
+        """The scipy.fft calls `nsbox.spectral` makes during run(), by name."""
+        calls = {}
+        real = nsbox.spectral._fft
+
+        class Counting:
+            def __getattr__(self, name):
+                fn = getattr(real, name)
+
+                def counted(*args, **kwargs):
+                    calls[name] = calls.get(name, 0) + 1
+                    return fn(*args, **kwargs)
+                return counted
+
+        with monkeypatch.context() as m:
+            m.setattr(nsbox.spectral, "_fft", Counting())
+            run()
+        return calls
+
+    @pytest.mark.parametrize("system,scheme,per_step", [
+        ("pair", "imex-cnab2", 4), ("pair", "rk3-imex", 12), ("base2d", "rk3-imex", 6)])
+    def test_transforms_per_step(self, monkeypatch, system, scheme, per_step):
+        # one stacked inverse and one stacked forward transform per system and stage
+        rng = np.random.default_rng(43)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=8)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
+        base0 = random_state(g2, rng, [0.1, 0.0])
+        u0 = random_state(g3, rng, [0.0, 0.2, 0.0], 0.1, "perturbation")
+        forcing = DecayingModeForcing(solenoidal_mode_2d(g2, 0.3), rate=1.0)
+
+        def run(steps):
+            cfg = SolverConfig(nu=0.5, dt=1e-2, t_end=steps * 1e-2, scheme=scheme)
+            if system == "pair":
+                evolve_pair(base0, forcing, u0, ZeroForcing(g3, 3), cfg)
+            else:
+                evolve_base_2d(base0, forcing, cfg)
+
+        counts = [self.count_transforms(monkeypatch, lambda: run(steps)) for steps in (5, 10)]
+        assert set(counts[1]) == {"rfftn", "irfftn"}
+        assert sum(counts[1].values()) - sum(counts[0].values()) == 5 * per_step

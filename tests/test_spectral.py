@@ -14,11 +14,16 @@ from nsbox.spectral import (
     SpectralField,
     grad_l3_norm,
     grad_samples,
+    gradient_part_normsq,
     inner_l2,
+    inner_product,
+    integrating_factor,
+    leray_project_coeffs,
     lift_2d_to_3d,
     random_field,
     to_coeffs,
     to_samples,
+    weighted_norm_sq,
     zero_mode0,
 )
 
@@ -200,6 +205,47 @@ class TestKernel:
         assert np.all(c[:, 0, 0] == 0.0)
         assert np.sum(c == 0.0) == 2
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_half_layout_matches_full(self, dim):
+        # every kernel operation on the half (rfftn) layout gives the full
+        # layout's result on its first N/2 + 1 last-axis planes, to roundoff
+        g = PeriodicGrid(L=2.5, dim=dim, N=8)
+        half, n = g.half, g.N // 2 + 1
+        rng = np.random.default_rng(dim + 20)
+        u, v = (random_field(g, dim, rng, mean_free=False) for _ in range(2))
+        cu, cv = u.coeffs[..., :n], v.coeffs[..., :n]
+        assert half.shape == g.shape[:-1] + (n,)
+        assert np.allclose(to_coeffs(half, u.physical()), cu, rtol=0, atol=1e-15)
+        assert np.allclose(to_samples(half, cu), u.physical(), rtol=0, atol=1e-14)
+        weights = np.stack([g.sobolev_multiplier(s) for s in range(4)] + [g.ksq])
+        full = weighted_norm_sq(g, u.coeffs, weights)
+        assert np.allclose(weighted_norm_sq(half, cu, weights[..., :n]), full, rtol=1e-14, atol=0)
+        assert inner_product(half, cu, cv) == pytest.approx(inner_product(g, u.coeffs, v.coeffs),
+                                                            rel=1e-13)
+        # k . c is odd in m only off the Nyquist planes (see `leray_project_coeffs`)
+        dealiased = u.dealias().coeffs
+        assert gradient_part_normsq(half, dealiased[..., :n]) == pytest.approx(
+            gradient_part_normsq(g, dealiased), rel=1e-13)
+        assert np.array_equal(leray_project_coeffs(half, dealiased[..., :n]),
+                              leray_project_coeffs(g, dealiased)[..., :n])
+        visc, shift = np.exp(-0.3 * g.ksq), np.array([0.2, -0.7, 1.1][:dim])
+        assert np.array_equal(integrating_factor(half, visc[..., :n], shift),
+                              integrating_factor(g, visc, shift)[..., :n])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_half_layout_extends_to_conjugate_mirror(self, dim):
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
+        n = g.N // 2 + 1
+        c = to_coeffs(g.half, np.random.default_rng(dim).standard_normal((dim,) + g.shape))
+        full = g.half.extend(c)
+        assert full.shape == (dim,) + g.shape
+        assert np.array_equal(full[..., :n], c)
+        mirrored = full  # c(-m) at index m
+        for ax in range(1, dim + 1):
+            mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
+        assert np.array_equal(full[..., n:], np.conj(mirrored[..., n:]))
+        assert SpectralField(g, full).hermitian_defect() < 1e-15
+
     def test_grad_l3_norm_of_unit_gradient(self):
         # u = (sin x1, cos x1) has |grad u| = 1 pointwise, so ||grad u||_L3 = L^(2/3)
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
@@ -362,7 +408,7 @@ class TestDealias:
     def test_retained_band_unchanged(self):
         rng = np.random.default_rng(13)
         g = PeriodicGrid(L=1.0, dim=2, N=12)
-        u = random_field(g, 1, rng, band=(0, 4), mean_free=False)  # N/3 = 4
+        u = random_field(g, 1, rng, band=(0, 3), mean_free=False)  # |m_a| < N/3 = 4
         assert np.max(np.abs(u.dealias().coeffs - u.coeffs)) < 1e-16
 
     def test_nyquist_mode_removed(self):
@@ -379,23 +425,24 @@ class TestDealias:
         assert np.max(np.abs(d1.dealias().coeffs - d1.coeffs)) == 0.0
 
     def test_product_matches_truncated_convolution(self):
-        # quadratic product of retained fields == exact convolution on the band
+        # the product of two fields that fill the retained band, dealiased, is
+        # their exact convolution restricted to the band: no product mode
+        # aliases into it, also when 3 divides N
         rng = np.random.default_rng(15)
-        g = PeriodicGrid(L=1.0, dim=2, N=8)
-        u = random_field(g, 1, rng, band=(0, 2), mean_free=False)
-        v = random_field(g, 1, rng, band=(0, 2), mean_free=False)
-        prod = SpectralField.from_physical(g, u.physical() * v.physical()).dealias()
-        conv = np.zeros(g.shape, dtype=complex)
-        N = g.N
-        for (i1, j1), a in np.ndenumerate(u.coeffs[0]):
-            if a == 0:
-                continue
-            for (i2, j2), b in np.ndenumerate(v.coeffs[0]):
-                if b == 0:
-                    continue
-                conv[(i1 + i2) % N, (j1 + j2) % N] += a * b
-        conv *= g.dealias_mask
-        assert np.max(np.abs(prod.coeffs[0] - conv)) < 1e-13
+        for N in (8, 12, 24):
+            g = PeriodicGrid(L=1.0, dim=2, N=N)
+            u = random_field(g, 1, rng, mean_free=False).dealias()
+            v = random_field(g, 1, rng, mean_free=False).dealias()
+            prod = SpectralField.from_physical(g, u.physical() * v.physical()).dealias()
+            modes = g.modes.reshape(2, -1).T
+            a, b = u.coeffs[0].ravel(), v.coeffs[0].ravel()
+            conv = np.zeros(g.shape, dtype=complex)
+            for m1, x in zip(modes[a != 0], a[a != 0]):
+                for m2, y in zip(modes[b != 0], b[b != 0]):
+                    m = m1 + m2  # the product's mode before any wrap-around
+                    if np.all(np.abs(m) < N / 2) and g.dealias_mask[tuple(m % N)]:
+                        conv[tuple(m % N)] += x * y
+            assert np.max(np.abs(prod.coeffs[0] - conv)) < 1e-13, N
 
 
 class TestLift:
