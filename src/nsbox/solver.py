@@ -7,11 +7,10 @@ the single-flow equation.  Each system advances its mean-free, solenoidal
 part spectrally and its spatial mean by the exact mean ODE
 d/dt mean = (1/|box|) int f dx.
 
-Layout: a stepper holds its state on the half (rfftn) spectrum of
-`nsbox.spectral`, (C, N, ..., N/2 + 1) coefficients, and every per-step array
-(explicit terms, integrating factors, Parseval sums) lives there too.  Stored
-states are extended to the full-spectrum `SpectralField` at their sample
-times only, so trajectories keep the full layout.
+Layout: every array of a step (state, explicit terms, integrating factors,
+Parseval sums) is on the one coefficient layout of `nsbox.spectral`, the half
+(rfftn) spectrum, and a stored state wraps the stepper's coefficients as they
+are.
 
 Scheme: per-mode integrating factor exp(-nu |k|^2 dt - i k . int mean dt)
 treats viscosity *and* advection by the spatial mean exactly (the latter is
@@ -179,20 +178,20 @@ class Trajectory:
 # -- explicit terms on raw coefficient arrays ----------------------------------
 
 
-def _explicit(sp, raw, fbar=None):
-    """Add the mean-free forcing `fbar` (coefficients in the layout of the
-    spectrum descriptor `sp`, or None), dealias and project: (rhs, raw)."""
+def _explicit(grid, raw, fbar=None):
+    """Add the mean-free forcing `fbar` (coefficients, or None), dealias and
+    project: (rhs, raw)."""
     if fbar is not None:
         raw = raw + fbar
-    raw = raw * sp.dealias_mask
-    return zero_mode0(leray_project_coeffs(sp, raw)), raw
+    raw = raw * grid.dealias_mask
+    return zero_mode0(leray_project_coeffs(grid, raw)), raw
 
 
 def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=None) -> SpectralField:
     """Leray-projected, dealiased -(w . grad) u for the unsplit advecting
     velocity w (mean-free part `advecting` plus optional constant mean), in
-    the convective form on the full spectrum: the tests' independent oracle
-    for the solver's right-hand sides."""
+    the convective form: the tests' independent oracle for the solver's
+    right-hand sides."""
     grid = state.field.grid
     if advecting.grid != grid:
         raise ValueError("advecting field lives on a different grid")
@@ -248,7 +247,6 @@ class _Flow:
 
     def __init__(self, grid, forcing, role, base_forcing=None):
         self.grid = grid
-        self.spec = grid.half
         self.forcing = forcing
         self.role = role
         # the forcings of the advecting means, in the order of the stepper's means
@@ -256,38 +254,38 @@ class _Flow:
         # preallocated transform stacks: in 2D, u and grad u in and (u . grad) u
         # out; in 3D, u and curl u in and the rotational vector and phi out
         stack, products = ((3, 2), 2) if grid.dim == 2 else ((6,), 4)
-        self._coeff_stack = np.empty(stack + self.spec.shape, dtype=np.complex128)
+        self._coeff_stack = np.empty(stack + grid.coeff_shape, dtype=np.complex128)
         self._products = np.empty((products,) + grid.shape)
 
     def rhs(self, coeffs, mean, t, base=None):
         """`base` is the base flow's evaluation at the same stage, or None for
         a single flow; its x3-independent fields enter the 3D products as
         broadcast views."""
-        sp, stack, prods = self.spec, self._coeff_stack, self._products
-        total_mean = mean if base is None else mean + _pad(base.mean, sp.dim)
-        if sp.dim == 2:
+        grid, stack, prods = self.grid, self._coeff_stack, self._products
+        total_mean = mean if base is None else mean + _pad(base.mean, grid.dim)
+        if grid.dim == 2:
             stack[0] = coeffs
-            derivative_coeffs(sp, coeffs, out=stack[1:])
-            samples = to_samples(sp, stack)
+            derivative_coeffs(grid, coeffs, out=stack[1:])
+            samples = to_samples(grid, stack)
             phys = w = samples[0]
             grads = samples[1:]
             np.multiply(w[0], grads[0], out=prods)
             prods += w[1] * grads[1]
-            raw = to_coeffs(sp, prods)
+            raw = to_coeffs(grid, prods)
         else:
             stack[:3] = coeffs
-            curl_coeffs(sp, coeffs, out=stack[3:])
-            w = self._rotational(to_samples(sp, stack), mean, base)
+            curl_coeffs(grid, coeffs, out=stack[3:])
+            w = self._rotational(to_samples(grid, stack), mean, base)
             phys = grads = None
-            hat = to_coeffs(sp, prods)
-            raw = derivative_coeffs(sp, hat[3])
+            hat = to_coeffs(grid, prods)
+            raw = derivative_coeffs(grid, hat[3])
             raw += hat[:3]
         np.negative(raw, out=raw)
         speedsq = np.square(w[0] + total_mean[0])
-        for a in range(1, sp.dim):
+        for a in range(1, grid.dim):
             speedsq += np.square(w[a] + total_mean[a])
         fbar = self.forcing.bar_field(t)
-        rhs, raw = _explicit(sp, raw, None if fbar is None else sp.restrict(fbar.coeffs))
+        rhs, raw = _explicit(grid, raw, None if fbar is None else fbar.coeffs)
         return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), phys, grads, mean, fbar)
 
     def _rotational(self, samples, mean, base):
@@ -346,22 +344,21 @@ class _Stepper:
     A step from t is `evaluate` at the current state, `start`, two calls of
     `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`.  The
     stepper keeps only the explicit terms of the stages; each evaluation goes
-    on to the recorder or to the next system and is then dropped.  Its state
-    `coeffs` and every array of a step are on the half spectrum.
+    on to the recorder or to the next system and is then dropped.
     """
 
     def __init__(self, system, cfg, state0):
         self.system = system
         self.dt = cfg.dt
-        sp = system.spec
-        self.coeffs = sp.restrict(state0.field.coeffs) * sp.dealias_mask
+        grid = system.grid
+        self.coeffs = state0.field.coeffs * grid.dealias_mask
         self.mean = np.asarray(state0.mean, float).copy()
         self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
         self.prev_factor = None
         # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
-        self._visc_half = np.exp(-cfg.nu * sp.ksq * (cfg.dt / 2.0))
-        self._visc_full = np.exp(-cfg.nu * sp.ksq * cfg.dt)
+        self._visc_half = np.exp(-cfg.nu * grid.ksq * (cfg.dt / 2.0))
+        self._visc_full = np.exp(-cfg.nu * grid.ksq * cfg.dt)
 
     def evaluate(self, t, base=None):
         """The RHS at the current state at time t; the first stage of a step."""
@@ -376,10 +373,10 @@ class _Stepper:
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
         I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, system.grid.dim)
         if use_rk3:
-            self.lam_h = tuple(integrating_factor(system.spec, self._visc_half, I) for I in (I1, I2))
+            self.lam_h = tuple(integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
         else:
-            self.lam = integrating_factor(system.spec, self._visc_full, I1 + I2)
+            self.lam = integrating_factor(system.grid, self._visc_full, I1 + I2)
         self.mean_next = self._mean_at(dt)
 
     def stage(self, base=None):
@@ -419,46 +416,44 @@ _PARSEVAL = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")  # squared norms by 
 
 
 class _Recorder:
-    """Dense per-step scalar series, the Parseval sums on the half spectrum."""
+    """Dense per-step scalar series."""
 
     def __init__(self, grid, role):
         self.grid = grid
-        self.spec = grid.half
         self.role = role
         keys = ("t", *_PARSEVAL, "forcing_inner", "fbar_l2_sq", "gradp_sq", "speed", "dudt_sq",
                 "mean") + (("gradv_l3",) if role == "base2d" else ())
         self.data = {k: [] for k in keys}
         # the Parseval weights of the _PARSEVAL series, stacked
-        self._weights = np.stack([self.spec.sobolev_multiplier(s) for s in range(4)]
-                                 + [self.spec.ksq])
+        self._weights = np.stack([grid.sobolev_multiplier(s) for s in range(4)] + [grid.ksq])
         self._prev_coeffs = None
 
     def record(self, t, coeffs, ev, dt):
         """Append the series at t from the state's coefficients and its evaluation `ev`."""
-        sp = self.spec
+        grid = self.grid
         d = self.data
         d["t"].append(t)
-        for key, v in zip(_PARSEVAL, weighted_norm_sq(sp, coeffs, self._weights).tolist()):
+        for key, v in zip(_PARSEVAL, weighted_norm_sq(grid, coeffs, self._weights).tolist()):
             d[key].append(v)
         if ev.fbar is None:
             d["forcing_inner"].append(0.0)
             d["fbar_l2_sq"].append(0.0)
         else:
-            fbar = sp.restrict(ev.fbar.coeffs)
-            d["forcing_inner"].append(inner_product(sp, fbar, coeffs))
-            d["fbar_l2_sq"].append(float(weighted_norm_sq(sp, fbar, 1.0)))
-        d["gradp_sq"].append(gradient_part_normsq(sp, ev.raw))
+            fbar = ev.fbar.coeffs
+            d["forcing_inner"].append(inner_product(grid, fbar, coeffs))
+            d["fbar_l2_sq"].append(float(weighted_norm_sq(grid, fbar, 1.0)))
+        d["gradp_sq"].append(gradient_part_normsq(grid, ev.raw))
         d["speed"].append(ev.speed)
         d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
             diff = (coeffs - self._prev_coeffs) / dt
-            d["dudt_sq"].append(float(weighted_norm_sq(sp, diff, 1.0)))
+            d["dudt_sq"].append(float(weighted_norm_sq(grid, diff, 1.0)))
         else:
             d["dudt_sq"].append(0.0)
         # no copy: `_Stepper.finish` binds a new array and never writes to this one
         self._prev_coeffs = coeffs
         if self.role == "base2d":
-            d["gradv_l3"].append(grad_l3_norm(self.grid, ev.grads))
+            d["gradv_l3"].append(grad_l3_norm(grid, ev.grads))
 
     def finalize(self):
         out = {}
@@ -520,7 +515,8 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
             speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
             if sampled:
-                field = SpectralField(st.system.grid, st.system.spec.extend(st.coeffs))
+                # no copy: `_Stepper.finish` binds a new array and never writes to this one
+                field = SpectralField(st.system.grid, st.coeffs)
                 out.append(FlowState(t, field, st.mean.copy(), st.system.role))
         if n == n_steps:
             break

@@ -6,25 +6,26 @@ and m runs over the usual FFT integer modes.  The forward transform carries
 the 1/N^d factor, so u_hat(0) is the arithmetic mean of the samples and
 Parseval reads ||u||_L2^2 = L^d sum_m |u_hat(m)|^2.
 
-This module is the only one that knows that layout, in two forms.  The full
-(fftn) layout stores every mode; `SpectralField` and the constants
-calibration use it.  The half (rfftn) layout stores the modes with last index
-0 <= m_last <= N/2, the first N/2 + 1 last-axis planes of the full array; the
-rest is their conjugate mirror c(-m) = conj(c(m)).  The solver steps on it.
+This module is the only one that knows the layout: the half (rfftn) spectrum
+of a real field, (C, N, ..., N/2 + 1) coefficients.  It stores the modes with
+last index 0 <= m_last <= N/2; the rest is their conjugate mirror
+u_hat(-m) = conj(u_hat(m)), which is never formed.  The Nyquist index is
+stored as m_a = -N/2 on every axis.  In a Parseval sum the planes
+0 < m_last < N/2 stand for themselves and their mirror, so they weigh 2
+(`PeriodicGrid.herm`); the planes m_last = 0 and m_last = N/2 hold both
+modes of their mirror pairs.
 
-Each layout is a spectrum descriptor: `PeriodicGrid` itself for the full
-layout, and `PeriodicGrid.half` (a `HalfSpectrum`) for the half one.  Both
-carry the same data -- the coefficient `shape`, wavevectors `k`, `ksq`, `ik`,
-`inv_ksq`, the dealias mask, per-axis `k1d`, and the Hermitian weight `herm`
-of each stored mode in a Parseval sum (1 in the full layout; 2 on the
-interior last-axis planes of the half one) -- so the kernel functions below
-`SpectralField` take either.  They act on raw (C, shape) arrays: transforms,
-first-derivative and curl coefficients, physical gradients, Parseval norms
-and inner products, derivative multipliers, integrating factors, mode-0
-zeroing, Leray projection, and L^p norms of pointwise magnitudes.  The
-transforms, physical gradients, Parseval norms and L^p norms also take stacks
-with leading batch axes.  The field methods, the solver and the constants
-calibration are built on them.
+`PeriodicGrid` describes the layout: the sample `shape`, the coefficient
+`coeff_shape`, wavevectors `k`, `ksq`, integer `modes`, the first-derivative
+wavevectors `kd` (Nyquist planes zeroed) and multipliers `ik`, the dealias
+mask, per-axis `k1d`, the Parseval weight `herm` and the Sobolev multipliers.  The kernel functions below
+`SpectralField` take the grid and act on raw (C, coeff_shape) arrays:
+transforms, first-derivative and curl coefficients, physical gradients,
+Parseval norms and inner products, derivative multipliers, integrating
+factors, mode-0 zeroing, Leray projection, and L^p norms of pointwise
+magnitudes.  The transforms, physical gradients, Parseval norms and L^p norms
+also take stacks with leading batch axes.  The field methods, the solver and
+the constants calibration are built on them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import scipy.fft as _fft
 
 __all__ = [
     "PeriodicGrid",
-    "HalfSpectrum",
     "SpectralField",
     "to_coeffs",
     "to_samples",
@@ -59,54 +59,12 @@ __all__ = [
 ]
 
 
-class _Spectrum:
-    """The mode data a spectrum descriptor derives from its wavevectors `k`,
-    `ksq` and integer `modes`, built on first use."""
-
-    @cached_property
-    def inv_ksq(self) -> np.ndarray:
-        """1/|k|^2 per mode, 0 at k = 0."""
-        inv = np.zeros_like(self.ksq)
-        nz = self.ksq > 0
-        inv[nz] = 1.0 / self.ksq[nz]
-        return inv
-
-    @cached_property
-    def ik(self) -> np.ndarray:
-        """(dim, shape) first-derivative multipliers i k_a, with the Nyquist
-        plane of axis a zeroed (its sign is not representable)."""
-        ik = 1j * self.k
-        for a in range(self.dim):
-            ik[a][self.modes[a] == -(self.N // 2)] = 0.0
-        return ik
-
-    def sobolev_multiplier(self, s: int) -> np.ndarray:
-        """sum_{|alpha| <= s} prod_a k_a^(2 alpha_a), the H^s Parseval weight."""
-        if s not in (0, 1, 2, 3):
-            raise ValueError(f"Sobolev order must be in 0..3, got {s}")
-        if s not in self._sob_mult:
-            mult = np.zeros(self.shape)
-            for total in range(s + 1):
-                for alpha in _multi_indices(self.dim, total):
-                    term = np.ones(self.shape)
-                    for a, p in enumerate(alpha):
-                        if p:
-                            term = term * self.k[a] ** (2 * p)
-                    mult += term
-            mult.setflags(write=False)
-            self._sob_mult[s] = mult
-        return self._sob_mult[s]
-
-
-class PeriodicGrid(_Spectrum):
-    """Uniform N^dim grid on the periodic cube [0, L]^dim, and the spectrum
-    descriptor of its full (fftn) layout.
+class PeriodicGrid:
+    """Uniform N^dim grid on the periodic cube [0, L]^dim, and the descriptor
+    of its coefficient layout (module docstring).
 
     N must be even and >= 4 so the 2/3-dealiased band is non-empty.
     """
-
-    real = False  # the full complex layout: fftn / ifftn
-    herm = 1.0    # Parseval weight of a stored mode: each mode is stored once
 
     def __init__(self, L: float, dim: int, N: int):
         if L <= 0:
@@ -118,34 +76,71 @@ class PeriodicGrid(_Spectrum):
         self.L = float(L)
         self.dim = int(dim)
         self.N = int(N)
+        self.shape = (N,) * dim  # the samples
+        n_last = N // 2 + 1
+        self.coeff_shape = (N,) * (dim - 1) + (n_last,)
         m1 = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
-        self.k1d = ((2.0 * np.pi / float(L)) * m1.astype(np.float64),) * dim  # per axis
-        mgrids = np.meshgrid(*([m1] * dim), indexing="ij")
-        self.modes = np.stack(mgrids)  # (dim, N, ..., N) integer mode vectors
+        m_axes = (m1,) * (dim - 1) + (m1[:n_last],)  # last axis: 0, ..., N/2 - 1, -N/2
+        self.k1d = tuple((2.0 * np.pi / self.L) * m.astype(np.float64) for m in m_axes)
+        self.modes = np.stack(np.meshgrid(*m_axes, indexing="ij"))  # (dim, coeff_shape)
         self.k = (2.0 * np.pi / self.L) * self.modes.astype(np.float64)
         self.ksq = np.sum(self.k * self.k, axis=0)
         # 2/3 rule: |m_a| < N/3 on every axis, so a product's modes beyond the
         # band (|m_a| < 2N/3) alias onto |m_a| > N/3, outside it
         self.dealias_mask = np.all(np.abs(self.modes) < N / 3.0, axis=0)
+        herm = np.full(n_last, 2.0)
+        herm[0] = herm[-1] = 1.0
+        self.herm = herm
         self.cell_volume = (self.L / N) ** dim
         self.volume = self.L**dim
-        self.shape = (N,) * dim
         self.axes = tuple(range(-dim, 0))  # the grid axes of a (..., grid) array
         self._sob_mult: dict[int, np.ndarray] = {}
 
     @cached_property
-    def half(self) -> "HalfSpectrum":
-        """The descriptor of the half (rfftn) layout of this grid's real fields."""
-        return HalfSpectrum(self)
+    def kd(self) -> np.ndarray:
+        """(dim, coeff_shape) wavevectors of the first derivative: k with the
+        Nyquist plane of each axis a zeroed in component a (its sign is not
+        representable), so kd(-m) = -kd(m) on every mode."""
+        kd = self.k.copy()
+        for a in range(self.dim):
+            kd[a][self.modes[a] == -(self.N // 2)] = 0.0
+        return kd
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """(dim, coeff_shape) first-derivative multipliers i kd_a."""
+        return 1j * self.kd
+
+    @cached_property
+    def inv_kdsq(self) -> np.ndarray:
+        """1/|kd|^2 per mode, 0 where kd = 0: the Leray projection's weight."""
+        kdsq = np.sum(self.kd * self.kd, axis=0)
+        inv = np.zeros_like(kdsq)
+        nz = kdsq > 0
+        inv[nz] = 1.0 / kdsq[nz]
+        return inv
+
+    def sobolev_multiplier(self, s: int) -> np.ndarray:
+        """sum_{|alpha| <= s} prod_a k_a^(2 alpha_a), the H^s Parseval weight."""
+        if s not in (0, 1, 2, 3):
+            raise ValueError(f"Sobolev order must be in 0..3, got {s}")
+        if s not in self._sob_mult:
+            mult = np.zeros(self.coeff_shape)
+            for total in range(s + 1):
+                for alpha in _multi_indices(self.dim, total):
+                    term = np.ones(self.coeff_shape)
+                    for a, p in enumerate(alpha):
+                        if p:
+                            term = term * self.k[a] ** (2 * p)
+                    mult += term
+            mult.setflags(write=False)
+            self._sob_mult[s] = mult
+        return self._sob_mult[s]
 
     def coords(self):
         """Sparse meshgrid of physical coordinates (x1, x2[, x3])."""
         x = self.L * np.arange(self.N) / self.N
         return np.meshgrid(*([x] * self.dim), indexing="ij", sparse=True)
-
-    # bound in the grid's own namespace too, where bench/spans.py looks for the
-    # public methods whose calls it counts
-    sobolev_multiplier = _Spectrum.sobolev_multiplier
 
     def __eq__(self, other):
         return (
@@ -162,46 +157,6 @@ class PeriodicGrid(_Spectrum):
         return f"PeriodicGrid(L={self.L}, dim={self.dim}, N={self.N})"
 
 
-class HalfSpectrum(_Spectrum):
-    """The spectrum descriptor of a grid's half (rfftn) layout.
-
-    A real field's coefficients are stored on the first N/2 + 1 last-axis
-    planes of the full layout, 0 <= m_last <= N/2; the rest is their conjugate
-    mirror.  The descriptor's arrays are the grid's restricted to those planes.
-    In a Parseval sum the planes 0 < m_last < N/2 stand for themselves and
-    their mirror, so `herm` weights them by 2.  It keeps no reference to the
-    grid, so the grid's cache of it forms no reference cycle.
-    """
-
-    real = True  # rfftn / irfftn
-
-    def __init__(self, grid: PeriodicGrid):
-        self.dim, self.N, self.volume, self.axes = grid.dim, grid.N, grid.volume, grid.axes
-        self.samples_shape = grid.shape
-        self.n_last = grid.N // 2 + 1
-        self.shape = grid.shape[:-1] + (self.n_last,)
-        self.modes = self.restrict(grid.modes)
-        self.k, self.ksq, self.dealias_mask = (
-            np.ascontiguousarray(self.restrict(a)) for a in (grid.k, grid.ksq, grid.dealias_mask))
-        self.k1d = grid.k1d[:-1] + (grid.k1d[-1][: self.n_last],)
-        herm = np.full(self.n_last, 2.0)
-        herm[0] = herm[-1] = 1.0
-        self.herm = herm
-        self._sob_mult: dict[int, np.ndarray] = {}
-
-    def restrict(self, coeffs) -> np.ndarray:
-        """The half-layout part (a view) of a full-layout (..., C, grid) array."""
-        return coeffs[..., : self.n_last]
-
-    def extend(self, coeffs) -> np.ndarray:
-        """The full-layout array of a half-layout one: its planes as they are,
-        then their exact conjugate mirror c(-m) = conj(c(m)) for m_last < 0."""
-        tail = coeffs[..., self.n_last - 2 : 0 : -1]  # m_last = N/2 - 1, ..., 1
-        for ax in self.axes[:-1]:  # m_a -> -m_a on the other axes
-            tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
-        return np.concatenate((coeffs, np.conj(tail)), axis=-1)
-
-
 def _multi_indices(dim, total):
     """All multi-indices of the given dimension summing to `total`."""
     if dim == 1:
@@ -213,7 +168,8 @@ def _multi_indices(dim, total):
 
 
 class SpectralField:
-    """Real scalar/vector field stored as normalized Fourier coefficients.
+    """Real scalar/vector field stored as its normalized half-spectrum
+    coefficients, a (C, grid.coeff_shape) array.
 
     Fields are immutable values: every operation returns a new instance and
     the coefficient array is marked read-only.
@@ -223,9 +179,9 @@ class SpectralField:
 
     def __init__(self, grid: PeriodicGrid, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != grid.shape:
+        if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != grid.coeff_shape:
             raise ValueError(
-                f"coefficient shape {coeffs.shape} does not match grid {grid.shape}"
+                f"coefficient shape {coeffs.shape} does not match grid {grid.coeff_shape}"
             )
         if coeffs.shape[0] not in (1, 2, 3):
             raise ValueError(f"components must be 1..3, got {coeffs.shape[0]}")
@@ -248,7 +204,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: PeriodicGrid, components: int) -> "SpectralField":
-        c = np.zeros((components,) + grid.shape, dtype=np.complex128)
+        c = np.zeros((components,) + grid.coeff_shape, dtype=np.complex128)
         return cls(grid, c)
 
     # -- basic queries -------------------------------------------------------
@@ -258,20 +214,12 @@ class SpectralField:
         return self.coeffs.shape[0]
 
     def physical(self) -> np.ndarray:
-        """Grid samples (real part of the inverse transform)."""
+        """Grid samples (the inverse transform)."""
         return to_samples(self.grid, self.coeffs)
 
     def mean(self) -> np.ndarray:
         """Integral mean over the box, one entry per component."""
         return self.coeffs[_mode0(self.coeffs)].real.copy()
-
-    def hermitian_defect(self) -> float:
-        """Max |c(-m) - conj(c(m))| over all modes (0 for real fields)."""
-        axes = tuple(range(1, self.grid.dim + 1))
-        flipped = self.coeffs.copy()
-        for ax in axes:
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        return float(np.max(np.abs(flipped - np.conj(self.coeffs))))
 
     # -- calculus ------------------------------------------------------------
 
@@ -286,7 +234,7 @@ class SpectralField:
         return SpectralField(self.grid, div[None])
 
     def leray_project(self) -> "SpectralField":
-        """Remove the gradient part per mode: u_hat -= k (k.u_hat)/|k|^2."""
+        """Remove the gradient part per mode: u_hat -= kd (kd.u_hat)/|kd|^2."""
         if self.components != self.grid.dim:
             raise ValueError("projection requires a vector field with components == dim")
         return SpectralField(self.grid, leray_project_coeffs(self.grid, self.coeffs))
@@ -351,39 +299,31 @@ class SpectralField:
         return f"SpectralField(components={self.components}, grid={self.grid!r})"
 
 
-# -- kernel: operations on raw (C, shape) arrays in either layout -------------
-#
-# `sp` is a spectrum descriptor: a `PeriodicGrid` for the full layout or a
-# `HalfSpectrum` for the half one.
+# -- kernel: operations on raw (C, coeff_shape) arrays ------------------------
 
 
-def to_coeffs(sp, samples) -> np.ndarray:
-    """Normalized coefficients of a raw (..., C, grid) sample array."""
-    if sp.real:
-        return _fft.rfftn(samples, axes=sp.axes, norm="forward")
-    return _fft.fftn(samples, axes=sp.axes, norm="forward")
+def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
+    """Normalized coefficients of a raw (..., C, shape) sample array."""
+    return _fft.rfftn(samples, axes=grid.axes, norm="forward")
 
 
-def to_samples(sp, coeffs) -> np.ndarray:
-    """Grid samples of a raw (..., C, shape) coefficient array (the real part
-    of the inverse in the full layout)."""
-    if sp.real:
-        return _fft.irfftn(coeffs, s=sp.samples_shape, axes=sp.axes, norm="forward")
-    return _fft.ifftn(coeffs, axes=sp.axes, norm="forward").real
+def to_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """Grid samples of a raw (..., C, coeff_shape) coefficient array."""
+    return _fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
 
 
-def derivative_coeffs(sp, coeffs, out=None) -> np.ndarray:
-    """(dim, ...) first-derivative coefficients i k_a c of a raw (..., shape)
-    coefficient array, through `ik`: the Nyquist plane is zeroed as
-    `SpectralField.derivative` zeroes it.  Written into `out` when given."""
-    ik = sp.ik.reshape((sp.dim,) + (1,) * (coeffs.ndim - sp.dim) + sp.shape)
+def derivative_coeffs(grid: PeriodicGrid, coeffs, out=None) -> np.ndarray:
+    """(dim, ...) first-derivative coefficients i kd_a c of a raw
+    (..., coeff_shape) array, through `ik` as `SpectralField.derivative`
+    takes them.  Written into `out` when given."""
+    ik = grid.ik.reshape((grid.dim,) + (1,) * (coeffs.ndim - grid.dim) + grid.coeff_shape)
     return np.multiply(ik, coeffs, out=out)
 
 
-def curl_coeffs(sp, coeffs, out) -> np.ndarray:
-    """(3, shape) coefficients of the curl i k x c of a raw (3, shape) array,
-    written into `out`."""
-    ik = sp.ik
+def curl_coeffs(grid: PeriodicGrid, coeffs, out) -> np.ndarray:
+    """(3, coeff_shape) coefficients of the curl i kd x c of a raw
+    (3, coeff_shape) array, written into `out`."""
+    ik = grid.ik
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
         np.multiply(ik[b], coeffs[c], out=out[a])
@@ -392,29 +332,29 @@ def curl_coeffs(sp, coeffs, out) -> np.ndarray:
 
 
 def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """(dim, ..., C, grid) physical first derivatives of a raw (..., C, grid)
-    full-layout coefficient array, through `PeriodicGrid.ik`: the Nyquist plane
-    is zeroed as `SpectralField.derivative` zeroes it."""
-    out = np.empty((grid.dim,) + coeffs.shape, dtype=float)
+    """(dim, ..., C, shape) physical first derivatives of a raw
+    (..., C, coeff_shape) coefficient array, through `ik` as
+    `SpectralField.derivative` takes them."""
+    out = np.empty((grid.dim,) + coeffs.shape[:-grid.dim] + grid.shape)
     for a in range(grid.dim):
         out[a] = to_samples(grid, grid.ik[a] * coeffs)
     return out
 
 
-def weighted_norm_sq(sp, coeffs, weight):
-    """|box| sum_m weight(m) |c(m)|^2 over the components of a raw (..., C, shape)
-    coefficient array and over the modes it stands for (`herm`): a squared
-    norm by Parseval, one per leading index of the array and of a stacked
-    (..., shape) weight."""
-    power = sp.herm * np.sum(np.abs(coeffs) ** 2, axis=-sp.dim - 1)
-    return sp.volume * np.sum(weight * power, axis=sp.axes)
+def weighted_norm_sq(grid: PeriodicGrid, coeffs, weight):
+    """|box| sum_m weight(m) |c(m)|^2 over the components of a raw
+    (..., C, coeff_shape) array and over the modes it stands for (`herm`): a
+    squared norm by Parseval, one per leading index of the array and of a
+    stacked (..., coeff_shape) weight."""
+    power = grid.herm * np.sum(np.abs(coeffs) ** 2, axis=-grid.dim - 1)
+    return grid.volume * np.sum(weight * power, axis=grid.axes)
 
 
-def inner_product(sp, a, b) -> float:
-    """|box| Re sum_m conj(a(m)) b(m) over all components of two raw (C, shape)
-    coefficient arrays and the modes they stand for: the L2 inner product by
-    Parseval."""
-    return float(sp.volume * np.sum(np.conj(a) * b * sp.herm).real)
+def inner_product(grid: PeriodicGrid, a, b) -> float:
+    """|box| Re sum_m conj(a(m)) b(m) over all components of two raw
+    (C, coeff_shape) arrays and the modes they stand for: the L2 inner product
+    by Parseval."""
+    return float(grid.volume * np.sum(np.conj(a) * b * grid.herm).real)
 
 
 def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
@@ -425,7 +365,7 @@ def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
         raise ValueError(f"bad multi-index {alpha} for dim {grid.dim}")
     if sum(alpha) > 3:
         raise ValueError(f"derivative order {sum(alpha)} exceeds 3")
-    mult = np.ones(grid.shape, dtype=np.complex128)
+    mult = np.ones(grid.coeff_shape, dtype=np.complex128)
     for a, p in enumerate(alpha):
         if p:
             # odd powers through `grid.ik`, whose Nyquist plane is zero
@@ -433,7 +373,7 @@ def derivative_multiplier(grid: PeriodicGrid, alpha) -> np.ndarray:
     return mult
 
 
-def integrating_factor(sp, visc, I_sub):
+def integrating_factor(grid: PeriodicGrid, visc, I_sub):
     """Per-mode exp(-nu |k|^2 h - i k . I) from its viscous part visc.
 
     The mean-advection phase factorizes over axes, so it costs one 1D
@@ -442,17 +382,17 @@ def integrating_factor(sp, visc, I_sub):
     if not np.any(I_sub != 0.0):
         return visc
     lam = visc.astype(np.complex128)
-    for a in range(sp.dim):
+    for a in range(grid.dim):
         if I_sub[a] != 0.0:
-            ph = np.exp(-1j * sp.k1d[a] * I_sub[a])
-            shape = [1] * sp.dim
+            ph = np.exp(-1j * grid.k1d[a] * I_sub[a])
+            shape = [1] * grid.dim
             shape[a] = len(ph)
             lam = lam * ph.reshape(shape)
     return lam
 
 
 def _mode0(coeffs):
-    """Index of mode 0 of every component of a (C, grid) array."""
+    """Index of mode 0 of every component of a (C, coeff_shape) array."""
     return (slice(None),) + (0,) * (coeffs.ndim - 1)
 
 
@@ -488,26 +428,28 @@ def grad_l3_norm(grid: PeriodicGrid, grads) -> float:
     return lp_norms(grid, gradient_magsq(grid, grads[:, None]), 3)[0]
 
 
-def _k_dot(sp, coeffs) -> np.ndarray:
-    """k . c per mode for a (dim, shape) coefficient array."""
-    kdotu = np.zeros(sp.shape, dtype=np.complex128)
-    for a in range(sp.dim):
-        kdotu += sp.k[a] * coeffs[a]
+def _k_dot(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """kd . c per mode for a (dim, coeff_shape) array: the divergence over i.
+    kd is odd in m, so it maps a real field's coefficients to a real field's."""
+    kdotu = np.zeros(grid.coeff_shape, dtype=np.complex128)
+    for a in range(grid.dim):
+        kdotu += grid.kd[a] * coeffs[a]
     return kdotu
 
 
-def leray_project_coeffs(sp, coeffs) -> np.ndarray:
-    """Leray projection of a raw (dim, shape) coefficient array: c - k (k.c)/|k|^2."""
-    corr = _k_dot(sp, coeffs) * sp.inv_ksq
+def leray_project_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """Leray projection of a raw (dim, coeff_shape) array: c - kd (kd.c)/|kd|^2."""
+    corr = _k_dot(grid, coeffs) * grid.inv_kdsq
     out = np.array(coeffs, dtype=np.complex128)
-    for a in range(sp.dim):
-        out[a] -= sp.k[a] * corr
+    for a in range(grid.dim):
+        out[a] -= grid.kd[a] * corr
     return out
 
 
-def gradient_part_normsq(sp, coeffs) -> float:
-    """||c - P c||_L2^2 = |box| sum |k.c|^2/|k|^2 for the Leray projection P."""
-    return float(sp.volume * np.sum(np.abs(_k_dot(sp, coeffs)) ** 2 * sp.inv_ksq * sp.herm))
+def gradient_part_normsq(grid: PeriodicGrid, coeffs) -> float:
+    """||c - P c||_L2^2 = |box| sum |kd.c|^2/|kd|^2 for the Leray projection P."""
+    return float(grid.volume * np.sum(np.abs(_k_dot(grid, coeffs)) ** 2 * grid.inv_kdsq
+                                      * grid.herm))
 
 
 def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField:
@@ -522,8 +464,13 @@ def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField
         raise ValueError("2D and 3D grids must share L and N")
     if field2d.components != 2:
         raise ValueError("lift expects a 2-component velocity")
-    out = np.zeros((3,) + grid3d.shape, dtype=np.complex128)
-    out[0:2, :, :, 0] = field2d.coeffs
+    # the k3 = 0 plane holds every (m1, m2): the stored 2D planes, then their
+    # exact conjugate mirror c(m1, -m2) = conj(c(-m1, m2)) for 0 < m2 < N/2
+    c, n = field2d.coeffs, g2.coeff_shape[-1]
+    mirror = np.roll(np.flip(c[:, :, n - 2 : 0 : -1], axis=1), 1, axis=1)
+    out = np.zeros((3,) + grid3d.coeff_shape, dtype=np.complex128)
+    out[0:2, :, :n, 0] = c
+    out[0:2, :, n:, 0] = np.conj(mirror)
     return SpectralField(grid3d, out)
 
 
@@ -540,12 +487,12 @@ def random_field(
     """Random real field with an optional Gaussian spectral envelope.
 
     `band` restricts integer mode magnitudes |m| to [lo, hi]; `k0` applies the
-    envelope exp(-|k|^2 / k0^2).  Built from white physical noise so Hermitian
-    symmetry is exact.
+    envelope exp(-|k|^2 / k0^2).  Built from white physical noise, so the
+    field is real.
     """
     samples = rng.standard_normal((components,) + grid.shape)
     f = SpectralField.from_physical(grid, samples)
-    env = np.ones(grid.shape)
+    env = np.ones(grid.coeff_shape)
     if k0 is not None:
         env = env * np.exp(-grid.ksq / float(k0) ** 2)
     if band is not None:

@@ -31,13 +31,14 @@ TWO_PI = 2.0 * np.pi
 
 
 def naive_dft(samples, grid):
-    """O(N^2) reference DFT with the same normalization as the package."""
+    """O(N^2) reference DFT with the same normalization and layout as the
+    package: the modes with 0 <= m_last <= N/2."""
     N, dim = grid.N, grid.dim
     m1 = np.fft.fftfreq(N, 1.0 / N).astype(int)
     x1 = np.arange(N) / N
-    out = np.zeros((samples.shape[0],) + grid.shape, dtype=complex)
+    out = np.zeros((samples.shape[0],) + grid.coeff_shape, dtype=complex)
     for c in range(samples.shape[0]):
-        for midx in itertools.product(range(N), repeat=dim):
+        for midx in itertools.product(*map(range, grid.coeff_shape)):
             m = [m1[i] for i in midx]
             phase = np.zeros(grid.shape)
             for a, xg in enumerate(np.meshgrid(*([x1] * dim), indexing="ij")):
@@ -63,6 +64,9 @@ class TestGrid:
         assert g.k[0][-1, 0] == pytest.approx(-1.0)
         assert g.modes[0].max() == 3  # fftfreq convention: Nyquist stored as -N/2
         assert g.modes[0].min() == -4
+        # the last axis keeps 0 <= m_last <= N/2, its Nyquist plane also as -N/2
+        assert g.coeff_shape == (8, 5) and g.shape == (8, 8)
+        assert g.modes[1][0].tolist() == [0, 1, 2, 3, -4]
 
     def test_dealias_mask(self):
         g = PeriodicGrid(L=1.0, dim=2, N=8)
@@ -106,6 +110,8 @@ class TestTransforms:
         g = PeriodicGrid(L=1.0, dim=2, N=8)
         with pytest.raises(ValueError):
             SpectralField.from_physical(g, np.zeros((7, 8)))
+        with pytest.raises(ValueError):  # a full-spectrum (C, N, N) array
+            SpectralField(g, np.zeros((2, 8, 8), dtype=complex))
 
 
 class TestDerivative:
@@ -134,12 +140,15 @@ class TestDerivative:
         base = random_field(gc, 1, rng, band=(0, 3), mean_free=False)
         for N in (16, 32):
             g = PeriodicGrid(L=L, dim=2, N=N)
-            c = np.zeros((1,) + g.shape, dtype=complex)
-            # re-embed the same coefficients on the finer grid
-            for (m1, m2), val in np.ndenumerate(base.coeffs[0]):
-                mm1 = gc.modes[0][m1, m2]
-                mm2 = gc.modes[1][m1, m2]
-                c[0, mm1, mm2] = val
+            c = np.zeros((1,) + g.coeff_shape, dtype=complex)
+            # re-embed the same coefficients on the finer grid; the band leaves
+            # the coarse Nyquist planes empty
+            for (i, j), val in np.ndenumerate(base.coeffs[0]):
+                mm1, mm2 = gc.modes[:, i, j]
+                if -gc.N // 2 in (mm1, mm2):
+                    assert val == 0
+                else:
+                    c[0, mm1, mm2] = val
             f = SpectralField(g, c)
             spec = f.derivative((1, 1)).physical()[0]
             u = f.physical()[0]
@@ -200,51 +209,51 @@ class TestKernel:
 
     def test_zero_mode0_in_place(self):
         g = PeriodicGrid(L=TWO_PI, dim=2, N=8)
-        c = np.ones((2,) + g.shape, dtype=complex)
+        c = np.ones((2,) + g.coeff_shape, dtype=complex)
         assert zero_mode0(c) is c
         assert np.all(c[:, 0, 0] == 0.0)
         assert np.sum(c == 0.0) == 2
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_half_layout_matches_full(self, dim):
-        # every kernel operation on the half (rfftn) layout gives the full
-        # layout's result on its first N/2 + 1 last-axis planes, to roundoff
+        # the one (rfftn) layout against an independent oracle: numpy's full
+        # fftn spectrum, its first N/2 + 1 last-axis planes, and Parseval sums
+        # over the whole array.  White noise fills the Nyquist planes.
         g = PeriodicGrid(L=2.5, dim=dim, N=8)
-        half, n = g.half, g.N // 2 + 1
-        rng = np.random.default_rng(dim + 20)
-        u, v = (random_field(g, dim, rng, mean_free=False) for _ in range(2))
-        cu, cv = u.coeffs[..., :n], v.coeffs[..., :n]
-        assert half.shape == g.shape[:-1] + (n,)
-        assert np.allclose(to_coeffs(half, u.physical()), cu, rtol=0, atol=1e-15)
-        assert np.allclose(to_samples(half, cu), u.physical(), rtol=0, atol=1e-14)
-        weights = np.stack([g.sobolev_multiplier(s) for s in range(4)] + [g.ksq])
-        full = weighted_norm_sq(g, u.coeffs, weights)
-        assert np.allclose(weighted_norm_sq(half, cu, weights[..., :n]), full, rtol=1e-14, atol=0)
-        assert inner_product(half, cu, cv) == pytest.approx(inner_product(g, u.coeffs, v.coeffs),
-                                                            rel=1e-13)
-        # k . c is odd in m only off the Nyquist planes (see `leray_project_coeffs`)
-        dealiased = u.dealias().coeffs
-        assert gradient_part_normsq(half, dealiased[..., :n]) == pytest.approx(
-            gradient_part_normsq(g, dealiased), rel=1e-13)
-        assert np.array_equal(leray_project_coeffs(half, dealiased[..., :n]),
-                              leray_project_coeffs(g, dealiased)[..., :n])
-        visc, shift = np.exp(-0.3 * g.ksq), np.array([0.2, -0.7, 1.1][:dim])
-        assert np.array_equal(integrating_factor(half, visc[..., :n], shift),
-                              integrating_factor(g, visc, shift)[..., :n])
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_half_layout_extends_to_conjugate_mirror(self, dim):
-        g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
         n = g.N // 2 + 1
-        c = to_coeffs(g.half, np.random.default_rng(dim).standard_normal((dim,) + g.shape))
-        full = g.half.extend(c)
-        assert full.shape == (dim,) + g.shape
-        assert np.array_equal(full[..., :n], c)
-        mirrored = full  # c(-m) at index m
-        for ax in range(1, dim + 1):
-            mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-        assert np.array_equal(full[..., n:], np.conj(mirrored[..., n:]))
-        assert SpectralField(g, full).hermitian_defect() < 1e-15
+        rng = np.random.default_rng(dim + 20)
+        su, sv = rng.standard_normal((2, dim) + g.shape)
+        fu, fv = (np.fft.fftn(x, axes=g.axes, norm="forward") for x in (su, sv))
+        cu, cv = to_coeffs(g, su), to_coeffs(g, sv)
+        assert cu.shape == (dim,) + g.coeff_shape == (dim,) + g.shape[:-1] + (n,)
+        assert np.allclose(cu, fu[..., :n], rtol=0, atol=1e-15)
+        assert np.allclose(to_samples(g, cu), su, rtol=0, atol=1e-14)
+        m = np.stack(np.meshgrid(*([np.fft.fftfreq(g.N, 1.0 / g.N)] * dim), indexing="ij"))
+        k = (TWO_PI / g.L) * m
+        ksq = np.sum(k**2, axis=0)
+        weights = [sum(np.prod([k[a] ** (2 * p) for a, p in enumerate(alpha)], axis=0)
+                       for alpha in itertools.product(range(s + 1), repeat=dim)
+                       if sum(alpha) <= s) for s in range(4)] + [ksq]
+        power = np.sum(np.abs(fu) ** 2, axis=0)
+        want = [g.volume * np.sum(w * power) for w in weights]
+        stacked = np.stack([g.sobolev_multiplier(s) for s in range(4)] + [g.ksq])
+        assert np.allclose(weighted_norm_sq(g, cu, stacked), want, rtol=1e-14, atol=0)
+        assert inner_product(g, cu, cv) == pytest.approx(
+            g.volume * np.sum(np.conj(fu) * fv).real, rel=1e-13)
+        # the projection's wavevector: k with the Nyquist plane of each axis
+        # zeroed, odd in m, so the projection of a real field stays real
+        kd = np.where(m == -(g.N // 2), 0.0, k)
+        kdsq = np.sum(kd**2, axis=0)
+        inv = np.divide(1.0, kdsq, out=np.zeros_like(kdsq), where=kdsq > 0)
+        kdotu = np.sum(kd * fu, axis=0)
+        assert gradient_part_normsq(g, cu) == pytest.approx(
+            g.volume * np.sum(np.abs(kdotu) ** 2 * inv), rel=1e-13)
+        projected = leray_project_coeffs(g, cu)
+        assert np.allclose(projected, (fu - kd * kdotu * inv)[..., :n], rtol=0, atol=1e-15)
+        shift = np.array([0.2, -0.7, 1.1][:dim])
+        lam = np.exp(-0.3 * ksq - 1j * np.sum(k * shift.reshape((dim,) + (1,) * dim), axis=0))
+        assert np.allclose(integrating_factor(g, np.exp(-0.3 * g.ksq), shift), lam[..., :n],
+                           rtol=0, atol=1e-15)
 
     def test_grad_l3_norm_of_unit_gradient(self):
         # u = (sin x1, cos x1) has |grad u| = 1 pointwise, so ||grad u||_L3 = L^(2/3)
@@ -413,7 +422,7 @@ class TestDealias:
 
     def test_nyquist_mode_removed(self):
         g = PeriodicGrid(L=1.0, dim=2, N=8)
-        c = np.zeros((1,) + g.shape, dtype=complex)
+        c = np.zeros((1,) + g.coeff_shape, dtype=complex)
         c[0, 4, 0] = 1.0  # m = (-N/2, 0) plane
         assert np.max(np.abs(SpectralField(g, c).dealias().coeffs)) == 0.0
 
@@ -434,15 +443,20 @@ class TestDealias:
             u = random_field(g, 1, rng, mean_free=False).dealias()
             v = random_field(g, 1, rng, mean_free=False).dealias()
             prod = SpectralField.from_physical(g, u.physical() * v.physical()).dealias()
-            modes = g.modes.reshape(2, -1).T
-            a, b = u.coeffs[0].ravel(), v.coeffs[0].ravel()
+            # the convolution runs over the full spectrum, mirror modes included
+            m_axis = np.fft.fftfreq(N, 1.0 / N).astype(int)
+            full_modes = np.stack(np.meshgrid(m_axis, m_axis, indexing="ij"))
+            band = np.all(np.abs(full_modes) < N / 3, axis=0)
+            modes = full_modes[:, band].T
+            a, b = (np.fft.fft2(f.physical()[0], norm="forward")[band] for f in (u, v))
             conv = np.zeros(g.shape, dtype=complex)
-            for m1, x in zip(modes[a != 0], a[a != 0]):
-                for m2, y in zip(modes[b != 0], b[b != 0]):
+            for m1, x in zip(modes, a):
+                for m2, y in zip(modes, b):
                     m = m1 + m2  # the product's mode before any wrap-around
-                    if np.all(np.abs(m) < N / 2) and g.dealias_mask[tuple(m % N)]:
+                    if np.all(np.abs(m) < N / 2) and band[tuple(m % N)]:
                         conv[tuple(m % N)] += x * y
-            assert np.max(np.abs(prod.coeffs[0] - conv)) < 1e-13, N
+            n = N // 2 + 1
+            assert np.max(np.abs(prod.coeffs[0] - conv[:, :n])) < 1e-13, N
 
 
 class TestLift:
@@ -457,10 +471,20 @@ class TestLift:
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         x1, x2 = g2.coords()
         tg = np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)])
-        u3 = lift_2d_to_3d(SpectralField.from_physical(g2, tg), g3)
+        u2 = SpectralField.from_physical(g2, tg)
+        u3 = lift_2d_to_3d(u2, g3)
         assert np.max(np.abs(u3.coeffs[:, :, :, 1:])) == 0.0
         assert np.max(np.abs(u3.derivative((0, 0, 1)).coeffs)) == 0.0
         assert np.max(np.abs(u3.coeffs[2])) == 0.0
+        # white noise fills every plane of the 2D half spectrum, the Nyquist
+        # planes included: the lift's conjugate mirror on the k3 = 0 plane
+        # reproduces its samples at every x3
+        for u2 in (u2, random_field(g2, 2, np.random.default_rng(22), mean_free=False)):
+            u3 = lift_2d_to_3d(u2, g3)
+            assert np.all(u3.coeffs[:, :, :, 1:] == 0.0)
+            samples = u3.physical()
+            assert np.max(np.abs(samples[:2] - u2.physical()[..., None])) < 1e-15
+            assert np.all(samples[2] == 0.0)
 
     def test_norm_bookkeeping(self):
         rng = np.random.default_rng(16)
@@ -479,11 +503,16 @@ class TestLift:
 
 class TestStructuralProperties:
     def test_hermitian_symmetry_random(self):
+        # a real field's coefficients survive the round trip through its
+        # samples: the planes m_last = 0 and m_last = N/2 hold both modes of
+        # their mirror pairs, and the samples keep only their Hermitian part.
+        # The projected fields carry Nyquist content.
         rng = np.random.default_rng(17)
         g = PeriodicGrid(L=1.0, dim=2, N=12)
-        for _ in range(100):
-            u = random_field(g, 2, rng, mean_free=False)
-            assert u.hermitian_defect() < 1e-13
+        for i in range(100):
+            u = random_field(g, 2, rng, mean_free=False, solenoidal=i % 2 == 1)
+            c = u.coeffs
+            assert np.max(np.abs(to_coeffs(g, to_samples(g, c)) - c)) < 1e-14
 
     def test_parseval_random(self):
         rng = np.random.default_rng(18)
@@ -554,7 +583,8 @@ def test_layout_stays_in_spectral():
     mode indices: every use of the coefficient layout goes through its kernel."""
     import nsbox
 
-    layout = re.compile(r"scipy\.fft|from scipy import fft|\.k1d\b|\.k\[|\.modes\b")
+    layout = re.compile(r"scipy\.fft|from scipy import fft|(?:np|numpy)\.fft|\.k1d\b|\.k\[|"
+                        r"\.modes\b")
     leaks = [f"{path.name}: {m.group()}"
              for path in sorted(pathlib.Path(nsbox.__file__).parent.glob("*.py"))
              if path.name != "spectral.py"
