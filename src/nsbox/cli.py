@@ -41,6 +41,7 @@ from nsbox.solver import (
     SolverAbort,
     SolverConfig,
     _sample_plan,
+    _SCHEMES,
     evolve_base_2d,
     evolve_full_3d,
     evolve_pair,
@@ -89,7 +90,7 @@ def _numbers(x):
 _GRID = {"L": _positive, "N": _is_int}
 _SOLVER = {
     "nu": _positive, "dt": _positive, "t_end": _positive,
-    "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
+    "scheme": lambda v: v in _SCHEMES, "cfl_max": _positive,
 }
 _INITIAL = {
     "kind": lambda v: v in ("zero", "taylor_green", "random", "snapshot", "single_mode"),
@@ -130,7 +131,7 @@ SCHEMAS = {
         "scenario": {
             "L": _positive, "N": _is_int, "nu": _positive, "T": _positive,
             "windows": _is_int, "dt": _positive,
-            "scheme": lambda v: v in ("imex-cnab2", "rk3-imex"), "cfl_max": _positive,
+            "scheme": lambda v: v in _SCHEMES, "cfl_max": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
             "calibration_seed": _count, "calibration_fields": _positive_count, "k_max": _count,
             "base_amplitude": _nonneg, "force_constant": _numbers, "force_amplitude": _nonneg,
@@ -220,31 +221,45 @@ def _build_grid(cfg, dim):
     return PeriodicGrid(L=g.get("L", 2 * np.pi), dim=dim, N=g.get("N", 32))
 
 
-def _build_initial(grid, icfg, seed_override=None, role="base2d"):
+def _read_snapshot_on(path, grid):
+    """The snapshot at `path`, which must hold a velocity on `grid`; a corrupt
+    file raises nsio.SnapshotError."""
+    try:
+        state = nsio.read_snapshot(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc.strerror}") from exc
+    g, comp = state.field.grid, state.field.components
+    if (g.dim, g.N, g.L, comp) != (grid.dim, grid.N, grid.L, grid.dim):
+        raise ConfigError(f"snapshot {path} holds {comp} components on a {g.dim}D grid with "
+                          f"N={g.N}, L={g.L}; the config needs {grid.dim} on a {grid.dim}D grid "
+                          f"with N={grid.N}, L={grid.L}")
+    return state
+
+
+def _build_initial(grid, icfg, seed_override=None):
     kind = icfg.get("kind", "zero")
     comp = 2 if grid.dim == 2 else 3
     mean = np.asarray(icfg.get("mean", [0.0] * comp), dtype=float)
     if kind == "zero":
-        return FlowState(0.0, SpectralField.zeros(grid, comp), mean, role)
+        return FlowState(0.0, SpectralField.zeros(grid, comp), mean)
     if kind == "taylor_green":
-        st = taylor_green_state(grid if grid.dim == 2 else PeriodicGrid(grid.L, 2, grid.N),
-                                amplitude=icfg.get("amplitude", 1.0))
-        if grid.dim == 3:
-            return FlowState(0.0, lift_2d_to_3d(st.field, grid), np.concatenate([st.mean, [0.0]]),
-                             role)
-        return FlowState(0.0, st.field, mean, role)
+        f = taylor_green_state(grid if grid.dim == 2 else PeriodicGrid(grid.L, 2, grid.N),
+                               amplitude=icfg.get("amplitude", 1.0)).field
+        return FlowState(0.0, f if grid.dim == 2 else lift_2d_to_3d(f, grid), mean)
     if kind == "single_mode":
         f = single_mode_profile(grid, icfg.get("mode", (1, 0)),
                                 amplitude=icfg.get("amplitude", 1.0))
-        return FlowState(0.0, f, mean, role)
+        return FlowState(0.0, f, mean)
     if kind == "random":
         seed = seed_override if seed_override is not None else icfg.get("seed", 0)
         rng = np.random.default_rng(seed)
         band = tuple(icfg.get("band", (1, grid.N // 4)))
         f = random_field(grid, comp, rng, band=band, k0=icfg.get("k0"), solenoidal=True)
-        return FlowState(0.0, f * icfg.get("amplitude", 1.0), mean, role)
+        return FlowState(0.0, f * icfg.get("amplitude", 1.0), mean)
     if kind == "snapshot":
-        return nsio.read_snapshot(icfg["path"])
+        if "path" not in icfg:
+            raise ConfigError("an initial state of kind 'snapshot' needs a path")
+        return _read_snapshot_on(icfg["path"], grid)
     raise ConfigError(f"unsupported initial kind {kind!r}")
 
 
@@ -254,32 +269,33 @@ def _build_initial(grid, icfg, seed_override=None, role="base2d"):
 def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
     system = cfg.get("system", "base2d")
     dim = 2 if system == "base2d" else 3
-    scf = cfg.get("solver", {})
     out = cfg.get("output", {})
-    window_T, sample_times = out.get("window_T"), out.get("sample_times")
+    window_T, sample_times = out.get("window_T"), list(out.get("sample_times", ()))
     with _building():
         grid = _build_grid(cfg, dim)
-        solver_cfg = SolverConfig(
-            nu=scf.get("nu", 1.0), dt=scf.get("dt", 1e-3), t_end=scf.get("t_end", 1.0),
-            scheme=scf.get("scheme", "imex-cnab2"), cfl_max=scf.get("cfl_max", 0.5),
-        )
+        solver_cfg = SolverConfig(**{"nu": 1.0, "dt": 1e-3, "t_end": 1.0, **cfg.get("solver", {})})
+        if window_T is not None:
+            # states are also stored at every window boundary k * window_T
+            if solver_cfg.dt > window_T:
+                raise ValueError("dt exceeds the window length")
+            if solver_cfg.t_end < window_T:
+                raise ValueError("t_end shorter than one window")
+            n_windows = int((solver_cfg.t_end + 1e-9) // window_T)
+            sample_times += [round(k * window_T, 12) for k in range(n_windows + 1)]
+        _sample_plan(solver_cfg, sample_times)
         # the pair's base flow and its forcing live on the 2D grid
         grid0 = PeriodicGrid(grid.L, 2, grid.N) if system == "pair" else grid
-        state0 = _build_initial(grid0, cfg.get("initial", {}), seed,
-                                "full3d" if system == "full3d" else "base2d")
+        state0 = _build_initial(grid0, cfg.get("initial", {}), seed)
         forcing = build_forcing(grid0, cfg.get("forcing", {}), window_T)
         if system == "pair":
-            u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed,
-                                "perturbation")
+            u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed)
             g = build_forcing(grid, cfg.get("g_forcing", {}), window_T)
-        _sample_plan(solver_cfg, window_T, sample_times)
     if system == "pair":
-        traj = evolve_pair(state0, forcing, u0, g, solver_cfg, window_T=window_T,
-                           sample_times=sample_times)
+        traj = evolve_pair(state0, forcing, u0, g, solver_cfg, sample_times=sample_times)
         nsio.write_trajectory(os.path.join(outdir, "base"), traj.base, prefix="base")
     else:
         runner = evolve_base_2d if system == "base2d" else evolve_full_3d
-        traj = runner(state0, forcing, solver_cfg, window_T=window_T, sample_times=sample_times)
+        traj = runner(state0, forcing, solver_cfg, sample_times=sample_times)
     nsio.write_trajectory(outdir, traj)
     series = {k: v for k, v in traj.series.items() if np.asarray(v).ndim == 1}
     nsio.write_series_csv(os.path.join(outdir, "series.csv"), series)
@@ -342,7 +358,7 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
 
 @_building()
 def _scenario_from_config(cfg: dict) -> tuple:
-    """The scenario of a stability config and its `resume` snapshot path (or None)."""
+    """The scenario of a stability config and its `resume` perturbation (or None)."""
     s = dict(cfg.get("scenario", {}))
     resume = s.pop("resume", None)
     pert = PerturbationSpec(**cfg.get("perturbation", {}))
@@ -354,14 +370,11 @@ def _scenario_from_config(cfg: dict) -> tuple:
     scn.solver_config()
     scn.forcings()
     pert.mean_h1_sq(scn.L)
-    return scn, resume
+    u0 = None if resume is None else _read_snapshot_on(resume, PeriodicGrid(scn.L, 3, scn.N))
+    return scn, u0
 
 
-def _run_one_stability(scn: Scenario, resume, outdir: str, svg: bool) -> dict:
-    u0 = None
-    if resume:
-        u0 = nsio.read_snapshot(resume)  # integrity-checked; exit 3 on corruption
-        u0.role = "perturbation"
+def _run_one_stability(scn: Scenario, u0, outdir: str, svg: bool) -> dict:
     res = run_stability_experiment(scn, u0_override=u0)
     doc = {
         "schema": "nsbox-stability/1",
@@ -419,10 +432,10 @@ def cmd_stability(cfg: dict, outdir: str, seed, svg: bool, jobs: int) -> int:
         subs = [(cfg, outdir)]
     runs = []
     for sub, subdir in subs:
-        scn, resume = _scenario_from_config(sub)
+        scn, u0 = _scenario_from_config(sub)
         if seed is not None:
             scn.perturbation.seed = seed
-        runs.append((scn, resume, subdir, svg))
+        runs.append((scn, u0, subdir, svg))
     if jobs > 1 and len(runs) > 1:
         with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
             docs = list(ex.map(_run_one_stability, *zip(*runs)))

@@ -171,7 +171,7 @@ def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
     u = random_field(grid3, 3, rng, band=(spec.band[0], hi), k0=spec.k0, solenoidal=True)
     mean_h1_sq = spec.mean_h1_sq(grid3.L)
     scale = math.sqrt((spec.gamma * (1.0 - 1e-9) - mean_h1_sq) / u.sobolev_norm_sq(1))
-    return FlowState(0.0, u * scale, np.asarray(spec.mean, dtype=float), "perturbation")
+    return FlowState(0.0, u * scale, np.asarray(spec.mean, dtype=float))
 
 
 def build_forcing(grid: PeriodicGrid, fcfg: dict, window_T=None) -> Forcing:
@@ -432,7 +432,7 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     sm = None
     res = ExperimentResult(scn)
     try:
-        res.pert = evolve_pair(base0, fs, u0, g, scn.solver_config(), window_T=scn.T)
+        res.pert = evolve_pair(base0, fs, u0, g, scn.solver_config())
     except SolverAbort as exc:  # the chains stand without the simulation
         res.abort_diagnostic = str(exc)
     else:

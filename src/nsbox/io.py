@@ -57,7 +57,6 @@ def write_snapshot(path, state: FlowState) -> None:
         "components": field.components,
         "time": state.t,
         "mean": [float(m) for m in state.mean],
-        "role": state.role,
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     _atomic_write_bytes(path, _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
@@ -91,10 +90,7 @@ def read_snapshot(path) -> FlowState:
         spatial = list(range(1, grid.dim + 1))
         samples = shaped.transpose([0] + spatial[::-1])
         field = SpectralField.from_physical(grid, samples)
-        return FlowState(
-            t=header["time"], field=field, mean=np.asarray(header["mean"], float),
-            role=header.get("role", "base2d"),
-        )
+        return FlowState(t=header["time"], field=field, mean=np.asarray(header["mean"], float))
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SnapshotError(f"{path}: bad header: {exc!r}") from exc
 

@@ -43,6 +43,9 @@ RK3 also t + dt/2 and t + dt), and at each stage the perturbation reads the
 base's record of that stage.  Records are dropped once read: a stepper keeps
 only the explicit terms of the current step.
 
+A driver stores the state of every system at t = 0, at t_end and at each of
+its sample times, which must be step times; the per-step series are dense.
+
 Known defect: the perturbation's integrating factor reads the base mean at
 t + dt where it should read it at t.  Under a constant mean force the pair
 drifts from the full 3D flow at first order in dt.
@@ -148,7 +151,6 @@ class FlowState:
     t: float
     field: SpectralField
     mean: np.ndarray
-    role: str = "base2d"
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -245,10 +247,9 @@ class _Flow:
     rotational form (module docstring).
     """
 
-    def __init__(self, grid, forcing, role, base_forcing=None):
+    def __init__(self, grid, forcing, base_forcing=None):
         self.grid = grid
         self.forcing = forcing
-        self.role = role
         # the forcings of the advecting means, in the order of the stepper's means
         self.mean_forcings = (forcing,) if base_forcing is None else (forcing, base_forcing)
         # preallocated transform stacks: in 2D, u and grad u in and (u . grad) u
@@ -416,13 +417,12 @@ _PARSEVAL = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")  # squared norms by 
 
 
 class _Recorder:
-    """Dense per-step scalar series."""
+    """Dense per-step scalar series; a 2D flow's also include `gradv_l3`."""
 
-    def __init__(self, grid, role):
+    def __init__(self, grid):
         self.grid = grid
-        self.role = role
         keys = ("t", *_PARSEVAL, "forcing_inner", "fbar_l2_sq", "gradp_sq", "speed", "dudt_sq",
-                "mean") + (("gradv_l3",) if role == "base2d" else ())
+                "mean") + (("gradv_l3",) if grid.dim == 2 else ())
         self.data = {k: [] for k in keys}
         # the Parseval weights of the _PARSEVAL series, stacked
         self._weights = np.stack([grid.sobolev_multiplier(s) for s in range(4)] + [grid.ksq])
@@ -452,7 +452,7 @@ class _Recorder:
             d["dudt_sq"].append(0.0)
         # no copy: `_Stepper.finish` binds a new array and never writes to this one
         self._prev_coeffs = coeffs
-        if self.role == "base2d":
+        if grid.dim == 2:
             d["gradv_l3"].append(grad_l3_norm(grid, ev.grads))
 
     def finalize(self):
@@ -465,25 +465,16 @@ class _Recorder:
 # -- drivers ------------------------------------------------------------------
 
 
-def _sample_plan(cfg, window_T, sample_times):
-    """Sorted times at which states are stored; each must be a step time."""
-    times = {0.0, round(cfg.t_end, 12)}
-    if sample_times:
-        times.update(float(t) for t in sample_times)
-    if window_T is not None:
-        if cfg.dt > window_T:
-            raise ValueError("dt exceeds the window length")
-        if cfg.t_end < window_T:
-            raise ValueError("t_end shorter than one window")
-        k = 0
-        while k * window_T <= cfg.t_end + 1e-9:
-            times.add(round(k * window_T, 12))
-            k += 1
-    for t in times:
+def _sample_plan(cfg, sample_times):
+    """The steps at which states are stored: the first, the last and the step
+    of each sample time, which must be a step time in [0, t_end]."""
+    plan = {0, cfg.n_steps}
+    for t in map(float, sample_times or ()):
         n = round(t / cfg.dt)
         if not 0 <= n <= cfg.n_steps or abs(n * cfg.dt - t) > 1e-9:
             raise ValueError(f"sample time {t!r} is not a step time in [0, t_end]")
-    return sorted(times)
+        plan.add(n)
+    return plan
 
 
 def _check_cfl(t, dt, speed, grid, cfg):
@@ -493,31 +484,30 @@ def _check_cfl(t, dt, speed, grid, cfg):
         raise CFLViolation(t, cfl, cfg.cfl_max, advisory)
 
 
-def _evolve(systems, states0, cfg, window_T, sample_times):
+def _evolve(systems, states0, cfg, sample_times):
     """Advance coupled systems in lockstep; returns one Trajectory per system.
 
     Each system after the first is advected by the one before it: its RHS
     reads that system's evaluation at the same stage.  A step runs stage by
     stage, and each stage evaluates the systems in order.
     """
-    plan = _sample_plan(cfg, window_T, sample_times)
+    plan = _sample_plan(cfg, sample_times)
     n_steps = cfg.n_steps
     rk3 = cfg.scheme == "rk3-imex"
     steppers = [_Stepper(s, cfg, s0) for s, s0 in zip(systems, states0)]
-    recs = [_Recorder(s.grid, s.role) for s in systems]
+    recs = [_Recorder(s.grid) for s in systems]
     states = [[] for _ in systems]
     for n in range(n_steps + 1):
         t = n * cfg.dt
-        sampled = any(abs(t - ts) <= 1e-9 for ts in plan)
         speed, base = 0.0, None
         for st, rec, out in zip(steppers, recs, states):
             base = st.evaluate(t, base)
             speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
-            if sampled:
+            if n in plan:
                 # no copy: `_Stepper.finish` binds a new array and never writes to this one
                 field = SpectralField(st.system.grid, st.coeffs)
-                out.append(FlowState(t, field, st.mean.copy(), st.system.role))
+                out.append(FlowState(t, field, st.mean.copy()))
         if n == n_steps:
             break
         _check_cfl(t, cfg.dt, speed, steppers[-1].system.grid, cfg)
@@ -542,33 +532,23 @@ def _evolve(systems, states0, cfg, window_T, sample_times):
 
 
 def evolve_base_2d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
-                   *, window_T=None, sample_times=None) -> Trajectory:
+                   *, sample_times=None) -> Trajectory:
     """Advance the 2D base flow; the advecting velocity is the full one
     (mean-free part plus its exactly tracked mean)."""
     if state0.field.grid.dim != 2:
         raise ValueError("base flow must live on a 2D grid")
-    sys2 = _Flow(state0.field.grid, forcing, "base2d")
-    return _evolve([sys2], [state0], cfg, window_T, sample_times)[0]
+    return _evolve([_Flow(state0.field.grid, forcing)], [state0], cfg, sample_times)[0]
 
 
 def evolve_full_3d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
-                   *, window_T=None, sample_times=None) -> Trajectory:
+                   *, sample_times=None) -> Trajectory:
     if state0.field.grid.dim != 3:
         raise ValueError("full flow must live on a 3D grid")
-    sys3 = _Flow(state0.field.grid, forcing, "full3d")
-    return _evolve([sys3], [state0], cfg, window_T, sample_times)[0]
+    return _evolve([_Flow(state0.field.grid, forcing)], [state0], cfg, sample_times)[0]
 
 
-def evolve_pair(
-    base_state0,
-    base_forcing,
-    u0: FlowState,
-    g_forcing: Forcing,
-    cfg: SolverConfig,
-    *,
-    window_T=None,
-    sample_times=None,
-) -> Trajectory:
+def evolve_pair(base_state0, base_forcing, u0: FlowState, g_forcing: Forcing,
+                cfg: SolverConfig, *, sample_times=None) -> Trajectory:
     """Advance base flow and perturbation in lockstep; returns the
     perturbation trajectory with `.base` attached."""
     grid2 = base_state0.field.grid
@@ -577,9 +557,8 @@ def evolve_pair(
         raise ValueError("pair expects a 2D base state and a 3D perturbation")
     if grid2.L != grid3.L or grid2.N != grid3.N:
         raise ValueError("base and perturbation grids must share L and N")
-    base_sys = _Flow(grid2, base_forcing, "base2d")
-    pert_sys = _Flow(grid3, g_forcing, "perturbation", base_forcing)
-    base, pert = _evolve([base_sys, pert_sys], [base_state0, u0], cfg, window_T, sample_times)
+    systems = [_Flow(grid2, base_forcing), _Flow(grid3, g_forcing, base_forcing)]
+    base, pert = _evolve(systems, [base_state0, u0], cfg, sample_times)
     pert.base = base
     return pert
 
@@ -611,4 +590,4 @@ def taylor_green_state(grid: PeriodicGrid, amplitude=1.0) -> FlowState:
         ]
     )
     f = SpectralField.from_physical(grid, samples)
-    return FlowState(t=0.0, field=f, mean=np.zeros(2), role="base2d")
+    return FlowState(t=0.0, field=f, mean=np.zeros(2))

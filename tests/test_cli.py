@@ -14,6 +14,8 @@ from nsbox.cli import (
     main,
 )
 from nsbox.io import read_snapshot, write_snapshot
+from nsbox.solver import FlowState
+from nsbox.spectral import PeriodicGrid, SpectralField
 
 TWO_PI = 2.0 * np.pi
 
@@ -22,6 +24,22 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def with_snapshots(tmp_path, text):
+    """`text` with each placeholder SNAP_<dim>D_N8 replaced by the path of a
+    zero state snapshot on the N = 8 grid of that dimension."""
+    for dim in (2, 3):
+        name = f"SNAP_{dim}D_N8"
+        if name in text:
+            path = tmp_path / f"zero{dim}d.snap"
+            g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
+            write_snapshot(path, FlowState(0.0, SpectralField.zeros(g, dim), np.zeros(dim)))
+            text = text.replace(name, str(path))
+    return text
+
+
+SMALL_SCENARIO = {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02, "calibration_fields": 20}
 
 
 class TestConfigValidation:
@@ -47,6 +65,9 @@ class TestConfigValidation:
         pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
                                   "output": {"window_T": 0.05}},
                      "dt exceeds the window length", id="window-shorter-than-dt"),
+        pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
+                                  "output": {"window_T": 0.5}},
+                     "t_end shorter than one window", id="window-longer-than-t_end"),
         pytest.param("simulate", {"solver": {"dt": 0.1, "t_end": 0.2},
                                   "output": {"sample_times": [0.05]}},
                      "not a step time", id="sample-time-off-grid"),
@@ -115,12 +136,41 @@ class TestConfigValidation:
         pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
                                                 "calibration_fields": -5}},
                      "scenario.calibration_fields", id="scenario.calibration_fields-negative"),
+        # snapshot inputs: checked against the config before anything runs
+        pytest.param("simulate", {"initial": {"kind": "snapshot"}},
+                     "an initial state of kind 'snapshot' needs a path",
+                     id="initial-snapshot-without-path"),
+        pytest.param("simulate", {"initial": {"kind": "snapshot", "path": "no-such.snap"}},
+                     "cannot read snapshot no-such.snap", id="initial-snapshot-missing"),
+        pytest.param("simulate", {"grid": {"N": 16}, "solver": {"dt": 0.01, "t_end": 0.02},
+                                  "initial": {"kind": "snapshot", "path": "SNAP_2D_N8"}},
+                     "snapshot SNAP_2D_N8 holds 2 components on a 2D grid with N=8",
+                     id="initial-snapshot-N-mismatch"),
+        pytest.param("simulate", {"system": "pair", "grid": {"N": 8},
+                                  "solver": {"dt": 0.01, "t_end": 0.02},
+                                  "initial": {"kind": "snapshot", "path": "SNAP_3D_N8"}},
+                     "snapshot SNAP_3D_N8 holds 3 components on a 3D grid",
+                     id="pair-initial-3d-snapshot"),
+        pytest.param("stability", {"scenario": {**SMALL_SCENARIO, "resume": "no-such.snap"}},
+                     "cannot read snapshot no-such.snap", id="resume-missing"),
+        pytest.param("stability", {"scenario": {**SMALL_SCENARIO, "N": 16,
+                                                "resume": "SNAP_3D_N8"}},
+                     "snapshot SNAP_3D_N8 holds 3 components on a 3D grid with N=8",
+                     id="resume-N-mismatch"),
+        pytest.param("stability", {"scenario": {**SMALL_SCENARIO, "resume": "SNAP_2D_N8"}},
+                     "snapshot SNAP_2D_N8 holds 2 components on a 2D grid", id="resume-2d"),
+        pytest.param("stability", {"scenarios": [{"scenario": SMALL_SCENARIO},
+                                                 {"scenario": {**SMALL_SCENARIO,
+                                                               "resume": "no-such.snap"}}]},
+                     "cannot read snapshot no-such.snap", id="sweep-resume-missing"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
-        cfg = write_cfg(tmp_path, doc)
+        cfg = write_cfg(tmp_path, json.loads(with_snapshots(tmp_path, json.dumps(doc))))
         rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert with_snapshots(tmp_path, message) in capsys.readouterr().err
+        # rejected before any output is written
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -217,6 +267,30 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "series.csv").exists()
         assert (out / "base" / "base_series.json").exists()
+
+    def test_taylor_green_3d_keeps_its_mean(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "system": "full3d", "grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.02},
+            "initial": {"kind": "taylor_green", "amplitude": 0.1, "mean": [0.25, 0, 0]},
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((out / "state_series.json").read_text())
+        assert sidecar["means"][0] == [0.25, 0.0, 0.0]
+
+    def test_states_stored_at_window_boundaries_and_sample_times(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "system": "base2d", "grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.2},
+            "initial": {"kind": "taylor_green", "amplitude": 0.1},
+            "output": {"window_T": 0.05, "sample_times": [0.07]},
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        want = [0.0, 0.05, 0.07, 0.1, 0.15, 0.2]
+        snaps = [read_snapshot(p).t for p in sorted(out.glob("state_*.snap"))]
+        sidecar = json.loads((out / "state_series.json").read_text())
+        assert snaps == pytest.approx(want, abs=1e-12)
+        assert sidecar["times"] == snaps
 
     def test_snapshot_artifacts_readable(self, tmp_path):
         cfg = write_cfg(

@@ -143,17 +143,17 @@ class TestWindowStatistics:
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=N)
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=N)
         base0 = taylor_green_state(g2, amplitude=0.1)
-        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3), "perturbation")
+        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3))
         cfg = SolverConfig(nu=nu, dt=dt, t_end=windows * T)
-        return evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg, window_T=T)
+        return evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
 
     def test_zero_data_all_zero(self):
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=8)
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         base0 = FlowState(0.0, SpectralField.zeros(g2, 2), np.zeros(2))
-        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3), "perturbation")
+        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3))
         cfg = SolverConfig(nu=1.0, dt=0.05, t_end=1.0)
-        traj = evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg, window_T=0.5)
+        traj = evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
         stats, uniformity = window_statistics(traj, 0.5)
         assert len(stats) == 2
         for w in stats:
@@ -187,7 +187,7 @@ class TestH21Norms:
         base0 = taylor_green_state(g2, amplitude=amp)
         e0 = base0.field.sobolev_norm_sq(0)
         cfg = SolverConfig(nu=nu, dt=1e-3, t_end=T)
-        traj = evolve_base_2d(base0, ZeroForcing(g2, 2), cfg, window_T=T)
+        traj = evolve_base_2d(base0, ZeroForcing(g2, 2), cfg)
         out = h21_window_norm(traj, T)
         want = nu * e0 * (1 - math.exp(-4 * nu * T))
         assert out[0]["int_ut_sq"] == pytest.approx(want, abs=1e-6)
@@ -199,9 +199,9 @@ class TestH21Norms:
         e0 = base0.field.sobolev_norm_sq(0)
         want = nu * e0 * (1 - math.exp(-4 * nu * T))
         coarse = evolve_base_2d(base0, ZeroForcing(g2, 2),
-                                SolverConfig(nu=nu, dt=2e-3, t_end=T), window_T=T)
+                                SolverConfig(nu=nu, dt=2e-3, t_end=T))
         fine = evolve_base_2d(base0, ZeroForcing(g2, 2),
-                              SolverConfig(nu=nu, dt=1e-3, t_end=T), window_T=T)
+                              SolverConfig(nu=nu, dt=1e-3, t_end=T))
         plain = h21_window_norm(coarse, T)[0]["int_ut_sq"]
         refined = h21_window_norm(coarse, T, half_step=fine)[0]["int_ut_sq"]
         assert abs(refined - want) <= abs(plain - want)

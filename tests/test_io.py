@@ -28,7 +28,7 @@ class TestSnapshot:
         rng = np.random.default_rng(4)
         g = PeriodicGrid(L=TWO_PI, dim=dim, N=N)
         f = random_field(g, g.dim, rng, band=(1, 3), solenoidal=True)
-        return FlowState(t=0.75, field=f, mean=np.arange(g.dim, dtype=float) / 10, role="base2d")
+        return FlowState(t=0.75, field=f, mean=np.arange(g.dim, dtype=float) / 10)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_roundtrip(self, tmp_path, dim):
@@ -39,6 +39,21 @@ class TestSnapshot:
         assert back.t == st.t
         assert np.allclose(back.mean, st.mean)
         assert np.max(np.abs(back.field.coeffs - st.field.coeffs)) < 1e-13
+        header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+        assert set(header) == {"L", "dim", "N", "components", "time", "mean", "sha256"}
+
+    def test_reads_header_with_extra_key(self, tmp_path):
+        # older snapshots carry a "role" key in the header; the reader ignores it
+        path = tmp_path / "f.snap"
+        write_snapshot(path, self._state(dim=3, N=8))
+        new = read_snapshot(path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header = json.dumps({**json.loads(header), "role": "perturbation"}, sort_keys=True)
+        path.write_bytes(b"\n".join([magic, header.encode(), payload]))
+        old = read_snapshot(path)
+        assert old.t == new.t
+        assert np.array_equal(old.mean, new.mean)
+        assert np.array_equal(old.field.coeffs, new.field.coeffs)
 
     def test_x1_fastest_layout(self, tmp_path):
         # stripe in x1 varies within the first N doubles of the payload
@@ -48,7 +63,7 @@ class TestSnapshot:
 
         f = SpectralField.from_physical(g, np.sin(x1) * np.ones(g.shape))
         path = tmp_path / "s.snap"
-        write_snapshot(path, FlowState(0.0, f, np.zeros(1), "base2d"))
+        write_snapshot(path, FlowState(0.0, f, np.zeros(1)))
         blob = path.read_bytes()
         payload = blob.split(b"\n", 2)[2]
         first_row = np.frombuffer(payload[: 8 * 8], dtype="<f8")

@@ -39,8 +39,8 @@ from nsbox.spectral import (
 TWO_PI = 2.0 * np.pi
 
 
-def zero_state(grid, components, role="base2d"):
-    return FlowState(0.0, SpectralField.zeros(grid, components), np.zeros(components), role)
+def zero_state(grid, components):
+    return FlowState(0.0, SpectralField.zeros(grid, components), np.zeros(components))
 
 
 def solenoidal_mode_2d(grid, amplitude=1.0):
@@ -71,7 +71,7 @@ class TestNonlinearTerm:
             g, np.stack([np.sin(x2) * np.ones(g.shape), np.zeros(g.shape)]))
         u = SpectralField.from_physical(
             g, np.stack([np.zeros(g.shape), np.cos(x1) * np.ones(g.shape)]))
-        state = FlowState(0.0, u, np.zeros(2), "base2d")
+        state = FlowState(0.0, u, np.zeros(2))
         out = nonlinear_term(state, w)
         hand = SpectralField.from_physical(
             g, np.stack([np.zeros(g.shape), np.sin(x1) * np.sin(x2) * np.ones(g.shape)])
@@ -189,15 +189,6 @@ class TestStepBasics:
         with np.errstate(all="ignore"), pytest.raises(SolverAbort):
             evolve_base_2d(FlowState(0.0, u0, np.zeros(2)), ZeroForcing(g, 2), cfg)
 
-    def test_window_validation(self):
-        g = PeriodicGrid(L=TWO_PI, dim=2, N=8)
-        with pytest.raises(ValueError):
-            evolve_base_2d(zero_state(g, 2), ZeroForcing(g, 2),
-                           SolverConfig(nu=1.0, dt=0.2, t_end=0.4), window_T=0.1)
-        with pytest.raises(ValueError):
-            evolve_base_2d(zero_state(g, 2), ZeroForcing(g, 2),
-                           SolverConfig(nu=1.0, dt=0.01, t_end=0.5), window_T=1.0)
-
     def test_determinism(self):
         rng = np.random.default_rng(34)
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
@@ -305,7 +296,7 @@ class TestLiftedExactness:
         cfg = SolverConfig(nu=0.5, dt=2e-3, t_end=0.1)
         t2 = evolve_base_2d(FlowState(0.0, u0, np.zeros(2)), f2, cfg)
         t3 = evolve_full_3d(
-            FlowState(0.0, lift_2d_to_3d(u0, g3), np.zeros(3), "full3d"),
+            FlowState(0.0, lift_2d_to_3d(u0, g3), np.zeros(3)),
             LiftedForcing(f2, g3),
             cfg,
         )
@@ -322,9 +313,9 @@ def pair_vs_full_gap(base_forcing, cfg):
     g3 = PeriodicGrid(L=g2.L, dim=3, N=g2.N)
     base0 = taylor_green_state(g2, amplitude=0.2)
     u0f = random_field(g3, 3, rng, band=(1, 4), solenoidal=True) * 1e-3
-    pert = evolve_pair(base0, base_forcing, FlowState(0.0, u0f, np.zeros(3), "perturbation"),
+    pert = evolve_pair(base0, base_forcing, FlowState(0.0, u0f, np.zeros(3)),
                        ZeroForcing(g3, 3), cfg)
-    v0 = FlowState(0.0, lift_2d_to_3d(base0.field, g3) + u0f, np.zeros(3), "full3d")
+    v0 = FlowState(0.0, lift_2d_to_3d(base0.field, g3) + u0f, np.zeros(3))
     full = evolve_full_3d(v0, LiftedForcing(base_forcing, g3), cfg)
     u_from_full = full.states[-1].field - lift_2d_to_3d(pert.base.states[-1].field, g3)
     u_pair = pert.states[-1].field
@@ -337,7 +328,7 @@ class TestPair:
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=16)
         cfg = SolverConfig(nu=0.5, dt=2e-3, t_end=0.1)
         base0 = taylor_green_state(g2, amplitude=0.3)
-        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3), "perturbation")
+        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3))
         traj = evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
         assert np.max(np.abs(traj.states[-1].field.coeffs)) == 0.0
 
@@ -366,7 +357,7 @@ class TestPair:
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=16)
         base0 = taylor_green_state(g2, amplitude=0.05)
         u0f = random_field(g3, 3, rng, band=(1, 4), solenoidal=True) * 1e-4
-        u0 = FlowState(0.0, u0f, np.zeros(3), "perturbation")
+        u0 = FlowState(0.0, u0f, np.zeros(3))
         cfg = SolverConfig(nu=1.0, dt=2e-3, t_end=0.3)
         pert = evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
         x2 = pert.series["h1_sq"]
@@ -377,7 +368,7 @@ class TestPair:
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         base0 = taylor_green_state(g2)
-        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3), "perturbation")
+        u0 = FlowState(0.0, SpectralField.zeros(g3, 3), np.zeros(3))
         cfg = SolverConfig(nu=1.0, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError):
             evolve_pair(base0, ZeroForcing(g2, 2), u0, ZeroForcing(g3, 3), cfg)
@@ -425,16 +416,16 @@ class TestRecorder:
         g = DecayingModeForcing(random_field(g3, 3, rng, band=(1, 2), solenoidal=True) * 1e-3,
                                 rate=0.5)
         cfg = SolverConfig(nu=0.5, dt=5e-3, t_end=0.1)
-        pert = evolve_pair(base0, fs, FlowState(0.0, u0f, np.zeros(3), "perturbation"), g, cfg,
+        pert = evolve_pair(base0, fs, FlowState(0.0, u0f, np.zeros(3)), g, cfg,
                            sample_times=[0.03, 0.06])
         self.assert_series_match(pert, g)
         self.assert_series_match(pert.base, fs)
 
 
-def random_state(grid, rng, mean, scale=1.0, role="base2d"):
+def random_state(grid, rng, mean, scale=1.0):
     """A dealiased solenoidal random state with the given mean."""
     f = random_field(grid, grid.dim, rng, solenoidal=True).dealias() * scale
-    return FlowState(0.0, f, np.asarray(mean, float), role)
+    return FlowState(0.0, f, np.asarray(mean, float))
 
 
 def convective_raw(u, w, wmean=None):
@@ -463,7 +454,7 @@ class TestHalfSpectrumStepping:
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=N)
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=N)
         vs = random_state(g2, rng, [0.4, -0.3])
-        u = random_state(g3, rng, [0.2, -0.5, 0.7], scale=0.3, role="perturbation")
+        u = random_state(g3, rng, [0.2, -0.5, 0.7], scale=0.3)
         zero2, zero3 = ZeroForcing(g2, 2), ZeroForcing(g3, 3)
 
         def close(ev, oracle, raw):
@@ -473,14 +464,14 @@ class TestHalfSpectrumStepping:
             assert np.max(np.abs(ev.raw - raw)) <= 1e-13 * np.max(np.abs(raw))
 
         # the 2D base flow (convective form) and the full 3D flow
-        base = self.evaluate(nsbox.solver._Flow(g2, zero2, "base2d"), vs)
+        base = self.evaluate(nsbox.solver._Flow(g2, zero2), vs)
         close(base, nonlinear_term(vs, vs.field), convective_raw(vs.field, vs.field))
-        close(self.evaluate(nsbox.solver._Flow(g3, zero3, "full3d"), u),
+        close(self.evaluate(nsbox.solver._Flow(g3, zero3), u),
               nonlinear_term(u, u.field), convective_raw(u.field, u.field))
         # the perturbation: -(u + v_s) . grad u - (u + m) . grad v_s, the means
         # of u and v_s in the integrating factor
         lifted = FlowState(0.0, lift_2d_to_3d(vs.field, g3), np.zeros(3))
-        pert = self.evaluate(nsbox.solver._Flow(g3, zero3, "perturbation", zero2), u, base=base)
+        pert = self.evaluate(nsbox.solver._Flow(g3, zero3, zero2), u, base=base)
         oracle = (nonlinear_term(u, u.field + lifted.field)
                   + nonlinear_term(lifted, u.field, advecting_mean=u.mean))
         raw = (convective_raw(u.field, u.field + lifted.field)
@@ -494,7 +485,7 @@ class TestHalfSpectrumStepping:
         record = nsbox.solver._Recorder.record
 
         def spy(self, t, coeffs, ev, dt):
-            recorded[(self.role, round(t, 9))] = coeffs
+            recorded[(self.grid.dim, round(t, 9))] = coeffs
             return record(self, t, coeffs, ev, dt)
 
         monkeypatch.setattr(nsbox.solver._Recorder, "record", spy)
@@ -503,13 +494,13 @@ class TestHalfSpectrumStepping:
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         fs = DecayingModeForcing(solenoidal_mode_2d(g2, 0.2), rate=1.0)
         pert = evolve_pair(random_state(g2, rng, [0.3, 0.1]), fs,
-                           random_state(g3, rng, [0.1, 0.0, -0.2], 0.1, "perturbation"),
+                           random_state(g3, rng, [0.1, 0.0, -0.2], 0.1),
                            ZeroForcing(g3, 3), SolverConfig(nu=0.5, dt=1e-2, t_end=0.1),
                            sample_times=[0.05])
         for traj in (pert, pert.base):
             assert len(traj.states) == 3
             for st in traj.states:
-                assert st.field.coeffs is recorded[(st.role, round(st.t, 9))]
+                assert st.field.coeffs is recorded[(st.field.grid.dim, round(st.t, 9))]
 
     @staticmethod
     def count_transforms(monkeypatch, run):
@@ -539,7 +530,7 @@ class TestHalfSpectrumStepping:
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=8)
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         base0 = random_state(g2, rng, [0.1, 0.0])
-        u0 = random_state(g3, rng, [0.0, 0.2, 0.0], 0.1, "perturbation")
+        u0 = random_state(g3, rng, [0.0, 0.2, 0.0], 0.1)
         forcing = DecayingModeForcing(solenoidal_mode_2d(g2, 0.3), rate=1.0)
 
         def run(steps):
