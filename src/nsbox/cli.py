@@ -36,7 +36,6 @@ from nsbox.experiments import (
     single_mode_profile,
 )
 from nsbox.solver import (
-    CFLViolation,
     FlowState,
     SolverAbort,
     SolverConfig,
@@ -286,10 +285,10 @@ def cmd_simulate(cfg: dict, outdir: str, seed, svg: bool) -> int:
         # the pair's base flow and its forcing live on the 2D grid
         grid0 = PeriodicGrid(grid.L, 2, grid.N) if system == "pair" else grid
         state0 = _build_initial(grid0, cfg.get("initial", {}), seed)
-        forcing = build_forcing(grid0, cfg.get("forcing", {}), window_T)
+        forcing = build_forcing(grid0, cfg.get("forcing", {}))
         if system == "pair":
             u0 = _build_initial(grid, cfg.get("perturbation", {"kind": "zero"}), seed)
-            g = build_forcing(grid, cfg.get("g_forcing", {}), window_T)
+            g = build_forcing(grid, cfg.get("g_forcing", {}))
     if system == "pair":
         traj = evolve_pair(state0, forcing, u0, g, solver_cfg, sample_times=sample_times)
         nsio.write_trajectory(os.path.join(outdir, "base"), traj.base, prefix="base")
@@ -448,13 +447,22 @@ def cmd_stability(cfg: dict, outdir: str, seed, svg: bool, jobs: int) -> int:
 
 
 def cmd_report(cfg: dict, outdir: str) -> int:
+    """Print the verdicts of a certify or stability report; a stability
+    report holds the certificate's verdicts under `certificate`."""
     path = cfg["path"]
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report {path} is not a JSON object")
+    cert = doc.get("certificate", doc)
     print(f"report: {path}")
-    for key in ("schema", "gamma_hypothesis", "barrier_hypotheses_ok", "aborted"):
-        if key in doc:
-            print(f"  {key}: {doc[key]}")
+    for key, src in (("schema", doc), ("gamma_hypothesis", cert),
+                     ("barrier_hypotheses_ok", cert), ("aborted", doc)):
+        if key in src:
+            print(f"  {key}: {src[key]}")
     if "barrier" in doc and doc["barrier"]:
         for k, v in doc["barrier"].items():
             print(f"  barrier.{k}: {v}")
@@ -462,6 +470,8 @@ def cmd_report(cfg: dict, outdir: str) -> int:
         for k, v in doc["checks"].items():
             if isinstance(v, dict) and "ok" in v:
                 print(f"  check.{k}: ok={v['ok']}")
+            elif isinstance(v, bool):
+                print(f"  check.{k}: {v}")
     return EXIT_OK
 
 
@@ -497,7 +507,7 @@ def main(argv=None) -> int:
     except nsio.SnapshotError as exc:
         print(f"data integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (SolverAbort, CFLViolation) as exc:
+    except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

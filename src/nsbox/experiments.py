@@ -23,7 +23,6 @@ from nsbox.certificate import (
 )
 from nsbox.constants import interpolation_constants, poincare_constants
 from nsbox.forcing import (
-    CompositeForcing,
     ConstantMeanForcing,
     DecayingModeForcing,
     Forcing,
@@ -177,8 +176,9 @@ def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
 def build_forcing(grid: PeriodicGrid, fcfg: dict, window_T=None) -> Forcing:
     """The forcing family named by a config section, on a 2D or 3D grid.
 
-    example1: constant force plus a decaying square-integrable fluctuation.
-    example2: the window-periodic extension of the decaying fluctuation.
+    example1: a decaying square-integrable fluctuation over a constant force.
+    example2: the window-periodic extension of the decaying fluctuation, with
+    period `window` (default `window_T`, else 1).
     Raises ValueError for an unknown family or an invalid parameter.
     """
     family = fcfg.get("family", "zero")
@@ -192,12 +192,11 @@ def build_forcing(grid: PeriodicGrid, fcfg: dict, window_T=None) -> Forcing:
                                       omega=fcfg.get("omega", 1.0))
     profile = single_mode_profile(grid, fcfg.get("mode", (1, 0)),
                                   normalize=fcfg.get("normalize", "l2"))
+    constant = fcfg.get("constant", [1.0, 0.0]) if family == "example1" else None
     h = DecayingModeForcing(profile, rate=fcfg.get("rate", 1.0),
-                            amplitude=fcfg.get("amplitude", 1.0))
-    if family == "decaying_mode":
+                            amplitude=fcfg.get("amplitude", 1.0), constant=constant)
+    if family in ("decaying_mode", "example1"):
         return h
-    if family == "example1":
-        return CompositeForcing([ConstantMeanForcing(grid, fcfg.get("constant", [1.0, 0.0])), h])
     if family == "example2":
         return PeriodicExtensionForcing(h, fcfg.get("window", window_T or 1.0))
     raise ValueError(f"unsupported forcing family {family!r}")

@@ -20,8 +20,11 @@ base class derives the schedules:
 * `has_bar = False`: bar_field(t) is always None.  The bar schedules are
   then (0.0, certified).
 
-Families with other closed forms (the decaying mode, the window-periodic
-extension, the oscillating mean's integrals) override the methods concerned.
+Every family the CLI builds is one class; example 1 is a decaying mode over
+a constant mean force, example 2 its window-periodic extension, which repeats
+its inner family's declarations.  Families with other closed forms (the
+decaying mode's bar schedules, the window-periodic extension, the oscillating
+mean's integrals) override the methods concerned.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "ConstantMeanForcing",
     "OscillatingMeanForcing",
     "DecayingModeForcing",
-    "CompositeForcing",
     "PeriodicExtensionForcing",
     "LiftedForcing",
     "adaptive_simpson",
@@ -241,13 +243,16 @@ class OscillatingMeanForcing(Forcing):
 
 
 class DecayingModeForcing(Forcing):
-    """fbar(x, t) = amplitude * exp(-rate * t) * profile(x).
+    """A decaying fluctuation over a constant mean force:
+    f(x, t) = constant + amplitude * exp(-rate * t) * profile(x).
 
-    The profile must be mean-free; all window integrals are closed-form and
-    the sup over windows is attained at k = 0 (certified).
+    The profile must be mean-free and the constant (zero by default) has one
+    entry per component; it is the declared mean rate.  All window integrals
+    are closed-form and the sup over windows is attained at k = 0 (certified).
     """
 
-    def __init__(self, profile: SpectralField, rate: float, amplitude: float = 1.0):
+    def __init__(self, profile: SpectralField, rate: float, amplitude: float = 1.0,
+                 constant=None):
         if rate <= 0:
             raise ValueError(f"decay rate must be positive, got {rate}")
         if np.max(np.abs(profile.mean())) > 1e-13:
@@ -256,7 +261,9 @@ class DecayingModeForcing(Forcing):
         self.profile = profile
         self.rate = float(rate)
         self.amplitude = float(amplitude)
-        self.mean_rate = np.zeros(self.components)
+        self.mean_rate = np.zeros(self.components) if constant is None else np.asarray(constant, dtype=float)
+        if self.mean_rate.shape != (self.components,):
+            raise ValueError(f"constant force needs {self.components} components, got {self.mean_rate.size}")
         self._norm_sq = {
             "l2": profile.sobolev_norm_sq(0),
             "h1": profile.sobolev_norm_sq(1),
@@ -282,79 +289,10 @@ class DecayingModeForcing(Forcing):
         return self.amplitude**2 * self._norm_sq[norm] / (2 * self.rate)
 
 
-class CompositeForcing(Forcing):
-    """Sum of parts.  The mean rate is the sum of the parts' declared rates.
-    Fluctuating-norm schedules delegate to the single bar-carrying part when
-    there is exactly one (exact); otherwise they fall back to quadrature on
-    the summed field."""
-
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("empty composite")
-        grid = parts[0].grid
-        comp = parts[0].components
-        if any(p.grid != grid or p.components != comp for p in parts):
-            raise ValueError("composite parts must share grid and components")
-        super().__init__(grid, comp)
-        self.parts = parts
-        rates = [p.mean_rate for p in parts]
-        self.mean_rate = None if any(r is None for r in rates) else sum(rates)
-        self._bar_parts = [p for p in parts if p.has_bar]
-        self.has_bar = bool(self._bar_parts)
-        # a part with a nonzero rate beside an undeclared one: the linear drift
-        # is taken as unbounded (the undeclared part is assumed not to cancel it)
-        self._unbounded_drift = self.mean_rate is None and any(
-            r is not None and np.any(r != 0.0) for r in rates
-        )
-
-    def bar_field(self, t):
-        fields = [p.bar_field(t) for p in self.parts]
-        fields = [f for f in fields if f is not None]
-        if not fields:
-            return None
-        out = fields[0]
-        for f in fields[1:]:
-            out = out + f
-        return out
-
-    def mean(self, t):
-        return sum(p.mean(t) for p in self.parts)
-
-    def mean_integral(self, t0, t1):
-        return sum(p.mean_integral(t0, t1) for p in self.parts)
-
-    def mean_double_integral(self, t0, t1):
-        return sum(p.mean_double_integral(t0, t1) for p in self.parts)
-
-    def infinite_bar_sq_integral(self, norm="l2"):
-        if len(self._bar_parts) == 1:
-            return self._bar_parts[0].infinite_bar_sq_integral(norm)
-        return super().infinite_bar_sq_integral(norm)
-
-    def window_bar_sq_integral(self, k, T, norm="l2"):
-        if len(self._bar_parts) == 1:
-            return self._bar_parts[0].window_bar_sq_integral(k, T, norm)
-        return super().window_bar_sq_integral(k, T, norm)
-
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        if len(self._bar_parts) == 1:
-            return self._bar_parts[0].sup_window_bar_sq(T, k_max, norm)
-        return super().sup_window_bar_sq(T, k_max, norm)
-
-    def drift_sup_abs(self, T, k_max, initial_mean):
-        if self._unbounded_drift:
-            return math.inf, True
-        return super().drift_sup_abs(T, k_max, initial_mean)
-
-    def sup_window_drift_sq(self, T, k_max, initial_mean):
-        if self._unbounded_drift:
-            return math.inf, True
-        return super().sup_window_drift_sq(T, k_max, initial_mean)
-
-
 class PeriodicExtensionForcing(Forcing):
-    """f(x, t) = h(x, t - kT) for t in [kT, (k+1)T): exact window reduction."""
+    """f(x, t) = h(x, t - kT) for t in [kT, (k+1)T): exact window reduction.
+    A repeated constant mean is that constant mean, and a repeat of a forcing
+    with no bar part has none either, so both declarations carry over."""
 
     def __init__(self, inner: Forcing, T: float):
         if T <= 0:
@@ -362,6 +300,7 @@ class PeriodicExtensionForcing(Forcing):
         super().__init__(inner.grid, inner.components)
         self.inner = inner
         self.T = float(T)
+        self.mean_rate, self.has_bar = inner.mean_rate, inner.has_bar
 
     def _reduce(self, t):
         k = math.floor(t / self.T)

@@ -94,26 +94,26 @@ __all__ = [
 _SCHEMES = ("imex-cnab2", "rk3-imex")
 
 
-class CFLViolation(RuntimeError):
-    """Step rejected: advective CFL number exceeded cfl_max."""
-
-    def __init__(self, t, cfl, cfl_max, advisory_dt):
-        super().__init__(
-            f"CFL {cfl:.3g} > {cfl_max:.3g} at t={t:.6g}; retry with dt <= {advisory_dt:.3g}"
-        )
-        self.t = t
-        self.cfl = cfl
-        self.advisory_dt = advisory_dt
-
-
 class SolverAbort(RuntimeError):
-    """Run aborted (non-finite values detected)."""
+    """Run aborted: non-finite values, or a CFL stop (`CFLViolation`)."""
 
     def __init__(self, t, step, diagnostic):
         super().__init__(f"solver abort at t={t:.6g} (step {step}): {diagnostic}")
         self.t = t
         self.step = step
         self.diagnostic = diagnostic
+
+
+class CFLViolation(SolverAbort):
+    """Run aborted before a step: advective CFL number exceeded cfl_max."""
+
+    def __init__(self, t, cfl, cfl_max, advisory_dt):
+        RuntimeError.__init__(
+            self, f"CFL {cfl:.3g} > {cfl_max:.3g} at t={t:.6g}; retry with dt <= {advisory_dt:.3g}"
+        )
+        self.t = t
+        self.cfl = cfl
+        self.advisory_dt = advisory_dt
 
 
 @dataclass
@@ -230,7 +230,8 @@ class _Eval(NamedTuple):
 
     rhs: np.ndarray    # explicit term: dealiased, Leray-projected, mode 0 zeroed
     raw: np.ndarray    # the dealiased explicit term before projection
-    speed: float       # max advecting speed, means included
+    speed: float       # max speed of the mean-free advecting velocity, which the
+                       # explicit term advects with (means go in the integrating factor)
     phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
     grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
     mean: np.ndarray   # the spatial mean the evaluation used
@@ -263,7 +264,6 @@ class _Flow:
         a single flow; its x3-independent fields enter the 3D products as
         broadcast views."""
         grid, stack, prods = self.grid, self._coeff_stack, self._products
-        total_mean = mean if base is None else mean + _pad(base.mean, grid.dim)
         if grid.dim == 2:
             stack[0] = coeffs
             derivative_coeffs(grid, coeffs, out=stack[1:])
@@ -282,9 +282,9 @@ class _Flow:
             raw = derivative_coeffs(grid, hat[3])
             raw += hat[:3]
         np.negative(raw, out=raw)
-        speedsq = np.square(w[0] + total_mean[0])
+        speedsq = np.square(w[0])
         for a in range(1, grid.dim):
-            speedsq += np.square(w[a] + total_mean[a])
+            speedsq += np.square(w[a])
         fbar = self.forcing.bar_field(t)
         rhs, raw = _explicit(grid, raw, None if fbar is None else fbar.coeffs)
         return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), phys, grads, mean, fbar)

@@ -29,7 +29,6 @@ from nsbox.experiments import (
     single_mode_profile,
 )
 from nsbox.forcing import (
-    CompositeForcing,
     ConstantMeanForcing,
     DecayingModeForcing,
     OscillatingMeanForcing,
@@ -167,11 +166,8 @@ class TestCriterion2StructuralInvariants:
 
         # solenoidality and mean decoupling along a forced trajectory
         g = PeriodicGrid(L=TWO_PI, dim=2, N=32)
-        forcing = CompositeForcing([
-            ConstantMeanForcing(g, [0.5, 0.0]),
-            DecayingModeForcing(single_mode_profile(g, (1, 1), normalize="l2"), rate=0.5,
-                                amplitude=0.1),
-        ])
+        forcing = DecayingModeForcing(single_mode_profile(g, (1, 1), normalize="l2"), rate=0.5,
+                                      amplitude=0.1, constant=[0.5, 0.0])
         rng = np.random.default_rng(1234)
         u0 = random_field(g, 2, rng, band=(1, 6), solenoidal=True) * 0.1
         traj = evolve_base_2d(FlowState(0.0, u0, np.zeros(2)), forcing,
@@ -303,7 +299,7 @@ class TestCriterion5CertificateArithmetic:
                                 rate=1.0, amplitude=0.5)
         vbar0_h1_sq = 0.02
         thr = example_one_threshold(h, vbar0_h1_sq, pc, ic)
-        ex1 = CompositeForcing([ConstantMeanForcing(g2, [1.0, 0.0]), h])
+        ex1 = DecayingModeForcing(h.profile, rate=1.0, amplitude=0.5, constant=[1.0, 0.0])
         member1 = all(
             abar_chain(ex1, vbar0_h1_sq, float(T), pc, ic).member
             for T in np.linspace(thr + 1e-9, thr + 8.0, 6)

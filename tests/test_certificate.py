@@ -32,7 +32,7 @@ from nsbox.constants import (
     lattice_sum,
     poincare_constants,
 )
-from nsbox.forcing import CompositeForcing, ConstantMeanForcing, DecayingModeForcing, ZeroForcing
+from nsbox.forcing import ConstantMeanForcing, DecayingModeForcing, ZeroForcing
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
@@ -350,7 +350,7 @@ class TestAbarChain:
         # every window length above max(t_star, threshold)
         pc, ic, grid = setup_2pi
         h = DecayingModeForcing(unit_h1_profile(grid), rate=1.0, amplitude=0.5)
-        f = CompositeForcing([ConstantMeanForcing(grid, [1.0, 0.0]), h])
+        f = DecayingModeForcing(h.profile, rate=1.0, amplitude=0.5, constant=[1.0, 0.0])
         vbar0_h1_sq = 0.04
         i_inf = h.infinite_bar_sq_integral("h1")
         a0 = pc.c_1 * (i_inf + vbar0_h1_sq) * vbar0_h1_sq + (i_inf + 1.0) * math.exp(
@@ -385,6 +385,18 @@ class TestAbarChain:
         ch = abar_chain(f, 0.01, T, pc, ic)
         assert ch.abar1_sq == pytest.approx(w0)
         assert ch.certified["abar1_sq"]
+
+    def test_example_two_drift_is_certified(self, setup_2pi):
+        # the repeated decaying mode declares its zero mean rate, so the drift
+        # sup is the closed form |m0|, not a sampled value
+        pc, ic, grid = setup_2pi
+        from nsbox.forcing import PeriodicExtensionForcing
+
+        h = DecayingModeForcing(unit_h1_profile(grid), rate=1.0)
+        m0 = np.array([0.3, -0.4])
+        ch = abar_chain(PeriodicExtensionForcing(h, 4.0), 0.01, 4.0, pc, ic, initial_mean=m0)
+        assert ch.certified["abar4_sq"]
+        assert ch.abar4_sq == float(np.linalg.norm(m0)) ** 2
 
 
 class TestAChain:
@@ -455,10 +467,7 @@ class TestAChain:
 
     def test_unbounded_drift_reported(self, setup_2pi):
         pc, ic, grid = setup_2pi
-        f = CompositeForcing(
-            [ConstantMeanForcing(grid, [1.0, 0.0]),
-             DecayingModeForcing(unit_h1_profile(grid), rate=1.0, amplitude=0.1)]
-        )
+        f = DecayingModeForcing(unit_h1_profile(grid), rate=1.0, amplitude=0.1, constant=[1.0, 0.0])
         ch = a_chain(f, {"l2_sq": 0.0, "grad_sq": 0.0, "grad2_sq": 0.0}, 3.0, pc, ic)
         assert math.isinf(ch.a9)
         assert not ch.hypotheses["drift_finite"]

@@ -58,6 +58,8 @@ class TestConfigValidation:
                      "dt must divide the window length", id="dt-divides-window"),
         pytest.param("simulate", {"forcing": {"family": "example1", "mode": [0, 0]}},
                      "nonzero 2D integer mode", id="forcing-mode-zero"),
+        pytest.param("simulate", {"forcing": {"family": "example1", "constant": [1, 0, 0]}},
+                     "constant force needs 2 components", id="example1-constant-length"),
         pytest.param("stability", {"scenario": {"force_mode": [0, 0]}},
                      "nonzero 2D integer mode", id="scenario-force-mode-zero"),
         pytest.param("stability", {"scenario": {"g_amplitude": 0.1, "g_mode": [0, 0, 0]}},
@@ -250,6 +252,34 @@ class TestSimulate:
             rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 4
         assert "abort" in capsys.readouterr().err
+
+    def test_cfl_ignores_the_advecting_mean(self, tmp_path):
+        # advection by the mean goes into the integrating factor, so a large
+        # constant mean force does not stop the run on CFL
+        cfg = write_cfg(tmp_path, {
+            "system": "base2d", "grid": {"N": 32},
+            "solver": {"dt": 2.5e-3, "t_end": 1.0, "cfl_max": 1.2},
+            "initial": {"kind": "taylor_green", "amplitude": 0.015},
+            "forcing": {"family": "constant_mean", "constant": [100.0, 0.0]},
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((out / "state_series.json").read_text())
+        assert sidecar["times"][-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_window_T_does_not_set_the_example2_period(self, tmp_path):
+        # output.window_T says when states are stored; the example-2 period
+        # comes from forcing.window (default 1)
+        doc = {"system": "base2d", "grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.2},
+               "initial": {"kind": "taylor_green", "amplitude": 0.1},
+               "forcing": {"family": "example2", "mode": [1, 0]}}
+        series = []
+        for name, extra in (("plain", {}), ("windowed", {"output": {"window_T": 0.05}})):
+            cfg = write_cfg(tmp_path, {**doc, **extra}, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            series.append(json.loads((out / "state_series.json").read_text())["series"])
+        assert series[0] == series[1]
 
     def test_pair_with_2d_forcing_mode(self, tmp_path):
         # the pair's forcing is built on the 2D grid only, so a 2D mode is valid
@@ -505,6 +535,41 @@ class TestStability:
         assert doc["barrier"] is None and doc["checks"] == {} and doc["windows"] == []
         assert "b_chain" in doc["certificate"] and "smallness" not in doc["certificate"]
         assert not (out / "series.csv").exists()
+
+    def test_cfl_stop_writes_the_aborted_report(self, tmp_path):
+        # a CFL stop is a solver abort: the report keeps the chains
+        cfg = write_cfg(tmp_path, {"scenario": {**SMALL_SCENARIO, "base_amplitude": 50.0,
+                                                "cfl_max": 0.01}})
+        out = tmp_path / "out"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["aborted"] is True and "CFL" in doc["abort_diagnostic"]
+        assert doc["barrier"] is None
+        assert all(k in doc["certificate"] for k in ("abar_chain", "a_chain", "b_chain"))
+
+    def test_report_prints_verdicts_and_checks(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self._scn_cfg())
+        out = tmp_path / "out"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        capsys.readouterr()
+        rep = write_cfg(tmp_path, {"path": str(out / "report.json")}, "r.json")
+        assert main(["report", "--config", rep, "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        cert = doc["certificate"]
+        assert f"  gamma_hypothesis: {cert['gamma_hypothesis']}\n" in printed
+        assert f"  barrier_hypotheses_ok: {cert['barrier_hypotheses_ok']}\n" in printed
+        assert f"  check.all_ok: {doc['checks']['all_ok']}\n" in printed
+        assert f"  check.x_le_y: {doc['checks']['x_le_y']}\n" in printed
+
+    @pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "not-json"])
+    def test_unreadable_report_exit2(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        rep = write_cfg(tmp_path, {"path": str(path)}, "r.json")
+        assert main(["report", "--config", rep, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"cannot read report {path}" in capsys.readouterr().err
 
     def test_sweep_applies_seed(self, tmp_path, capsys):
         doc = {"scenarios": [self._scn_cfg(), self._scn_cfg(T=5.0, dt=0.025)]}

@@ -20,7 +20,7 @@ from nsbox.experiments import (
     single_mode_profile,
     window_statistics,
 )
-from nsbox.forcing import CompositeForcing, DecayingModeForcing, ZeroForcing
+from nsbox.forcing import DecayingModeForcing, ZeroForcing
 from nsbox.solver import FlowState, SolverConfig, evolve_base_2d, evolve_pair, taylor_green_state
 from nsbox.spectral import PeriodicGrid, SpectralField
 
@@ -79,9 +79,9 @@ class TestForcingFamilies:
     def test_example1_and_threshold(self, consts):
         pc, ic = consts
         f, _ = Scenario(N=16).forcings()
-        assert isinstance(f, CompositeForcing)
-        h = [p for p in f.parts if isinstance(p, DecayingModeForcing)][0]
-        thr = example_one_threshold(h, 0.01, pc, ic)
+        assert isinstance(f, DecayingModeForcing)
+        assert np.array_equal(f.mean_rate, [1.0, 0.0])
+        thr = example_one_threshold(f, 0.01, pc, ic)
         assert thr >= t_star(pc)
 
     def test_example2_periodic(self):

@@ -7,7 +7,6 @@ import pytest
 
 from nsbox.experiments import build_forcing
 from nsbox.forcing import (
-    CompositeForcing,
     ConstantMeanForcing,
     DecayingModeForcing,
     OscillatingMeanForcing,
@@ -69,6 +68,10 @@ class TestDecayingMode:
         with pytest.raises(ValueError):
             DecayingModeForcing(unit_h1_profile(grid), rate=0.0)
 
+    def test_constant_length_validation(self, grid):
+        with pytest.raises(ValueError, match="components"):
+            DecayingModeForcing(unit_h1_profile(grid), rate=1.0, constant=[1.0, 0.0, 0.0])
+
     def test_infinite_h1_integral_closed_form(self, grid):
         # unit H1 profile with rate lam: integral over all time = 1/(2 lam)
         f = DecayingModeForcing(unit_h1_profile(grid), rate=1.0)
@@ -126,25 +129,18 @@ class TestOscillatingMean:
 
 
 class TestComposite:
+    """Example 1 composes a constant force and a decaying fluctuation in one family."""
+
     def test_example_one_shape(self, grid):
-        # constant force plus decaying fluctuation: bar norms come from the
-        # decaying part only, drift grows linearly
+        # bar norms are the decaying mode's alone, the drift grows linearly
         h = DecayingModeForcing(unit_h1_profile(grid), rate=1.0, amplitude=0.1)
-        f = CompositeForcing([ConstantMeanForcing(grid, [1.0, 0.0]), h])
+        f = DecayingModeForcing(h.profile, rate=1.0, amplitude=0.1, constant=[1.0, 0.0])
         assert f.window_bar_sq_integral(0, 2.0, "h1") == pytest.approx(
             h.window_bar_sq_integral(0, 2.0, "h1")
         )
         sup, cert = f.drift_sup_abs(2.0, 8, [0.0, 0.0])
         assert math.isinf(sup) and cert
         assert np.allclose(f.mean(0.3), [1.0, 0.0])
-
-    def test_mean_sums(self, grid):
-        f = CompositeForcing(
-            [ConstantMeanForcing(grid, [1.0, 0.0]), OscillatingMeanForcing(grid, [0.0, 1.0])]
-        )
-        got = f.mean_integral(0.0, 1.0)
-        assert got[0] == pytest.approx(1.0)
-        assert got[1] == pytest.approx(1.0 - math.cos(1.0))
 
 
 class TestPeriodicExtension:
@@ -176,16 +172,13 @@ CLI_FAMILIES = ("zero", "constant_mean", "oscillating_mean", "decaying_mode", "e
 
 
 def declaration_case(grid, name):
-    if name == "composite":
-        return CompositeForcing([ConstantMeanForcing(grid, [0.5, -0.25]),
-                                 OscillatingMeanForcing(grid, [0.0, 1.0]), ZeroForcing(grid, 2)])
     if name == "periodic":
         return PeriodicExtensionForcing(OscillatingMeanForcing(grid, [1.0, 0.0], omega=2.0), 1.5)
     return build_forcing(grid, {"family": name, "constant": [0.5, -0.25]}, 2.0)
 
 
 class TestDeclarations:
-    @pytest.mark.parametrize("name", CLI_FAMILIES + ("composite", "periodic"))
+    @pytest.mark.parametrize("name", CLI_FAMILIES + ("periodic",))
     def test_declarations_hold(self, grid, name):
         f = declaration_case(grid, name)
         for t in (0.0, 0.3, 1.7, 4.2):
@@ -201,32 +194,21 @@ class TestDeclarations:
             assert np.allclose(f.mean_double_integral(t0, t1),
                                _gl4(lambda s: (t1 - s) * f.mean(s), t0, t1), rtol=1e-13, atol=1e-15)
 
+    # a window-periodic extension repeats its inner family's declarations:
+    # example 2 repeats a decaying mode with a zero constant, "periodic" an
+    # oscillating mean, which has no bar part and no declared rate
     @pytest.mark.parametrize("name, has_bar, declared_rate", [
         ("zero", False, True), ("constant_mean", False, True),
         ("oscillating_mean", False, False), ("decaying_mode", True, True),
-        ("example1", True, True), ("example2", True, False),
-        ("composite", False, False), ("periodic", True, False),
+        ("example1", True, True), ("example2", True, True), ("periodic", False, False),
     ])
     def test_families_declare(self, grid, name, has_bar, declared_rate):
         f = declaration_case(grid, name)
         assert f.has_bar is has_bar
         assert (f.mean_rate is not None) is declared_rate
 
-    def test_cancelling_constants_have_bounded_drift(self, grid):
-        a = np.array([0.7, -0.2])
-        f = CompositeForcing([ConstantMeanForcing(grid, a), ConstantMeanForcing(grid, -a)])
-        sup, certified = f.drift_sup_abs(2.0, 8, [0.3, 0.4])
-        assert certified and sup == pytest.approx(0.5, rel=1e-15)
-
     def test_example_one_with_zero_constant_certifies_drift(self, grid):
         f = build_forcing(grid, {"family": "example1", "constant": [0.0, 0.0]})
         m0 = np.array([0.3, 0.4])
         assert f.drift_sup_abs(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
         assert f.sup_window_drift_sq(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
-
-    def test_constant_beside_undeclared_mean_drifts_unboundedly(self, grid):
-        f = CompositeForcing(
-            [ConstantMeanForcing(grid, [1.0, 0.0]), OscillatingMeanForcing(grid, [0.0, 1.0])]
-        )
-        assert f.drift_sup_abs(2.0, 8, [0.0, 0.0]) == (math.inf, True)
-        assert f.sup_window_drift_sq(2.0, 8, [0.0, 0.0]) == (math.inf, True)
