@@ -7,10 +7,14 @@ the single-flow equation.  Each system advances its mean-free, solenoidal
 part spectrally and its spatial mean by the exact mean ODE
 d/dt mean = (1/|box|) int f dx.
 
-Layout: every array of a step (state, explicit terms, integrating factors,
-Parseval sums) is on the one coefficient layout of `nsbox.spectral`, the half
-(rfftn) spectrum, and a stored state wraps the stepper's coefficients as they
-are.
+Layout: the 2/3 rule keeps only the modes with |m_a| < N/3 on every axis,
+so every array of a step (state, stage terms, integrating factors, Parseval
+weights) lives on that box, the grid's `band`.  The half (rfftn) spectrum
+appears only inside the transforms: an inverse scatters the box into a
+half-spectrum stack that each system owns and that stays zero outside the
+box, and a forward transform keeps only the box of its output, which is the
+dealiasing.  A stored state is the box scattered back into the half spectrum,
+made only at the sample steps.
 
 Scheme: per-mode integrating factor exp(-nu |k|^2 dt - i k . int mean dt)
 treats viscosity *and* advection by the spatial mean exactly (the latter is
@@ -64,12 +68,13 @@ from nsbox.spectral import (
     SpectralField,
     curl_coeffs,
     derivative_coeffs,
+    extend,
     grad_l3_norm,
-    grad_samples,
     gradient_part_normsq,
     inner_product,
     integrating_factor,
     leray_project_coeffs,
+    restrict,
     to_coeffs,
     to_samples,
     weighted_norm_sq,
@@ -82,12 +87,10 @@ __all__ = [
     "Trajectory",
     "CFLViolation",
     "SolverAbort",
-    "nonlinear_term",
     "mean_ode_step",
     "evolve_base_2d",
     "evolve_full_3d",
     "evolve_pair",
-    "energy_balance_residual",
     "taylor_green_state",
 ]
 
@@ -157,15 +160,6 @@ class FlowState:
         if self.mean.shape != (self.field.components,):
             raise ValueError("mean length must equal field components")
 
-    def validate(self, div_tol=1e-11, mean_tol=1e-14):
-        h1 = self.field.sobolev_norm(1)
-        div = self.field.div_norm()
-        if h1 > 0 and div > div_tol * h1:
-            raise AssertionError(f"divergence {div:.3e} exceeds {div_tol:.1e} * H1")
-        if np.max(np.abs(self.field.mean())) > mean_tol:
-            raise AssertionError("mean-free part carries a nonzero mode 0")
-        return True
-
 
 @dataclass
 class Trajectory:
@@ -177,35 +171,7 @@ class Trajectory:
     base: "Trajectory | None" = None
 
 
-# -- explicit terms on raw coefficient arrays ----------------------------------
-
-
-def _explicit(grid, raw, fbar=None):
-    """Add the mean-free forcing `fbar` (coefficients, or None), dealias and
-    project: (rhs, raw)."""
-    if fbar is not None:
-        raw = raw + fbar
-    raw = raw * grid.dealias_mask
-    return zero_mode0(leray_project_coeffs(grid, raw)), raw
-
-
-def nonlinear_term(state: FlowState, advecting: SpectralField, advecting_mean=None) -> SpectralField:
-    """Leray-projected, dealiased -(w . grad) u for the unsplit advecting
-    velocity w (mean-free part `advecting` plus optional constant mean), in
-    the convective form: the tests' independent oracle for the solver's
-    right-hand sides."""
-    grid = state.field.grid
-    if advecting.grid != grid:
-        raise ValueError("advecting field lives on a different grid")
-    wmean = np.zeros(advecting.components) if advecting_mean is None else np.asarray(advecting_mean, float)
-    w = advecting.physical()
-    grads = grad_samples(grid, state.field.coeffs)
-    conv = np.zeros((state.field.components,) + grid.shape)
-    for a in range(grid.dim):
-        wa = w[a] + wmean[a]
-        for c in range(len(conv)):
-            conv[c] += wa * grads[a][c]
-    return SpectralField(grid, _explicit(grid, -to_coeffs(grid, conv))[0])
+# -- means ----------------------------------------------------------------------
 
 
 def _pad(v, dim):
@@ -228,14 +194,14 @@ def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
 class _Eval(NamedTuple):
     """One right-hand-side evaluation of a system at one stage."""
 
-    rhs: np.ndarray    # explicit term: dealiased, Leray-projected, mode 0 zeroed
-    raw: np.ndarray    # the dealiased explicit term before projection
+    rhs: np.ndarray    # explicit term on the band: Leray-projected, mode 0 zeroed
+    raw: np.ndarray    # the explicit term on the band before projection
     speed: float       # max speed of the mean-free advecting velocity, which the
                        # explicit term advects with (means go in the integrating factor)
     phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
     grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
     mean: np.ndarray   # the spatial mean the evaluation used
-    fbar: SpectralField | None  # the mean-free forcing the evaluation used
+    fbar: SpectralField | None  # the mean-free forcing the evaluation used (all its modes)
 
 
 class _Flow:
@@ -250,43 +216,48 @@ class _Flow:
 
     def __init__(self, grid, forcing, base_forcing=None):
         self.grid = grid
+        self.band = grid.band
         self.forcing = forcing
         # the forcings of the advecting means, in the order of the stepper's means
         self.mean_forcings = (forcing,) if base_forcing is None else (forcing, base_forcing)
         # preallocated transform stacks: in 2D, u and grad u in and (u . grad) u
-        # out; in 3D, u and curl u in and the rotational vector and phi out
+        # out; in 3D, u and curl u in and the rotational vector and phi out.  The
+        # inverse's half-spectrum stack is zeroed once: each inverse writes its box.
         stack, products = ((3, 2), 2) if grid.dim == 2 else ((6,), 4)
-        self._coeff_stack = np.empty(stack + grid.coeff_shape, dtype=np.complex128)
+        self._pad = np.zeros(stack + grid.coeff_shape, dtype=np.complex128)
         self._products = np.empty((products,) + grid.shape)
 
     def rhs(self, coeffs, mean, t, base=None):
-        """`base` is the base flow's evaluation at the same stage, or None for
-        a single flow; its x3-independent fields enter the 3D products as
-        broadcast views."""
-        grid, stack, prods = self.grid, self._coeff_stack, self._products
-        if grid.dim == 2:
+        """The evaluation at the band coefficients `coeffs`; `base` is the base
+        flow's evaluation at the same stage, or None for a single flow; its
+        x3-independent fields enter the 3D products as broadcast views."""
+        band, prods = self.band, self._products
+        stack = np.empty(self._pad.shape[: -band.dim] + band.coeff_shape, dtype=np.complex128)
+        if band.dim == 2:
             stack[0] = coeffs
-            derivative_coeffs(grid, coeffs, out=stack[1:])
-            samples = to_samples(grid, stack)
+            derivative_coeffs(band, coeffs, out=stack[1:])
+            samples = to_samples(band, stack, self._pad)
             phys = w = samples[0]
             grads = samples[1:]
             np.multiply(w[0], grads[0], out=prods)
             prods += w[1] * grads[1]
-            raw = to_coeffs(grid, prods)
+            raw = to_coeffs(band, prods)
         else:
             stack[:3] = coeffs
-            curl_coeffs(grid, coeffs, out=stack[3:])
-            w = self._rotational(to_samples(grid, stack), mean, base)
+            curl_coeffs(band, coeffs, out=stack[3:])
+            w = self._rotational(to_samples(band, stack, self._pad), mean, base)
             phys = grads = None
-            hat = to_coeffs(grid, prods)
-            raw = derivative_coeffs(grid, hat[3])
+            hat = to_coeffs(band, prods)
+            raw = derivative_coeffs(band, hat[3])
             raw += hat[:3]
         np.negative(raw, out=raw)
         speedsq = np.square(w[0])
-        for a in range(1, grid.dim):
+        for a in range(1, band.dim):
             speedsq += np.square(w[a])
         fbar = self.forcing.bar_field(t)
-        rhs, raw = _explicit(grid, raw, None if fbar is None else fbar.coeffs)
+        if fbar is not None:
+            raw += restrict(band, fbar.coeffs)
+        rhs = zero_mode0(leray_project_coeffs(band, raw))
         return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), phys, grads, mean, fbar)
 
     def _rotational(self, samples, mean, base):
@@ -351,15 +322,15 @@ class _Stepper:
     def __init__(self, system, cfg, state0):
         self.system = system
         self.dt = cfg.dt
-        grid = system.grid
-        self.coeffs = state0.field.coeffs * grid.dealias_mask
+        band = system.band
+        self.coeffs = restrict(band, state0.field.coeffs)
         self.mean = np.asarray(state0.mean, float).copy()
         self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
         self.prev_rhs = None
         self.prev_factor = None
         # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
-        self._visc_half = np.exp(-cfg.nu * grid.ksq * (cfg.dt / 2.0))
-        self._visc_full = np.exp(-cfg.nu * grid.ksq * cfg.dt)
+        self._visc_half = np.exp(-cfg.nu * band.ksq * (cfg.dt / 2.0))
+        self._visc_full = np.exp(-cfg.nu * band.ksq * cfg.dt)
 
     def evaluate(self, t, base=None):
         """The RHS at the current state at time t; the first stage of a step."""
@@ -370,14 +341,14 @@ class _Stepper:
     def start(self, use_rk3, base_mean=None):
         """Integrating factors and end mean of the step; `base_mean` is the
         advecting system's mean."""
-        system, t, dt = self.system, self.t, self.dt
+        system, band, t, dt = self.system, self.system.band, self.t, self.dt
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
-        I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, system.grid.dim)
+        I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, band.dim)
         if use_rk3:
-            self.lam_h = tuple(integrating_factor(system.grid, self._visc_half, I) for I in (I1, I2))
+            self.lam_h = tuple(integrating_factor(band, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
         else:
-            self.lam = integrating_factor(system.grid, self._visc_full, I1 + I2)
+            self.lam = integrating_factor(band, self._visc_full, I1 + I2)
         self.mean_next = self._mean_at(dt)
 
     def stage(self, base=None):
@@ -421,39 +392,42 @@ class _Recorder:
 
     def __init__(self, grid):
         self.grid = grid
+        self.band = band = grid.band
         keys = ("t", *_PARSEVAL, "forcing_inner", "fbar_l2_sq", "gradp_sq", "speed", "dudt_sq",
                 "mean") + (("gradv_l3",) if grid.dim == 2 else ())
         self.data = {k: [] for k in keys}
-        # the Parseval weights of the _PARSEVAL series, stacked
-        self._weights = np.stack([grid.sobolev_multiplier(s) for s in range(4)] + [grid.ksq])
+        # the Parseval weights of the _PARSEVAL series on the band, stacked
+        self._weights = np.stack([band.sobolev_multiplier(s) for s in range(4)] + [band.ksq])
         self._prev_coeffs = None
 
     def record(self, t, coeffs, ev, dt):
-        """Append the series at t from the state's coefficients and its evaluation `ev`."""
-        grid = self.grid
+        """Append the series at t from the state's band coefficients and its
+        evaluation `ev`."""
+        band = self.band
         d = self.data
         d["t"].append(t)
-        for key, v in zip(_PARSEVAL, weighted_norm_sq(grid, coeffs, self._weights).tolist()):
+        for key, v in zip(_PARSEVAL, weighted_norm_sq(band, coeffs, self._weights).tolist()):
             d[key].append(v)
         if ev.fbar is None:
             d["forcing_inner"].append(0.0)
             d["fbar_l2_sq"].append(0.0)
         else:
+            # the state is zero outside the band, the forcing need not be
             fbar = ev.fbar.coeffs
-            d["forcing_inner"].append(inner_product(grid, fbar, coeffs))
-            d["fbar_l2_sq"].append(float(weighted_norm_sq(grid, fbar, 1.0)))
-        d["gradp_sq"].append(gradient_part_normsq(grid, ev.raw))
+            d["forcing_inner"].append(inner_product(band, restrict(band, fbar), coeffs))
+            d["fbar_l2_sq"].append(float(weighted_norm_sq(self.grid, fbar, 1.0)))
+        d["gradp_sq"].append(gradient_part_normsq(band, ev.raw))
         d["speed"].append(ev.speed)
         d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
             diff = (coeffs - self._prev_coeffs) / dt
-            d["dudt_sq"].append(float(weighted_norm_sq(grid, diff, 1.0)))
+            d["dudt_sq"].append(float(weighted_norm_sq(band, diff, 1.0)))
         else:
             d["dudt_sq"].append(0.0)
         # no copy: `_Stepper.finish` binds a new array and never writes to this one
         self._prev_coeffs = coeffs
-        if grid.dim == 2:
-            d["gradv_l3"].append(grad_l3_norm(grid, ev.grads))
+        if band.dim == 2:
+            d["gradv_l3"].append(grad_l3_norm(self.grid, ev.grads))
 
     def finalize(self):
         out = {}
@@ -505,8 +479,7 @@ def _evolve(systems, states0, cfg, sample_times):
             speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
             if n in plan:
-                # no copy: `_Stepper.finish` binds a new array and never writes to this one
-                field = SpectralField(st.system.grid, st.coeffs)
+                field = SpectralField(st.system.grid, extend(st.system.band, st.coeffs))
                 out.append(FlowState(t, field, st.mean.copy()))
         if n == n_steps:
             break
@@ -561,20 +534,6 @@ def evolve_pair(base_state0, base_forcing, u0: FlowState, g_forcing: Forcing,
     base, pert = _evolve(systems, [base_state0, u0], cfg, sample_times)
     pert.base = base
     return pert
-
-
-def energy_balance_residual(traj: Trajectory) -> dict:
-    """Residual of d/dt (1/2)||ubar||^2 + nu ||grad ubar||^2 - <fbar, ubar>
-    along the stored series, centered differences in time."""
-    s = traj.series
-    t = s["t"]
-    if len(t) < 3:
-        raise ValueError("need at least 3 samples for the centered residual")
-    dt = t[1] - t[0]
-    e = s["l2_sq"]
-    dedt_half = (e[2:] - e[:-2]) / (4.0 * dt)  # d/dt of E/2
-    r = dedt_half + traj.cfg.nu * s["grad_sq"][1:-1] - s["forcing_inner"][1:-1]
-    return {"max_abs": float(np.max(np.abs(r))), "series": r, "t": t[1:-1]}
 
 
 def taylor_green_state(grid: PeriodicGrid, amplitude=1.0) -> FlowState:

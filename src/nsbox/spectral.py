@@ -18,18 +18,25 @@ modes of their mirror pairs.
 `PeriodicGrid` describes the layout: the sample `shape`, the coefficient
 `coeff_shape`, wavevectors `k`, `ksq`, integer `modes`, the first-derivative
 wavevectors `kd` (Nyquist planes zeroed) and multipliers `ik`, the dealias
-mask, per-axis `k1d`, the Parseval weight `herm` and the Sobolev multipliers.  The kernel functions below
-`SpectralField` take the grid and act on raw (C, coeff_shape) arrays:
-transforms, first-derivative and curl coefficients, physical gradients,
-Parseval norms and inner products, derivative multipliers, integrating
-factors, mode-0 zeroing, Leray projection, and L^p norms of pointwise
-magnitudes.  The transforms, physical gradients, Parseval norms and L^p norms
-also take stacks with leading batch axes.  The field methods, the solver and
-the constants calibration are built on them.
+mask, per-axis `k1d`, the Parseval weight `herm` and the Sobolev multipliers.
+Its `band` is a `PeriodicGrid` of the same samples over the 2/3-dealiased box
+alone, the modes with |m_a| < N/3 on every axis: the only modes a dealiased
+computation ever fills (28% of the half spectrum at N = 32).  The kernel
+functions below `SpectralField` take either grid and act on raw
+(C, coeff_shape) arrays: transforms, first-derivative and curl coefficients,
+physical gradients, Parseval norms and inner products, derivative
+multipliers, integrating factors, mode-0 zeroing, Leray projection, and L^p
+norms of pointwise magnitudes.  On a band the transforms go through the half
+spectrum: `extend` scatters the box into it before the inverse, `restrict`
+gathers the box from the forward transform, each as 2^(dim - 1) contiguous
+slice blocks.  The transforms, physical gradients, Parseval norms and L^p
+norms also take stacks with leading batch axes.  The field methods, the
+solver and the constants calibration are built on them.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +47,8 @@ __all__ = [
     "SpectralField",
     "to_coeffs",
     "to_samples",
+    "restrict",
+    "extend",
     "grad_samples",
     "derivative_coeffs",
     "curl_coeffs",
@@ -77,10 +86,15 @@ class PeriodicGrid:
         self.dim = int(dim)
         self.N = int(N)
         self.shape = (N,) * dim  # the samples
-        n_last = N // 2 + 1
-        self.coeff_shape = (N,) * (dim - 1) + (n_last,)
         m1 = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
-        m_axes = (m1,) * (dim - 1) + (m1[:n_last],)  # last axis: 0, ..., N/2 - 1, -N/2
+        # last axis: 0, ..., N/2 - 1, -N/2
+        self._set_modes((m1,) * (dim - 1) + (m1[: N // 2 + 1],))
+        self._blocks = None  # a band's slice blocks into the half spectrum
+
+    def _set_modes(self, m_axes):
+        """The coefficient layout over the integer modes `m_axes` of each axis."""
+        N = self.N
+        self.coeff_shape = tuple(len(m) for m in m_axes)
         self.k1d = tuple((2.0 * np.pi / self.L) * m.astype(np.float64) for m in m_axes)
         self.modes = np.stack(np.meshgrid(*m_axes, indexing="ij"))  # (dim, coeff_shape)
         self.k = (2.0 * np.pi / self.L) * self.modes.astype(np.float64)
@@ -88,13 +102,37 @@ class PeriodicGrid:
         # 2/3 rule: |m_a| < N/3 on every axis, so a product's modes beyond the
         # band (|m_a| < 2N/3) alias onto |m_a| > N/3, outside it
         self.dealias_mask = np.all(np.abs(self.modes) < N / 3.0, axis=0)
-        herm = np.full(n_last, 2.0)
-        herm[0] = herm[-1] = 1.0
-        self.herm = herm
-        self.cell_volume = (self.L / N) ** dim
-        self.volume = self.L**dim
-        self.axes = tuple(range(-dim, 0))  # the grid axes of a (..., grid) array
+        # the planes m_last = 0 and m_last = -N/2 hold both modes of their mirror pairs
+        m_last = m_axes[-1]
+        self.herm = np.where((m_last == 0) | (m_last == -(N // 2)), 1.0, 2.0)
+        self.cell_volume = (self.L / N) ** self.dim
+        self.volume = self.L**self.dim
+        self.axes = tuple(range(-self.dim, 0))  # the grid axes of a (..., grid) array
         self._sob_mult: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def band(self) -> "PeriodicGrid":
+        """The grid of the 2/3-dealiased box: the modes with |m_a| < N/3 on
+        every axis, (2K + 1, ..., K + 1) coefficients for the largest such K,
+        each axis in FFT order (0, ..., K, -K, ..., -1).  It has no Nyquist
+        plane, so its `kd` is `k`, its dealias mask is all true and its `herm`
+        is 1 at m_last = 0 and 2 elsewhere.  Every kernel function takes it;
+        `to_samples` and `to_coeffs` go through the half spectrum of the same
+        samples, by `extend` and `restrict`."""
+        N, K = self.N, (self.N - 1) // 3
+        band = object.__new__(PeriodicGrid)
+        band.L, band.dim, band.N, band.shape = self.L, self.dim, N, self.shape
+        m = np.arange(K + 1)
+        band._set_modes((np.concatenate([m, -m[:0:-1]]),) * (self.dim - 1) + (m,))
+        # each of the first dim - 1 axes is two contiguous runs, m >= 0 and m < 0
+        half = (slice(0, K + 1), slice(N - K, N))
+        box = (slice(0, K + 1), slice(K + 1, 2 * K + 1))
+        last = (slice(0, K + 1),)
+        band._blocks = tuple(((..., *h) + last, (..., *b) + last)
+                             for h, b in zip(itertools.product(half, repeat=self.dim - 1),
+                                             itertools.product(box, repeat=self.dim - 1)))
+        band._half_shape = self.coeff_shape
+        return band
 
     @cached_property
     def kd(self) -> np.ndarray:
@@ -148,10 +186,11 @@ class PeriodicGrid:
             and self.L == other.L
             and self.dim == other.dim
             and self.N == other.N
+            and self.coeff_shape == other.coeff_shape
         )
 
     def __hash__(self):
-        return hash((self.L, self.dim, self.N))
+        return hash((self.L, self.dim, self.N, self.coeff_shape))
 
     def __repr__(self):
         return f"PeriodicGrid(L={self.L}, dim={self.dim}, N={self.N})"
@@ -303,13 +342,38 @@ class SpectralField:
 
 
 def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
-    """Normalized coefficients of a raw (..., C, shape) sample array."""
-    return _fft.rfftn(samples, axes=grid.axes, norm="forward")
+    """Normalized coefficients of a raw (..., C, shape) sample array; on a band
+    grid, the box of them."""
+    coeffs = _fft.rfftn(samples, axes=grid.axes, norm="forward")
+    return coeffs if grid._blocks is None else restrict(grid, coeffs)
 
 
-def to_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """Grid samples of a raw (..., C, coeff_shape) coefficient array."""
+def to_samples(grid: PeriodicGrid, coeffs, pad=None) -> np.ndarray:
+    """Grid samples of a raw (..., C, coeff_shape) coefficient array.  On a
+    band grid the box is first scattered into `pad` by `extend`."""
+    if grid._blocks is not None:
+        coeffs = extend(grid, coeffs, pad)
     return _fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+
+
+def restrict(band: PeriodicGrid, coeffs) -> np.ndarray:
+    """The box of `band` gathered from a raw (..., half-spectrum) array, as a
+    new (..., band.coeff_shape) array."""
+    out = np.empty(coeffs.shape[: -band.dim] + band.coeff_shape, dtype=coeffs.dtype)
+    for half, box in band._blocks:
+        out[box] = coeffs[half]
+    return out
+
+
+def extend(band: PeriodicGrid, coeffs, out=None) -> np.ndarray:
+    """A raw (..., band.coeff_shape) array scattered into the half spectrum:
+    into `out`, which must be zero outside the box (only the box is written),
+    or into a new zero array."""
+    if out is None:
+        out = np.zeros(coeffs.shape[: -band.dim] + band._half_shape, dtype=np.complex128)
+    for half, box in band._blocks:
+        out[half] = coeffs[box]
+    return out
 
 
 def derivative_coeffs(grid: PeriodicGrid, coeffs, out=None) -> np.ndarray:

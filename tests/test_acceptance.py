@@ -38,11 +38,11 @@ from nsbox.forcing import (
 from nsbox.solver import (
     FlowState,
     SolverConfig,
-    energy_balance_residual,
     evolve_base_2d,
     taylor_green_state,
 )
 from nsbox.spectral import PeriodicGrid, SpectralField, random_field, to_coeffs, to_samples
+from oracles import energy_balance_residual
 
 TWO_PI = 2.0 * np.pi
 

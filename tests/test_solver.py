@@ -5,6 +5,7 @@ import pytest
 
 import nsbox.solver
 import nsbox.spectral
+from nsbox.experiments import single_mode_profile
 from nsbox.forcing import (
     ConstantMeanForcing,
     DecayingModeForcing,
@@ -17,12 +18,10 @@ from nsbox.solver import (
     FlowState,
     SolverAbort,
     SolverConfig,
-    energy_balance_residual,
     evolve_base_2d,
     evolve_full_3d,
     evolve_pair,
     mean_ode_step,
-    nonlinear_term,
     taylor_green_state,
 )
 from nsbox.spectral import (
@@ -32,8 +31,10 @@ from nsbox.spectral import (
     inner_product,
     lift_2d_to_3d,
     random_field,
+    restrict,
     weighted_norm_sq,
 )
+from oracles import energy_balance_residual, nonlinear_term, validate_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -162,7 +163,7 @@ class TestStepBasics:
         traj = evolve_base_2d(FlowState(0.0, u0, np.zeros(2)), forcing, cfg,
                               sample_times=[0.1, 0.2])
         for st in traj.states:
-            st.validate()
+            validate_state(st)
 
     def test_energy_monotone_unforced(self):
         rng = np.random.default_rng(33)
@@ -374,7 +375,8 @@ class TestPair:
 
 class TestRecorder:
     """The recorded norm series are the kernel's stacked Parseval sums of the
-    stored states bit for bit, and their `SpectralField` norms to roundoff."""
+    stored states' band coefficients bit for bit, and their `SpectralField`
+    norms to roundoff."""
 
     @staticmethod
     def assert_series_match(traj, forcing):
@@ -382,12 +384,14 @@ class TestRecorder:
         for st in traj.states:
             n = round(st.t / traj.cfg.dt)
             u = st.field
-            g = u.grid
+            b = u.grid.band
             fbar = forcing.bar_field(st.t)
-            weights = np.stack([g.sobolev_multiplier(o) for o in range(4)] + [g.ksq])
+            c, f = restrict(b, u.coeffs), restrict(b, fbar.coeffs)
+            weights = np.stack([b.sobolev_multiplier(o) for o in range(4)] + [b.ksq])
             keys = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")
-            assert [s[k][n] for k in keys] == weighted_norm_sq(g, u.coeffs, weights).tolist()
-            assert s["forcing_inner"][n] == inner_product(g, fbar.coeffs, u.coeffs)
+            assert [s[k][n] for k in keys] == weighted_norm_sq(b, c, weights).tolist()
+            assert s["forcing_inner"][n] == inner_product(b, f, c)
+            assert s["fbar_l2_sq"][n] == weighted_norm_sq(u.grid, fbar.coeffs, 1.0)
             full = [u.sobolev_norm_sq(order) for order in range(4)] + [u.grad_norm_sq()]
             assert np.allclose([s[k][n] for k in keys], full, rtol=1e-14, atol=0)
             scale = fbar.sobolev_norm(0) * u.sobolev_norm(0)
@@ -419,6 +423,22 @@ class TestRecorder:
         self.assert_series_match(pert, g)
         self.assert_series_match(pert.base, fs)
 
+    def test_fbar_norm_counts_modes_outside_the_band(self):
+        # a forcing mode outside the band never reaches the state, but it is
+        # part of ||fbar||^2: the series records the full forcing's norm
+        g = PeriodicGrid(L=TWO_PI, dim=2, N=32)
+        mode = single_mode_profile(g, (12, 0), amplitude=0.5)
+        # without the transform's roundoff inside the band
+        profile = SpectralField(g, mode.coeffs * ~g.dealias_mask)
+        assert profile.sobolev_norm_sq(0) == pytest.approx(mode.sobolev_norm_sq(0), rel=1e-14)
+        forcing = DecayingModeForcing(profile, rate=1.0)
+        cfg = SolverConfig(nu=0.5, dt=1e-2, t_end=0.05)
+        traj = evolve_base_2d(zero_state(g, 2), forcing, cfg)
+        want = [profile.sobolev_norm_sq(0) * np.exp(-2.0 * t) for t in traj.series["t"]]
+        assert traj.series["fbar_l2_sq"] == pytest.approx(want, rel=1e-14)
+        assert np.all(traj.series["forcing_inner"] == 0.0)
+        assert np.all(traj.series["l2_sq"] == 0.0)
+
 
 def random_state(grid, rng, mean, scale=1.0):
     """A dealiased solenoidal random state with the given mean."""
@@ -438,13 +458,13 @@ def convective_raw(u, w, wmean=None):
 
 
 class TestHalfSpectrumStepping:
-    """The stepper on the half (rfftn) spectrum: its right-hand sides against
-    the convective `nonlinear_term`, its stored states, its transform count."""
+    """The stepper on the 2/3-dealiased band: its right-hand sides against the
+    convective `nonlinear_term`, its stored states, its transform count."""
 
     @staticmethod
     def evaluate(system, state, t=0.0, base=None):
-        """The system's RHS evaluation at `state`."""
-        return system.rhs(state.field.coeffs, state.mean, t, base)
+        """The system's RHS evaluation at `state`, restricted to the band."""
+        return system.rhs(restrict(system.band, state.field.coeffs), state.mean, t, base)
 
     @pytest.mark.parametrize("N", [8, 12, 16])
     def test_rotational_rhs_matches_convective_oracle(self, N):
@@ -457,9 +477,12 @@ class TestHalfSpectrumStepping:
 
         def close(ev, oracle, raw):
             # the projected term, and the raw term: the rotational form's grad phi
-            # is the gradient part of the convective product, not an extra term
-            assert np.max(np.abs(ev.rhs - oracle.coeffs)) <= 1e-13 * np.max(np.abs(oracle.coeffs))
-            assert np.max(np.abs(ev.raw - raw)) <= 1e-13 * np.max(np.abs(raw))
+            # is the gradient part of the convective product, not an extra term.
+            # Both oracles are dealiased, so they are zero outside the band.
+            band = oracle.grid.band
+            assert np.max(np.abs(ev.rhs - restrict(band, oracle.coeffs))) <= (
+                1e-13 * np.max(np.abs(oracle.coeffs)))
+            assert np.max(np.abs(ev.raw - restrict(band, raw))) <= 1e-13 * np.max(np.abs(raw))
 
         # the 2D base flow (convective form) and the full 3D flow
         base = self.evaluate(nsbox.solver._Flow(g2, zero2), vs)
@@ -477,13 +500,14 @@ class TestHalfSpectrumStepping:
         close(pert, oracle, raw)
 
     def test_stored_states_are_the_stepper_state(self, monkeypatch):
-        # a stored state wraps the stepper's coefficient array itself: no
-        # conversion and no copy
+        # a stored state is the stepper's band scattered into the half
+        # spectrum: zero outside the dealias mask, and a copy that later steps
+        # do not write
         recorded = {}
         record = nsbox.solver._Recorder.record
 
         def spy(self, t, coeffs, ev, dt):
-            recorded[(self.grid.dim, round(t, 9))] = coeffs
+            recorded[(self.grid.dim, round(t, 9))] = coeffs.copy()
             return record(self, t, coeffs, ev, dt)
 
         monkeypatch.setattr(nsbox.solver._Recorder, "record", spy)
@@ -498,7 +522,34 @@ class TestHalfSpectrumStepping:
         for traj in (pert, pert.base):
             assert len(traj.states) == 3
             for st in traj.states:
-                assert st.field.coeffs is recorded[(st.field.grid.dim, round(st.t, 9))]
+                g = st.field.grid
+                box = recorded[(g.dim, round(st.t, 9))]
+                assert np.array_equal(restrict(g.band, st.field.coeffs), box)
+                assert np.all(st.field.coeffs[:, ~g.dealias_mask] == 0)
+
+    def test_pad_persists(self, monkeypatch):
+        # each system's half-spectrum stack is zeroed once: the inverses write
+        # only its box, so it stays the same array, zero outside the box
+        flows = []
+        init = nsbox.solver._Flow.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            flows.append((self, self._pad))
+
+        monkeypatch.setattr(nsbox.solver._Flow, "__init__", spy)
+        rng = np.random.default_rng(44)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=12)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=12)
+        fs = DecayingModeForcing(solenoidal_mode_2d(g2, 0.2), rate=1.0)
+        evolve_pair(random_state(g2, rng, [0.3, 0.1]), fs,
+                    random_state(g3, rng, [0.1, 0.0, -0.2], 0.1),
+                    ZeroForcing(g3, 3), SolverConfig(nu=0.5, dt=1e-2, t_end=0.1))
+        assert len(flows) == 2
+        for flow, pad in flows:
+            assert flow._pad is pad
+            assert np.any(pad != 0)
+            assert np.all(pad[..., ~flow.grid.dealias_mask] == 0)
 
     @staticmethod
     def count_transforms(monkeypatch, run):

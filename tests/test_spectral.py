@@ -12,6 +12,9 @@ import pytest
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
+    curl_coeffs,
+    derivative_coeffs,
+    extend,
     grad_l3_norm,
     grad_samples,
     gradient_part_normsq,
@@ -21,6 +24,7 @@ from nsbox.spectral import (
     leray_project_coeffs,
     lift_2d_to_3d,
     random_field,
+    restrict,
     to_coeffs,
     to_samples,
     weighted_norm_sq,
@@ -262,6 +266,75 @@ class TestKernel:
         u = SpectralField.from_physical(g, np.stack([np.sin(x1), np.cos(x1)]) * np.ones(g.shape))
         assert grad_l3_norm(g, grad_samples(g, u.coeffs)) == pytest.approx(
             TWO_PI ** (2 / 3), rel=1e-12)
+
+
+class TestBandLayout:
+    """The band grid (the 2/3-dealiased box) against the half spectrum times the
+    dealias mask: the same per-mode arithmetic, the same samples, and the same
+    Parseval sums to summation order.  N = 12 is where 3 divides N and the
+    strict |m_a| < N/3 drops the modes m_a = +-N/3."""
+
+    @staticmethod
+    def setup(dim, N):
+        g = PeriodicGrid(L=2.5, dim=dim, N=N)
+        rng = np.random.default_rng(10 * N + dim)
+        su, sv = rng.standard_normal((2, dim) + g.shape)
+        return g, g.band, to_coeffs(g, su), to_coeffs(g, sv)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("N", [8, 12, 16, 32])
+    def test_box_is_the_dealias_mask(self, dim, N):
+        g, b, c, _ = self.setup(dim, N)
+        K = max(m for m in range(N) if m < N / 3.0)
+        assert b.coeff_shape == (2 * K + 1,) * (dim - 1) + (K + 1,)
+        assert np.all(b.dealias_mask) and b.shape == g.shape and b != g
+        assert np.array_equal(restrict(b, g.modes), b.modes)
+        assert np.sum(g.dealias_mask) == b.modes[0].size
+        assert np.array_equal(b.kd, b.k)
+        assert b.herm.tolist() == [1.0] + [2.0] * K
+        # the round trip, and the box of a half-spectrum transform
+        assert np.array_equal(extend(b, restrict(b, c)), c * g.dealias_mask)
+        box = restrict(b, c)
+        assert np.array_equal(restrict(b, extend(b, box)), box)
+        samples = to_samples(g, c)
+        assert np.array_equal(to_coeffs(b, samples), restrict(b, to_coeffs(g, samples)))
+        # the inverse: bit for bit, into a fresh pad or a zeroed one passed in
+        masked = to_samples(g, c * g.dealias_mask)
+        assert np.array_equal(to_samples(b, box), masked)
+        pad = np.zeros(c.shape, dtype=complex)
+        assert np.array_equal(to_samples(b, box, pad), masked)
+        assert np.all(pad[:, ~g.dealias_mask] == 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("N", [8, 12, 16, 32])
+    def test_per_mode_operators_equal(self, dim, N):
+        g, b, c, _ = self.setup(dim, N)
+        box = restrict(b, c)
+        assert np.array_equal(derivative_coeffs(b, box), restrict(b, derivative_coeffs(g, c)))
+        if dim == 3:
+            got = curl_coeffs(b, box, out=np.empty_like(box))
+            assert np.array_equal(got, restrict(b, curl_coeffs(g, c, out=np.empty_like(c))))
+        assert np.array_equal(leray_project_coeffs(b, box),
+                              restrict(b, leray_project_coeffs(g, c)))
+        shift = np.array([0.2, -0.7, 1.1][:dim])
+        assert np.array_equal(integrating_factor(b, np.exp(-0.3 * b.ksq), shift),
+                              restrict(b, integrating_factor(g, np.exp(-0.3 * g.ksq), shift)))
+        for s in range(4):
+            assert np.array_equal(b.sobolev_multiplier(s), restrict(b, g.sobolev_multiplier(s)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("N", [8, 12, 16, 32])
+    def test_parseval_sums_equal(self, dim, N):
+        g, b, c, d = self.setup(dim, N)
+        cm, dm = c * g.dealias_mask, d * g.dealias_mask
+        cb, db = restrict(b, c), restrict(b, d)
+        wg = np.stack([g.sobolev_multiplier(s) for s in range(4)] + [g.ksq])
+        wb = np.stack([b.sobolev_multiplier(s) for s in range(4)] + [b.ksq])
+        assert np.allclose(weighted_norm_sq(b, cb, wb), weighted_norm_sq(g, cm, wg),
+                           rtol=1e-15, atol=0)
+        assert inner_product(b, cb, db) == pytest.approx(inner_product(g, cm, dm), rel=1e-15)
+        assert gradient_part_normsq(b, cb) == pytest.approx(gradient_part_normsq(g, cm),
+                                                            rel=1e-15)
 
 
 class TestLerayProjection:
