@@ -21,7 +21,6 @@ from nsbox.constants import InterpolationConstants, PoincareConstants, poincare_
 __all__ = [
     "t_star",
     "gamma_star",
-    "geometric_envelope",
     "AbarChain",
     "AChain",
     "BChain",
@@ -41,16 +40,6 @@ def t_star(pc: PoincareConstants) -> float:
 def gamma_star(ic: InterpolationConstants, pc: PoincareConstants) -> float:
     """Largest admissible smallness level: c_1 - c_3 g*^4 = c_1/2."""
     return (pc.c_1 / (2.0 * ic.c_3)) ** 0.25
-
-
-def geometric_envelope(increment: float, ratio: float, x0: float, k: int) -> float:
-    """Envelope of x_{j+1} <= increment + ratio * x_j:
-    x_k <= increment/(1-ratio) + ratio^k * x0, for ratio in [0, 1)."""
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("ratio must lie in [0, 1)")
-    if increment < 0 or x0 < 0:
-        raise ValueError("nonnegative inputs required")
-    return increment / (1.0 - ratio) + ratio**k * x0
 
 
 def _require_nonneg(**kwargs):

@@ -32,6 +32,7 @@ from nsbox.experiments import (
     Scenario,
     build_forcing,
     initial_norms,
+    make_perturbation,
     run_stability_experiment,
     single_mode_profile,
 )
@@ -368,9 +369,12 @@ def _scenario_from_config(cfg: dict) -> tuple:
     # rejects solver, forcing and perturbation settings here rather than in the run
     scn.solver_config()
     scn.forcings()
+    grid3 = PeriodicGrid(scn.L, 3, scn.N)
+    if resume is None:
+        make_perturbation(grid3, pert)  # rejects an empty spectrum and a mean above gamma
+        return scn, None
     pert.mean_h1_sq(scn.L)
-    u0 = None if resume is None else _read_snapshot_on(resume, PeriodicGrid(scn.L, 3, scn.N))
-    return scn, u0
+    return scn, _read_snapshot_on(resume, grid3)
 
 
 def _run_one_stability(scn: Scenario, u0, outdir: str, svg: bool) -> dict:

@@ -71,21 +71,6 @@ def poincare_constants(nu: float, L: float) -> PoincareConstants:
     return PoincareConstants(nu=nu, L=L, kappa=kappa, c_s1=c, c_1=c)
 
 
-def certify_poincare_sharpness(pc: PoincareConstants, grid: PeriodicGrid, rng=None, n=100):
-    """Numerically confirm sharpness: the Rayleigh ratio
-    nu*||grad u||^2 / ||u||_H1^2 is >= c_s1 on random mean-free fields and
-    equals it (to 1e-10) on a lowest mode."""
-    rng = rng or np.random.default_rng(0)
-    worst = np.inf
-    for _ in range(n):
-        u = random_field(grid, grid.dim, rng, mean_free=True)
-        worst = min(worst, pc.nu * u.grad_norm_sq() / u.sobolev_norm_sq(1))
-    x = grid.coords()[0]
-    low = SpectralField.from_physical(grid, np.sin(2 * np.pi * x / grid.L) * np.ones(grid.shape))
-    at_low = pc.nu * low.grad_norm_sq() / low.sobolev_norm_sq(1)
-    return {"min_ratio": float(worst), "lowest_mode_ratio": float(at_low)}
-
-
 @lru_cache(maxsize=None)
 def lattice_sum(power: int, dim: int, box_modes: int = 100) -> float:
     """Upper bound on sum over integer m != 0 of |m|^(-power).
@@ -161,7 +146,8 @@ def _batches(fields):
 
 def _scores(grid, coeffs, ps):
     """Per field of a (B, C, grid) stack, as lists: ||u||_L2, ||grad u||_L2 and
-    ||u||_Lp for each p in ps, computed as the `SpectralField` norms compute them."""
+    ||u||_Lp for each p in ps: the Parseval norms of `SpectralField` and the
+    `lp_norms` of the grid samples."""
     l2 = np.sqrt(weighted_norm_sq(grid, coeffs, grid.sobolev_multiplier(0)))
     gr = np.sqrt(weighted_norm_sq(grid, coeffs, grid.ksq))
     magsq = np.sum(to_samples(grid, coeffs) ** 2, axis=1)

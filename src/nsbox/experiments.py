@@ -19,7 +19,6 @@ from nsbox.certificate import (
     b_chain,
     certificate_report,
     smallness_check,
-    t_star,
 )
 from nsbox.constants import interpolation_constants, poincare_constants
 from nsbox.forcing import (
@@ -49,11 +48,9 @@ __all__ = [
     "make_perturbation",
     "build_forcing",
     "initial_norms",
-    "example_one_threshold",
     "run_stability_experiment",
     "barrier_monitor",
     "window_statistics",
-    "h21_window_norm",
 ]
 
 
@@ -164,12 +161,17 @@ class Scenario:
 
 def make_perturbation(grid3: PeriodicGrid, spec: PerturbationSpec) -> FlowState:
     """Random solenoidal field with the configured spectrum, rescaled so the
-    full H1 norm squared equals gamma * (1 - 1e-9)."""
+    full H1 norm squared equals gamma * (1 - 1e-9); raises ValueError when
+    the spectrum holds no mode."""
     rng = np.random.default_rng(spec.seed)
     hi = min(spec.band[1], grid3.N // 4)
     u = random_field(grid3, 3, rng, band=(spec.band[0], hi), k0=spec.k0, solenoidal=True)
+    h1_sq = u.sobolev_norm_sq(1)
+    if not h1_sq > 0.0:
+        raise ValueError(f"perturbation spectrum is empty: band {list(spec.band)} (clipped to "
+                         f"|m| <= N/4 = {grid3.N // 4}) with k0 = {spec.k0} leaves no mode")
     mean_h1_sq = spec.mean_h1_sq(grid3.L)
-    scale = math.sqrt((spec.gamma * (1.0 - 1e-9) - mean_h1_sq) / u.sobolev_norm_sq(1))
+    scale = math.sqrt((spec.gamma * (1.0 - 1e-9) - mean_h1_sq) / h1_sq)
     return FlowState(0.0, u * scale, np.asarray(spec.mean, dtype=float))
 
 
@@ -212,17 +214,6 @@ def initial_norms(v0: SpectralField) -> dict:
         "grad2_sq": v0.sobolev_norm_sq(2) - h1_sq,
         "h1_sq": h1_sq,
     }
-
-
-def example_one_threshold(h: DecayingModeForcing, vbar0_h1_sq: float, pc, ic) -> float:
-    """Window length above which the constant-plus-decaying family is
-    admissible: plug the all-time fluctuation integral into the
-    admissibility polynomial (an upper bound for every window length)."""
-    i_inf = h.infinite_bar_sq_integral("h1")
-    a0 = pc.c_1 * (i_inf + vbar0_h1_sq) * vbar0_h1_sq + (i_inf + 1.0) * math.exp(
-        ic.c_2 * (i_inf + vbar0_h1_sq)
-    )
-    return max(t_star(pc), a0)
 
 
 @dataclass
@@ -383,27 +374,6 @@ def window_statistics(pert: Trajectory, T: float) -> tuple:
         for n in ("sup_vs_h1", "sup_vs_h2", "sup_u_l2", "sup_u_h1")
     )
     return stats, uniformity
-
-
-def h21_window_norm(traj: Trajectory, T: float, *, half_step: Trajectory | None = None) -> list:
-    """Per-window space-time second-order norms: the time-derivative part is
-    accumulated from solver increments (first-order consistent), optionally
-    Richardson-extrapolated against a half-step run."""
-    s = traj.series
-    w = WindowedSeries(s["t"], T)
-    if w.per < 4:
-        raise ValueError("sampling too sparse for the window norms")
-    out = []
-    for k in range(w.count):
-        ut = w.step_sum(s["dudt_sq"], k)
-        if half_step is not None:
-            s2 = half_step.series
-            ut = 2.0 * WindowedSeries(s2["t"], T).step_sum(s2["dudt_sq"], k) - ut
-        h2 = w.simpson(s["h2_sq"], k)
-        gradp = w.simpson(s["gradp_sq"], k)
-        out.append({"k": k, "int_ut_sq": ut, "int_h2_sq": h2, "int_gradp_sq": gradp,
-                    "h21_sq": ut + h2})
-    return out
 
 
 def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = None) -> ExperimentResult:

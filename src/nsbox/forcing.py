@@ -2,8 +2,9 @@
 
 A `Forcing` supplies three things to the solver and the certificate:
 
-* the mean-free spectral field fbar(t) used in the momentum equation,
-* the integral mean (1/|box|) int f dx and its time integrals, which drive
+* the mean-free part fbar(t) = bar_amplitude(t) * profile used in the
+  momentum equation,
+* the time integrals of the integral mean (1/|box|) int f dx, which drive
   the (exact) mean ODE, and
 * per-window schedules: int_{kT}^{(k+1)T} ||fbar||^2_X dt for X in
   {l2, h1, grad}, the mean-drift path, and their sups over the window
@@ -15,9 +16,11 @@ A family states its closed forms through two declarations, from which the
 base class derives the schedules:
 
 * `mean_rate`: the vector a with mean(t) = a for all t, or None.  It gives
-  the mean, both mean integrals and the four drift schedules (a nonzero rate
-  makes the drift sups infinite, certified).
-* `has_bar = False`: bar_field(t) is always None.  The bar schedules are
+  both mean integrals and the four drift schedules (a nonzero rate makes the
+  drift sups infinite, certified).  A family with no declared rate gives
+  both mean integrals in closed form itself.
+* `profile`: the fixed mean-free field whose multiple bar_amplitude(t) is
+  fbar(t), or None when there is no mean-free part.  The bar schedules are
   then (0.0, certified).
 
 Every family the CLI builds is one class; example 1 is a decaying mode over
@@ -30,10 +33,11 @@ mean's integrals) override the methods concerned.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from nsbox.spectral import PeriodicGrid, SpectralField, lift_2d_to_3d
+from nsbox.spectral import PeriodicGrid, SpectralField
 
 __all__ = [
     "Forcing",
@@ -42,16 +46,8 @@ __all__ = [
     "OscillatingMeanForcing",
     "DecayingModeForcing",
     "PeriodicExtensionForcing",
-    "LiftedForcing",
     "adaptive_simpson",
 ]
-
-_GL4_NODES = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GL4_WEIGHTS = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
 
 
 def adaptive_simpson(f, a, b, rtol=1e-10, max_depth=30):
@@ -85,24 +81,14 @@ def adaptive_simpson(f, a, b, rtol=1e-10, max_depth=30):
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), None, 0)
 
 
-def _gl4(f, a, b):
-    """4-point Gauss-Legendre; exact through degree 7."""
-    if b <= a:
-        return 0.0 * np.asarray(f(a))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    acc = 0.0
-    for x, w in zip(_GL4_NODES, _GL4_WEIGHTS):
-        acc = acc + w * np.asarray(f(mid + half * x))
-    return half * acc
-
-
 class Forcing:
     """Base class.  Two declarations turn the generic quadrature schedules into
-    closed forms: `mean_rate` (mean(t) equals this vector for all t, or None
-    when undeclared) and `has_bar` (False: bar_field(t) is always None)."""
+    closed forms: `mean_rate` (the mean equals this vector for all t, or None
+    when the family gives both mean integrals itself) and `profile` (fbar(t)
+    is bar_amplitude(t) times this field, or None when fbar is zero)."""
 
     mean_rate = None
-    has_bar = True
+    profile = None
 
     def __init__(self, grid: PeriodicGrid, components: int):
         self.grid = grid
@@ -110,26 +96,19 @@ class Forcing:
 
     # -- momentum-equation side ---------------------------------------------
 
-    def bar_field(self, t: float):
-        """Mean-free part at time t as a SpectralField, or None if zero."""
-        return None
-
-    def mean(self, t: float) -> np.ndarray:
-        if self.mean_rate is not None:
-            return self.mean_rate.copy()
-        return np.zeros(self.components)
+    def bar_amplitude(self, t: float) -> float:
+        """The factor a(t) of fbar(t) = a(t) * profile; a family with a profile
+        defines it."""
+        raise NotImplementedError
 
     def mean_integral(self, t0: float, t1: float) -> np.ndarray:
-        """int_{t0}^{t1} mean(t) dt (Gauss-Legendre 4 unless the rate is declared)."""
-        if self.mean_rate is not None:
-            return self.mean_rate * (t1 - t0)
-        return _gl4(self.mean, t0, t1)
+        """int_{t0}^{t1} mean(t) dt, from the declared rate."""
+        return self.mean_rate * (t1 - t0)
 
     def mean_double_integral(self, t0: float, t1: float) -> np.ndarray:
-        """int_{t0}^{t1} int_{t0}^{tau} mean(s) ds dtau = int (t1-s) mean(s) ds."""
-        if self.mean_rate is not None:
-            return self.mean_rate * (t1 - t0) ** 2 / 2.0
-        return _gl4(lambda s: (t1 - s) * np.asarray(self.mean(s)), t0, t1)
+        """int_{t0}^{t1} int_{t0}^{tau} mean(s) ds dtau = int (t1-s) mean(s) ds,
+        from the declared rate."""
+        return self.mean_rate * (t1 - t0) ** 2 / 2.0
 
     def infinite_bar_sq_integral(self, norm="l2"):
         """int_0^inf ||fbar||^2 dt in closed form, or None when not known."""
@@ -137,27 +116,26 @@ class Forcing:
 
     # -- schedule side -------------------------------------------------------
 
+    @cached_property
+    def profile_norm_sq(self) -> dict:
+        """The profile's squared norms by name: l2, h1 and grad."""
+        p = self.profile
+        return {"l2": p.sobolev_norm_sq(0), "h1": p.sobolev_norm_sq(1), "grad": p.grad_norm_sq()}
+
     def bar_norm_sq(self, t: float, norm: str = "l2") -> float:
-        f = self.bar_field(t)
-        if f is None:
+        if self.profile is None:
             return 0.0
-        if norm == "l2":
-            return f.sobolev_norm_sq(0)
-        if norm == "h1":
-            return f.sobolev_norm_sq(1)
-        if norm == "grad":
-            return f.grad_norm_sq()
-        raise ValueError(f"unknown norm {norm!r}")
+        return self.bar_amplitude(t) ** 2 * self.profile_norm_sq[norm]
 
     def window_bar_sq_integral(self, k: int, T: float, norm: str = "l2") -> float:
-        if not self.has_bar:
+        if self.profile is None:
             return 0.0
         return adaptive_simpson(lambda t: self.bar_norm_sq(t, norm), k * T, (k + 1) * T)
 
     def sup_window_bar_sq(self, T: float, k_max: int = 64, norm: str = "l2"):
         """(sup over k of the window integral, certified?).  Generic path
         truncates at k_max."""
-        if not self.has_bar:
+        if self.profile is None:
             return 0.0, True
         vals = [self.window_bar_sq_integral(k, T, norm) for k in range(k_max + 1)]
         return max(vals), False
@@ -199,8 +177,6 @@ class Forcing:
 
 
 class ZeroForcing(Forcing):
-    has_bar = False
-
     def __init__(self, grid, components):
         super().__init__(grid, components)
         self.mean_rate = np.zeros(components)
@@ -208,8 +184,6 @@ class ZeroForcing(Forcing):
 
 class ConstantMeanForcing(Forcing):
     """Spatially constant force a: pure mean, no fluctuating part."""
-
-    has_bar = False
 
     def __init__(self, grid, a):
         a = np.asarray(a, dtype=float)
@@ -220,16 +194,11 @@ class ConstantMeanForcing(Forcing):
 class OscillatingMeanForcing(Forcing):
     """mean(t) = amp * sin(omega t); closed-form integrals."""
 
-    has_bar = False
-
     def __init__(self, grid, amp, omega=1.0):
         amp = np.asarray(amp, dtype=float)
         super().__init__(grid, len(amp))
         self.amp = amp
         self.omega = float(omega)
-
-    def mean(self, t):
-        return self.amp * math.sin(self.omega * t)
 
     def mean_integral(self, t0, t1):
         w = self.omega
@@ -264,66 +233,43 @@ class DecayingModeForcing(Forcing):
         self.mean_rate = np.zeros(self.components) if constant is None else np.asarray(constant, dtype=float)
         if self.mean_rate.shape != (self.components,):
             raise ValueError(f"constant force needs {self.components} components, got {self.mean_rate.size}")
-        self._norm_sq = {
-            "l2": profile.sobolev_norm_sq(0),
-            "h1": profile.sobolev_norm_sq(1),
-            "grad": profile.grad_norm_sq(),
-        }
 
-    def bar_field(self, t):
-        return self.profile * (self.amplitude * math.exp(-self.rate * t))
-
-    def bar_norm_sq(self, t, norm="l2"):
-        return self.amplitude**2 * math.exp(-2 * self.rate * t) * self._norm_sq[norm]
+    def bar_amplitude(self, t):
+        return self.amplitude * math.exp(-self.rate * t)
 
     def window_bar_sq_integral(self, k, T, norm="l2"):
         lam = self.rate
         w = (math.exp(-2 * lam * k * T) - math.exp(-2 * lam * (k + 1) * T)) / (2 * lam)
-        return self.amplitude**2 * self._norm_sq[norm] * w
+        return self.amplitude**2 * self.profile_norm_sq[norm] * w
 
     def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
         return self.window_bar_sq_integral(0, T, norm), True
 
     def infinite_bar_sq_integral(self, norm="l2") -> float:
         """int_0^inf ||fbar||^2 dt = amplitude^2 ||profile||^2 / (2 rate)."""
-        return self.amplitude**2 * self._norm_sq[norm] / (2 * self.rate)
+        return self.amplitude**2 * self.profile_norm_sq[norm] / (2 * self.rate)
 
 
 class PeriodicExtensionForcing(Forcing):
     """f(x, t) = h(x, t - kT) for t in [kT, (k+1)T): exact window reduction.
-    A repeated constant mean is that constant mean, and a repeat of a forcing
-    with no bar part has none either, so both declarations carry over."""
+    The inner family h must declare its mean rate: a repeated constant mean is
+    that constant mean, and a repeat of a + b(t) * profile is a + b(t - kT) *
+    profile, so both declarations carry over."""
 
     def __init__(self, inner: Forcing, T: float):
         if T <= 0:
             raise ValueError("window length must be positive")
+        if inner.mean_rate is None:
+            raise ValueError("the window-periodic extension needs an inner family with a "
+                             "declared mean rate")
         super().__init__(inner.grid, inner.components)
         self.inner = inner
         self.T = float(T)
-        self.mean_rate, self.has_bar = inner.mean_rate, inner.has_bar
+        self.mean_rate, self.profile = inner.mean_rate, inner.profile
 
-    def _reduce(self, t):
+    def bar_amplitude(self, t):
         k = math.floor(t / self.T)
-        return t - k * self.T
-
-    def bar_field(self, t):
-        return self.inner.bar_field(self._reduce(t))
-
-    def bar_norm_sq(self, t, norm="l2"):
-        return self.inner.bar_norm_sq(self._reduce(t), norm)
-
-    def mean(self, t):
-        return self.inner.mean(self._reduce(t))
-
-    def mean_integral(self, t0, t1):
-        # accumulate over whole windows plus the two fringes
-        T = self.T
-        k0, k1 = math.floor(t0 / T), math.floor(t1 / T)
-        if k0 == k1:
-            return self.inner.mean_integral(t0 - k0 * T, t1 - k0 * T)
-        per = self.inner.mean_integral(0.0, T)
-        acc = self.inner.mean_integral(t0 - k0 * T, T) + (k1 - k0 - 1) * per
-        return acc + self.inner.mean_integral(0.0, t1 - k1 * T)
+        return self.inner.bar_amplitude(t - k * self.T)
 
     def window_bar_sq_integral(self, k, T, norm="l2"):
         if abs(T - self.T) < 1e-12:
@@ -334,36 +280,3 @@ class PeriodicExtensionForcing(Forcing):
         if abs(T - self.T) < 1e-12:
             return self.inner.window_bar_sq_integral(0, T, norm), True
         return super().sup_window_bar_sq(T, k_max, norm)
-
-    def drift_sup_abs(self, T, k_max, initial_mean):
-        per = self.inner.mean_integral(0.0, self.T)
-        if np.max(np.abs(per)) > 1e-14:
-            return math.inf, True  # mean accumulates every window
-        return super().drift_sup_abs(T, min(k_max, 4), initial_mean)
-
-
-class LiftedForcing(Forcing):
-    """2D base forcing viewed on the 3D grid (for full-flow cross checks)."""
-
-    def __init__(self, inner: Forcing, grid3d: PeriodicGrid):
-        super().__init__(grid3d, 3)
-        self.inner = inner
-        self._grid3d = grid3d
-
-    def bar_field(self, t):
-        f = self.inner.bar_field(t)
-        if f is None:
-            return None
-        return lift_2d_to_3d(f, self._grid3d)
-
-    def mean(self, t):
-        m = self.inner.mean(t)
-        return np.concatenate([m, [0.0]])
-
-    def mean_integral(self, t0, t1):
-        m = self.inner.mean_integral(t0, t1)
-        return np.concatenate([m, [0.0]])
-
-    def mean_double_integral(self, t0, t1):
-        m = self.inner.mean_double_integral(t0, t1)
-        return np.concatenate([m, [0.0]])

@@ -201,7 +201,7 @@ class _Eval(NamedTuple):
     phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
     grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
     mean: np.ndarray   # the spatial mean the evaluation used
-    fbar: SpectralField | None  # the mean-free forcing the evaluation used (all its modes)
+    fbar: np.ndarray | None  # the band part of the mean-free forcing the evaluation used
 
 
 class _Flow:
@@ -226,6 +226,9 @@ class _Flow:
         stack, products = ((3, 2), 2) if grid.dim == 2 else ((6,), 4)
         self._pad = np.zeros(stack + grid.coeff_shape, dtype=np.complex128)
         self._products = np.empty((products,) + grid.shape)
+        # the band part of the forcing profile: the only part that reaches the state
+        profile = forcing.profile
+        self._profile = None if profile is None else restrict(self.band, profile.coeffs)
 
     def rhs(self, coeffs, mean, t, base=None):
         """The evaluation at the band coefficients `coeffs`; `base` is the base
@@ -254,9 +257,10 @@ class _Flow:
         speedsq = np.square(w[0])
         for a in range(1, band.dim):
             speedsq += np.square(w[a])
-        fbar = self.forcing.bar_field(t)
-        if fbar is not None:
-            raw += restrict(band, fbar.coeffs)
+        fbar = None
+        if self._profile is not None:
+            fbar = self._profile * self.forcing.bar_amplitude(t)
+            raw += fbar
         rhs = zero_mode0(leray_project_coeffs(band, raw))
         return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), phys, grads, mean, fbar)
 
@@ -388,11 +392,13 @@ _PARSEVAL = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")  # squared norms by 
 
 
 class _Recorder:
-    """Dense per-step scalar series; a 2D flow's also include `gradv_l3`."""
+    """Dense per-step scalar series of a flow under `forcing`; a 2D flow's also
+    include `gradv_l3`."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, forcing):
         self.grid = grid
         self.band = band = grid.band
+        self.forcing = forcing
         keys = ("t", *_PARSEVAL, "forcing_inner", "fbar_l2_sq", "gradp_sq", "speed", "dudt_sq",
                 "mean") + (("gradv_l3",) if grid.dim == 2 else ())
         self.data = {k: [] for k in keys}
@@ -408,14 +414,9 @@ class _Recorder:
         d["t"].append(t)
         for key, v in zip(_PARSEVAL, weighted_norm_sq(band, coeffs, self._weights).tolist()):
             d[key].append(v)
-        if ev.fbar is None:
-            d["forcing_inner"].append(0.0)
-            d["fbar_l2_sq"].append(0.0)
-        else:
-            # the state is zero outside the band, the forcing need not be
-            fbar = ev.fbar.coeffs
-            d["forcing_inner"].append(inner_product(band, restrict(band, fbar), coeffs))
-            d["fbar_l2_sq"].append(float(weighted_norm_sq(self.grid, fbar, 1.0)))
+        # the state is zero outside the band, the forcing need not be
+        d["forcing_inner"].append(0.0 if ev.fbar is None else inner_product(band, ev.fbar, coeffs))
+        d["fbar_l2_sq"].append(self.forcing.bar_norm_sq(t))
         d["gradp_sq"].append(gradient_part_normsq(band, ev.raw))
         d["speed"].append(ev.speed)
         d["mean"].append(np.array(ev.mean))
@@ -469,7 +470,7 @@ def _evolve(systems, states0, cfg, sample_times):
     n_steps = cfg.n_steps
     rk3 = cfg.scheme == "rk3-imex"
     steppers = [_Stepper(s, cfg, s0) for s, s0 in zip(systems, states0)]
-    recs = [_Recorder(s.grid) for s in systems]
+    recs = [_Recorder(s.grid, s.forcing) for s in systems]
     states = [[] for _ in systems]
     for n in range(n_steps + 1):
         t = n * cfg.dt

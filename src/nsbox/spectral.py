@@ -62,7 +62,6 @@ __all__ = [
     "grad_l3_norm",
     "lift_2d_to_3d",
     "random_field",
-    "inner_l2",
     "leray_project_coeffs",
     "gradient_part_normsq",
 ]
@@ -266,12 +265,6 @@ class SpectralField:
         """Mixed partial D^alpha via the (i k)^alpha `derivative_multiplier`."""
         return SpectralField(self.grid, self.coeffs * derivative_multiplier(self.grid, alpha))
 
-    def divergence(self) -> "SpectralField":
-        if self.components != self.grid.dim:
-            raise ValueError("divergence requires a full vector field")
-        div = 1j * _k_dot(self.grid, self.coeffs)
-        return SpectralField(self.grid, div[None])
-
     def leray_project(self) -> "SpectralField":
         """Remove the gradient part per mode: u_hat -= kd (kd.u_hat)/|kd|^2."""
         if self.components != self.grid.dim:
@@ -280,14 +273,6 @@ class SpectralField:
 
     def subtract_mean(self) -> "SpectralField":
         return SpectralField(self.grid, zero_mode0(self.coeffs.copy()))
-
-    def add_constant(self, vec) -> "SpectralField":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.components,):
-            raise ValueError("constant vector length must equal components")
-        out = self.coeffs.copy()
-        out[_mode0(out)] += vec
-        return SpectralField(self.grid, out)
 
     def dealias(self) -> "SpectralField":
         """Zero every mode with any |m_a| >= N/3 (2/3 rule); idempotent."""
@@ -305,15 +290,6 @@ class SpectralField:
     def grad_norm_sq(self) -> float:
         """||grad u||_L2^2 = sum over first derivatives of all components."""
         return float(weighted_norm_sq(self.grid, self.coeffs, self.grid.ksq))
-
-    def lp_norm(self, p) -> float:
-        """L_p norm of the pointwise magnitude via equal-weight quadrature."""
-        if p not in (2, 3, 4, 6, np.inf, "inf"):
-            raise ValueError(f"unsupported p={p}; use 2, 3, 4, 6 or inf")
-        return lp_norms(self.grid, np.sum(self.physical() ** 2, axis=0)[None], float(p))[0]
-
-    def div_norm(self) -> float:
-        return self.divergence().sobolev_norm(0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -569,9 +545,3 @@ def random_field(
     if solenoidal:
         out = out.leray_project()
     return out
-
-
-def inner_l2(f: SpectralField, g: SpectralField) -> float:
-    """L2 inner product over the box, summed over components."""
-    f._check_compatible(g)
-    return inner_product(f.grid, f.coeffs, g.coeffs)

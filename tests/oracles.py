@@ -1,13 +1,24 @@
-"""Test oracles for the solver: an independent nonlinear term, the energy
-balance of a trajectory, and the structural invariants of a stored state.
+"""Test oracles: an independent nonlinear term, the energy balance of a
+trajectory, the structural invariants of a stored state, the divergence and
+L^p norms of a field, a 2D forcing lifted to the 3D grid, and 4-point
+Gauss-Legendre quadrature, the reference for the forcings' closed-form mean
+integrals.
 
-They are built on `SpectralField` alone and share no code with the solver's
-band stepper.
+They are built on `SpectralField` and the forcing interface alone and share
+no code with the solver's band stepper.
 """
 
 import numpy as np
 
-from nsbox.spectral import SpectralField
+from nsbox.forcing import Forcing
+from nsbox.spectral import SpectralField, lift_2d_to_3d, lp_norms
+
+_GL4_NODES = np.array(
+    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
+)
+_GL4_WEIGHTS = np.array(
+    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
+)
 
 
 def nonlinear_term(state, advecting, advecting_mean=None):
@@ -46,9 +57,57 @@ def validate_state(state, div_tol=1e-11, mean_tol=1e-14):
     """Raise AssertionError unless the state's field is solenoidal (relative
     to its H1 norm) and mean-free."""
     h1 = state.field.sobolev_norm(1)
-    div = state.field.div_norm()
+    div = div_norm(state.field)
     if h1 > 0 and div > div_tol * h1:
         raise AssertionError(f"divergence {div:.3e} exceeds {div_tol:.1e} * H1")
     if np.max(np.abs(state.field.mean())) > mean_tol:
         raise AssertionError("mean-free part carries a nonzero mode 0")
     return True
+
+
+def div_norm(u):
+    """||div u||_L2 of a full vector field, through `SpectralField.derivative`."""
+    grid = u.grid
+    if u.components != grid.dim:
+        raise ValueError("divergence requires a full vector field")
+    e = np.eye(grid.dim, dtype=int)
+    div = sum(u.derivative(e[a]).coeffs[a] for a in range(grid.dim))
+    return SpectralField(grid, div[None]).sobolev_norm(0)
+
+
+def lp_norm(u, p):
+    """L_p norm of the pointwise magnitude of u via equal-weight quadrature."""
+    if p not in (2, 3, 4, 6, np.inf, "inf"):
+        raise ValueError(f"unsupported p={p}; use 2, 3, 4, 6 or inf")
+    return lp_norms(u.grid, np.sum(u.physical() ** 2, axis=0)[None], float(p))[0]
+
+
+def gl4(f, a, b):
+    """4-point Gauss-Legendre quadrature of f on [a, b]; exact through degree 7."""
+    if b <= a:
+        return 0.0 * np.asarray(f(a))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    acc = 0.0
+    for x, w in zip(_GL4_NODES, _GL4_WEIGHTS):
+        acc = acc + w * np.asarray(f(mid + half * x))
+    return half * acc
+
+
+class LiftedForcing(Forcing):
+    """A 2D base forcing viewed on the 3D grid, for full-flow cross checks:
+    the lifted profile, the same amplitude, and a zero third mean component."""
+
+    def __init__(self, inner, grid3d):
+        super().__init__(grid3d, 3)
+        self.inner = inner
+        if inner.profile is not None:
+            self.profile = lift_2d_to_3d(inner.profile, grid3d)
+
+    def bar_amplitude(self, t):
+        return self.inner.bar_amplitude(t)
+
+    def mean_integral(self, t0, t1):
+        return np.concatenate([self.inner.mean_integral(t0, t1), [0.0]])
+
+    def mean_double_integral(self, t0, t1):
+        return np.concatenate([self.inner.mean_double_integral(t0, t1), [0.0]])

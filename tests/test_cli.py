@@ -100,6 +100,12 @@ class TestConfigValidation:
                      "perturbation band must be [lo, hi]", id="perturbation-band-length"),
         pytest.param("stability", {"perturbation": {"mean": [0.0]}},
                      "perturbation mean must have 3 entries", id="perturbation-mean-length"),
+        # a perturbation spectrum with no mode: the band lies above N/4, or
+        # the envelope exp(-|k|^2 / k0^2) underflows on every mode
+        pytest.param("stability", {"scenario": SMALL_SCENARIO, "perturbation": {"band": [5, 9]}},
+                     "band [5, 9]", id="perturbation-band-empty"),
+        pytest.param("stability", {"scenario": SMALL_SCENARIO, "perturbation": {"k0": 0.001}},
+                     "k0 = 0.001", id="perturbation-k0-underflow"),
         pytest.param("certify", {"certificate": {"T": 5.0, "N": 8},
                                  "initial_norms": {"l2_sq": 0.1}},
                      "initial_norms is missing grad_sq, grad2_sq", id="initial-norms-incomplete"),

@@ -12,10 +12,10 @@ from nsbox.forcing import (
     OscillatingMeanForcing,
     PeriodicExtensionForcing,
     ZeroForcing,
-    _gl4,
     adaptive_simpson,
 )
 from nsbox.spectral import PeriodicGrid, SpectralField
+from oracles import gl4
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,7 +94,7 @@ class TestDecayingMode:
 class TestConstantMean:
     def test_bar_vanishes(self, grid):
         f = ConstantMeanForcing(grid, [1.0, 0.0])
-        assert f.bar_field(0.5) is None
+        assert f.profile is None and f.bar_norm_sq(0.5) == 0.0
         assert f.sup_window_bar_sq(1.0, 4, "h1") == (0.0, True)
 
     def test_drift_linear_and_unbounded(self, grid):
@@ -140,7 +140,7 @@ class TestComposite:
         )
         sup, cert = f.drift_sup_abs(2.0, 8, [0.0, 0.0])
         assert math.isinf(sup) and cert
-        assert np.allclose(f.mean(0.3), [1.0, 0.0])
+        assert np.allclose(f.mean_integral(0.0, 0.3), [0.3, 0.0])
 
 
 class TestPeriodicExtension:
@@ -150,9 +150,8 @@ class TestPeriodicExtension:
         f = PeriodicExtensionForcing(h, T)
         k = 7
         t = k * T + 0.37
-        a = f.bar_field(t)
-        b = h.bar_field(0.37)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-15
+        assert f.profile is h.profile
+        assert f.bar_amplitude(t) == pytest.approx(h.bar_amplitude(0.37), rel=1e-14)
 
     def test_window_integrals_equal_across_k(self, grid):
         T = 2.0
@@ -166,6 +165,8 @@ class TestPeriodicExtension:
     def test_validation(self, grid):
         with pytest.raises(ValueError):
             PeriodicExtensionForcing(ZeroForcing(grid, 2), T=0.0)
+        with pytest.raises(ValueError, match="declared mean rate"):
+            PeriodicExtensionForcing(OscillatingMeanForcing(grid, [1.0, 0.0]), T=1.0)
 
 
 CLI_FAMILIES = ("zero", "constant_mean", "oscillating_mean", "decaying_mode", "example1", "example2")
@@ -173,7 +174,7 @@ CLI_FAMILIES = ("zero", "constant_mean", "oscillating_mean", "decaying_mode", "e
 
 def declaration_case(grid, name):
     if name == "periodic":
-        return PeriodicExtensionForcing(OscillatingMeanForcing(grid, [1.0, 0.0], omega=2.0), 1.5)
+        return PeriodicExtensionForcing(ConstantMeanForcing(grid, [1.0, 0.0]), 1.5)
     return build_forcing(grid, {"family": name, "constant": [0.5, -0.25]}, 2.0)
 
 
@@ -182,29 +183,27 @@ class TestDeclarations:
     def test_declarations_hold(self, grid, name):
         f = declaration_case(grid, name)
         for t in (0.0, 0.3, 1.7, 4.2):
-            if not f.has_bar:
-                assert f.bar_field(t) is None
-            if f.mean_rate is not None:
-                assert np.array_equal(f.mean(t), f.mean_rate)
+            want = 0.0 if f.profile is None else (f.profile * f.bar_amplitude(t)).sobolev_norm_sq(0)
+            assert f.bar_norm_sq(t) == pytest.approx(want, rel=1e-14)
         if f.mean_rate is None:
             return
         for t0, t1 in ((0.0, 1.3), (0.4, 2.9)):
-            assert np.allclose(f.mean_integral(t0, t1), _gl4(f.mean, t0, t1),
+            assert np.allclose(f.mean_integral(t0, t1), gl4(lambda s: f.mean_rate, t0, t1),
                                rtol=1e-13, atol=1e-15)
             assert np.allclose(f.mean_double_integral(t0, t1),
-                               _gl4(lambda s: (t1 - s) * f.mean(s), t0, t1), rtol=1e-13, atol=1e-15)
+                               gl4(lambda s: (t1 - s) * f.mean_rate, t0, t1), rtol=1e-13, atol=1e-15)
 
     # a window-periodic extension repeats its inner family's declarations:
-    # example 2 repeats a decaying mode with a zero constant, "periodic" an
-    # oscillating mean, which has no bar part and no declared rate
-    @pytest.mark.parametrize("name, has_bar, declared_rate", [
+    # example 2 repeats a decaying mode with a zero constant, "periodic" a
+    # constant mean, which has no profile
+    @pytest.mark.parametrize("name, has_profile, declared_rate", [
         ("zero", False, True), ("constant_mean", False, True),
         ("oscillating_mean", False, False), ("decaying_mode", True, True),
-        ("example1", True, True), ("example2", True, True), ("periodic", False, False),
+        ("example1", True, True), ("example2", True, True), ("periodic", False, True),
     ])
-    def test_families_declare(self, grid, name, has_bar, declared_rate):
+    def test_families_declare(self, grid, name, has_profile, declared_rate):
         f = declaration_case(grid, name)
-        assert f.has_bar is has_bar
+        assert (f.profile is not None) is has_profile
         assert (f.mean_rate is not None) is declared_rate
 
     def test_example_one_with_zero_constant_certifies_drift(self, grid):

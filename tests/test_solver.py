@@ -9,7 +9,6 @@ from nsbox.experiments import single_mode_profile
 from nsbox.forcing import (
     ConstantMeanForcing,
     DecayingModeForcing,
-    LiftedForcing,
     OscillatingMeanForcing,
     ZeroForcing,
 )
@@ -27,14 +26,13 @@ from nsbox.solver import (
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
-    inner_l2,
     inner_product,
     lift_2d_to_3d,
     random_field,
     restrict,
     weighted_norm_sq,
 )
-from oracles import energy_balance_residual, nonlinear_term, validate_state
+from oracles import LiftedForcing, energy_balance_residual, nonlinear_term, validate_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -104,7 +102,7 @@ class TestNonlinearTerm:
         g = PeriodicGrid(L=TWO_PI, dim=dim, N=N)
         u = random_field(g, dim, rng, solenoidal=True).dealias()
         nl = nonlinear_term(FlowState(0.0, u, np.zeros(dim)), u)
-        cosine = inner_l2(nl, u) / (nl.sobolev_norm(0) * u.sobolev_norm(0))
+        cosine = inner_product(g, nl.coeffs, u.coeffs) / (nl.sobolev_norm(0) * u.sobolev_norm(0))
         assert abs(cosine) < 1e-13
 
     def test_grid_mismatch_rejected(self):
@@ -376,7 +374,8 @@ class TestPair:
 class TestRecorder:
     """The recorded norm series are the kernel's stacked Parseval sums of the
     stored states' band coefficients bit for bit, and their `SpectralField`
-    norms to roundoff."""
+    norms to roundoff; `fbar_l2_sq` is the forcing's `bar_norm_sq` bit for
+    bit, and the norm of the field a(t) * profile to roundoff."""
 
     @staticmethod
     def assert_series_match(traj, forcing):
@@ -385,17 +384,18 @@ class TestRecorder:
             n = round(st.t / traj.cfg.dt)
             u = st.field
             b = u.grid.band
-            fbar = forcing.bar_field(st.t)
+            fbar = forcing.profile * forcing.bar_amplitude(st.t)
             c, f = restrict(b, u.coeffs), restrict(b, fbar.coeffs)
             weights = np.stack([b.sobolev_multiplier(o) for o in range(4)] + [b.ksq])
             keys = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")
             assert [s[k][n] for k in keys] == weighted_norm_sq(b, c, weights).tolist()
             assert s["forcing_inner"][n] == inner_product(b, f, c)
-            assert s["fbar_l2_sq"][n] == weighted_norm_sq(u.grid, fbar.coeffs, 1.0)
+            assert s["fbar_l2_sq"][n] == forcing.bar_norm_sq(st.t)
+            assert s["fbar_l2_sq"][n] == pytest.approx(fbar.sobolev_norm_sq(0), rel=1e-15)
             full = [u.sobolev_norm_sq(order) for order in range(4)] + [u.grad_norm_sq()]
             assert np.allclose([s[k][n] for k in keys], full, rtol=1e-14, atol=0)
             scale = fbar.sobolev_norm(0) * u.sobolev_norm(0)
-            assert abs(s["forcing_inner"][n] - inner_l2(fbar, u)) <= 1e-14 * scale
+            assert abs(s["forcing_inner"][n] - inner_product(u.grid, fbar.coeffs, u.coeffs)) <= 1e-14 * scale
 
     def test_base_2d(self):
         rng = np.random.default_rng(40)

@@ -18,7 +18,6 @@ from nsbox.spectral import (
     grad_l3_norm,
     grad_samples,
     gradient_part_normsq,
-    inner_l2,
     inner_product,
     integrating_factor,
     leray_project_coeffs,
@@ -30,6 +29,7 @@ from nsbox.spectral import (
     weighted_norm_sq,
     zero_mode0,
 )
+from oracles import div_norm, lp_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -359,7 +359,7 @@ class TestLerayProjection:
         g = PeriodicGrid(L=TWO_PI, dim=3, N=16)
         u = random_field(g, 3, rng)
         pu = u.leray_project()
-        assert pu.div_norm() < 1e-12 * u.sobolev_norm(1)
+        assert div_norm(pu) < 1e-12 * u.sobolev_norm(1)
 
     def test_scalar_rejected(self):
         g = PeriodicGrid(L=1.0, dim=3, N=8)
@@ -411,8 +411,9 @@ class TestMean:
         rng = np.random.default_rng(10)
         g = PeriodicGrid(L=1.0, dim=2, N=16)
         f = random_field(g, 2, rng, mean_free=False)
-        recomposed = f.subtract_mean().add_constant(f.mean())
-        assert np.max(np.abs(recomposed.coeffs - f.coeffs)) < 1e-15
+        recomposed = f.subtract_mean().coeffs.copy()
+        recomposed[:, 0, 0] += f.mean()
+        assert np.max(np.abs(recomposed - f.coeffs)) < 1e-15
 
 
 class TestSobolevNorm:
@@ -463,27 +464,27 @@ class TestLpNorm:
         f = SpectralField.from_physical(g, -1.5 * np.ones(g.shape))
         vol = 2.0**3
         for p in (2, 3, 4, 6):
-            assert f.lp_norm(p) == pytest.approx(1.5 * vol ** (1 / p), rel=1e-13)
-        assert f.lp_norm(np.inf) == pytest.approx(1.5)
+            assert lp_norm(f, p) == pytest.approx(1.5 * vol ** (1 / p), rel=1e-13)
+        assert lp_norm(f, np.inf) == pytest.approx(1.5)
 
     def test_sine_l4_closed_form(self):
         L = TWO_PI
         g = PeriodicGrid(L=L, dim=3, N=16)
         u = SpectralField.from_physical(g, np.sin(g.coords()[0]) * np.ones(g.shape))
         # integral of sin^4 over the box: (3/8) * (2 pi)^3
-        assert u.lp_norm(4) ** 4 == pytest.approx(0.375 * (2 * np.pi) ** 3, rel=1e-12)
+        assert lp_norm(u, 4) ** 4 == pytest.approx(0.375 * (2 * np.pi) ** 3, rel=1e-12)
 
     def test_l2_agrees_with_sobolev0(self):
         rng = np.random.default_rng(12)
         g = PeriodicGrid(L=1.0, dim=2, N=16)
         for _ in range(5):
             u = random_field(g, 2, rng, band=(0, 5), mean_free=False)
-            assert u.lp_norm(2) == pytest.approx(u.sobolev_norm(0), rel=1e-12)
+            assert lp_norm(u, 2) == pytest.approx(u.sobolev_norm(0), rel=1e-12)
 
     def test_unsupported_p(self):
         g = PeriodicGrid(L=1.0, dim=2, N=8)
         with pytest.raises(ValueError):
-            SpectralField.zeros(g, 1).lp_norm(5)
+            lp_norm(SpectralField.zeros(g, 1), 5)
 
 
 class TestDealias:
@@ -621,7 +622,7 @@ class TestStructuralProperties:
         worst = 0.0
         for _ in range(100):
             u = random_field(g, 2, rng, mean_free=True)
-            r = u.lp_norm(3) / (np.sqrt(u.grad_norm_sq()) ** (1 / 3) * u.sobolev_norm(0) ** (2 / 3))
+            r = lp_norm(u, 3) / (np.sqrt(u.grad_norm_sq()) ** (1 / 3) * u.sobolev_norm(0) ** (2 / 3))
             worst = max(worst, r)
         assert np.isfinite(worst) and worst <= c32
 
@@ -631,7 +632,7 @@ class TestStructuralProperties:
         u = random_field(g, 2, rng, mean_free=False)
         v = random_field(g, 2, rng, mean_free=False)
         direct = g.cell_volume * np.sum(u.physical() * v.physical())
-        assert inner_l2(u, v) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+        assert inner_product(g, u.coeffs, v.coeffs) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
     def test_immutability(self):
         g = PeriodicGrid(L=1.0, dim=2, N=8)
