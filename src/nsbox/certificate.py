@@ -66,10 +66,9 @@ class AbarChain:
     t_star: float
     T: float
     member: bool
-    certified: dict = field(default_factory=dict)
 
 
-def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *, k_max=64,
+def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *,
                initial_mean=(0.0, 0.0)) -> AbarChain:
     """Admissibility chain from the H1 forcing schedule.
 
@@ -79,14 +78,13 @@ def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *, k_max=64,
     abar4_sq = squared sup of the mean-drift path.
     Membership requires T >= t_star and T > abar3_sq.
     """
-    _require_nonneg(vbar0_h1_sq=vbar0_h1_sq, T=T, k_max=k_max)
-    a1, cert1 = schedule.sup_window_bar_sq(T, k_max, "h1")
+    _require_nonneg(vbar0_h1_sq=vbar0_h1_sq, T=T)
+    a1 = schedule.sup_window_bar_sq(T, "h1")
     if not math.isfinite(a1):
         raise ValueError("forcing schedule is not window-integrable in H1")
     a2 = vbar0_h1_sq
     a3 = pc.c_1 * (a1 + a2) * a2 + (a1 + 1.0) * _exp(ic.c_2 * (a1 + a2))
-    drift_sup, cert4 = schedule.drift_sup_abs(T, k_max, np.asarray(initial_mean, float))
-    a4 = drift_sup**2
+    a4 = schedule.drift_sup_abs(np.asarray(initial_mean, float)) ** 2
     ts = t_star(pc)
     return AbarChain(
         abar1_sq=a1,
@@ -96,7 +94,6 @@ def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *, k_max=64,
         t_star=ts,
         T=T,
         member=bool(T >= ts and T > a3),
-        certified={"abar1_sq": cert1, "abar4_sq": cert4},
     )
 
 
@@ -121,7 +118,6 @@ class AChain:
     a14_sq: float
     T: float
     hypotheses: dict = field(default_factory=dict)
-    certified: dict = field(default_factory=dict)
 
     def h21_reference(self) -> float:
         """Reference magnitude a8(1 + a8) + a8 * a9^2 for the space-time
@@ -132,7 +128,7 @@ class AChain:
         return self.a8_sq * (1.0 + self.a8_sq) + self.a8_sq * self.a9**2
 
 
-def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
+def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *,
             initial_mean=(0.0, 0.0)) -> AChain:
     """Base-flow chain by literal substitution.
 
@@ -159,11 +155,9 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
     for key in ("l2_sq", "grad_sq", "grad2_sq"):
         if key not in initial_norms:
             raise ValueError(f"initial_norms missing {key!r}")
-    _require_nonneg(T=T, k_max=k_max, **{k: float(v) for k, v in initial_norms.items()})
-    m0 = np.asarray(initial_mean, float)
+    _require_nonneg(T=T, **{k: float(v) for k, v in initial_norms.items()})
 
-    f_l2, cert_l2 = schedule.sup_window_bar_sq(T, k_max, "l2")
-    a1 = f_l2 / pc.c_s1
+    a1 = schedule.sup_window_bar_sq(T, "l2") / pc.c_s1
     a2 = a1 / (1.0 - math.exp(-pc.c_s1 * T)) + initial_norms["l2_sq"]
     a3 = a1 + a2
     a4 = pc.c_s1 * _exp(ic.c_s2 * a3) * a1 if a1 > 0 else 0.0
@@ -171,10 +165,8 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
     a6 = a4 + a5
     a7 = ic.c_s2 * (a6 + 1.0) * a3 + a5
     a8 = a3 + a7
-    drift_sup, cert_drift = schedule.drift_sup_abs(T, k_max, m0)
-    a9 = drift_sup
-    f_grad, cert_grad = schedule.sup_window_bar_sq(T, k_max, "grad")
-    a10 = f_grad
+    a9 = schedule.drift_sup_abs(np.asarray(initial_mean, float))
+    a10 = schedule.sup_window_bar_sq(T, "grad")
     a11 = ic.c_s3 * _exp(ic.c_s4 * a8) * a10 if a10 > 0 else 0.0
     a12 = 2.0 * a11 + initial_norms["grad2_sq"]
     a13 = a11 + a12 * _exp(ic.c_s4 * a8) if a12 > 0 else a11
@@ -190,7 +182,6 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *, k_max=64,
         a1_sq=a1, a2_sq=a2, a3_sq=a3, a4_sq=a4, a5_sq=a5, a6_sq=a6, a7_sq=a7,
         a8_sq=a8, a9=a9, a10_sq=a10, a11_sq=a11, a12_sq=a12, a13_sq=a13,
         a14_sq=a14, T=T, hypotheses=hyp,
-        certified={"a1_sq": cert_l2, "a9": cert_drift, "a10_sq": cert_grad},
     )
 
 
@@ -211,16 +202,15 @@ class BChain:
     epsilon: float
     T: float
     hypotheses: dict = field(default_factory=dict)
-    certified: dict = field(default_factory=dict)
 
 
 def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
-            gamma: float = 0.0, epsilon: float = 0.5, k_max=64,
+            gamma: float = 0.0, epsilon: float = 0.5,
             u0_mean=(0.0, 0.0, 0.0)) -> BChain:
     """Perturbation chain by literal substitution.
 
       b1_sq = sup_k windowed L2 integral of the mean-free difference force
-      b2_sq = sup_k windowed integral of the squared mean drift
+      b2_sq = T b6^2, bounding the sup_k windowed integral of the squared drift
       b3_sq = (c_2 b1_sq + c_2 a3_sq b2_sq) e^{c_2 a8_sq}
       b4_sq = b3_sq + e^{c_2 a8_sq} (2 b3_sq + ||u0||^2)     (sup of energy)
       b5_sq = c_2 a8_sq b4_sq + c_2 a3_sq b2_sq + c_2 b1_sq + b3_sq
@@ -236,12 +226,12 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
         raise ValueError("b_chain requires the base-flow chain")
     if "l2_sq" not in u0_norms:
         raise ValueError("u0_norms must provide 'l2_sq'")
-    _require_nonneg(T=T, gamma=gamma, u0_l2_sq=u0_norms["l2_sq"], k_max=k_max)
+    _require_nonneg(T=T, gamma=gamma, u0_l2_sq=u0_norms["l2_sq"])
     m0 = np.asarray(u0_mean, float)
     a3, a8, a9 = achain.a3_sq, achain.a8_sq, achain.a9
 
-    b1, cert_b1 = g_schedule.sup_window_bar_sq(T, k_max, "l2")
-    b2, cert_b2 = g_schedule.sup_window_drift_sq(T, k_max, m0)
+    b1 = g_schedule.sup_window_bar_sq(T, "l2")
+    b2 = g_schedule.sup_window_drift_sq(T, m0)
     e_c2a8 = _exp(ic.c_2 * a8)
     pref = ic.c_2 * b1 + ic.c_2 * a3 * b2
     if not math.isfinite(b2):
@@ -261,8 +251,7 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
     else:
         b5 = ic.c_2 * a8 * b4 + ic.c_2 * a3 * b2 + ic.c_2 * b1 + b3
     b5_carry = b5 + 2.0 * b3 + u0l2 if math.isfinite(b5) else math.inf
-    drift_sup, cert_b6 = g_schedule.drift_sup_abs(T, k_max, m0)
-    b6 = drift_sup
+    b6 = g_schedule.drift_sup_abs(m0)
     gs = gamma_star(ic, pc)
     if math.isfinite(b6) and math.isfinite(a9):
         tg = (T + 1.0) * gamma**2
@@ -280,7 +269,6 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
         b1_sq=b1, b2_sq=b2, b3_sq=b3, b4_sq=b4, b5_sq=b5, b5_sq_carry=b5_carry,
         b6_mean_drift=b6, b7_sq=b7, gamma=gamma, gamma_star=gs, epsilon=epsilon,
         T=T, hypotheses=hyp,
-        certified={"b1_sq": cert_b1, "b2_sq": cert_b2, "b6_mean_drift": cert_b6},
     )
 
 
@@ -366,19 +354,15 @@ def certificate_report(
         "T": T,
     }
     hypotheses = {}
-    truncation = {}
     if abar is not None:
         doc["abar_chain"] = asdict(abar)
         hypotheses["membership"] = abar.member
-        truncation.update({f"abar.{k}": v for k, v in abar.certified.items()})
     if achain is not None:
         doc["a_chain"] = {**asdict(achain), "h21_reference": achain.h21_reference()}
         hypotheses.update({f"base.{k}": v for k, v in achain.hypotheses.items()})
-        truncation.update({f"base.{k}": v for k, v in achain.certified.items()})
     if bchain is not None:
         doc["b_chain"] = asdict(bchain)
         hypotheses.update({f"pert.{k}": v for k, v in bchain.hypotheses.items()})
-        truncation.update({f"pert.{k}": v for k, v in bchain.certified.items()})
     if smallness is not None:
         doc["smallness"] = {k: v for k, v in smallness.items() if k != "g2_series"}
         if "gamma_hypothesis" in smallness:
@@ -386,7 +370,6 @@ def certificate_report(
         hypotheses["g2_budget"] = smallness.get("g2_ok")
         hypotheses["gbar_budget"] = smallness.get("gbar_ok")
     doc["hypotheses"] = hypotheses
-    doc["truncation"] = truncation
     barrier_keys = [
         "membership",
         "base.gradient_window",
@@ -399,7 +382,10 @@ def certificate_report(
         "g2_budget",
         "gbar_budget",
     ]
+    # a missing or null hypothesis passes barrier_hypotheses_ok; this says
+    # whether every one was evaluated
     doc["barrier_hypotheses_ok"] = all(
         hypotheses.get(k, True) in (True, None) for k in barrier_keys
     )
+    doc["barrier_hypotheses_evaluated"] = all(hypotheses.get(k) is not None for k in barrier_keys)
     return doc

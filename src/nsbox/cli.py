@@ -117,7 +117,7 @@ SCHEMAS = {
         "certificate": {
             "nu": _positive, "L": _positive, "T": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
-            "k_max": _count, "calibration_seed": _count, "calibration_fields": _positive_count,
+            "calibration_seed": _count, "calibration_fields": _positive_count,
             "gamma": _nonneg, "epsilon": _positive, "N": _is_int,
         },
         "forcing": _FORCING,
@@ -133,7 +133,7 @@ SCHEMAS = {
             "windows": _is_int, "dt": _positive,
             "scheme": lambda v: v in _SCHEMES, "cfl_max": _positive,
             "constants_mode": lambda v: v in ("analytic_conservative", "empirical_calibrated"),
-            "calibration_seed": _count, "calibration_fields": _positive_count, "k_max": _count,
+            "calibration_seed": _count, "calibration_fields": _positive_count,
             "base_amplitude": _nonneg, "force_constant": _numbers, "force_amplitude": _nonneg,
             "force_rate": _positive, "force_mode": _numbers,
             "force_family": lambda v: v in ("example1", "example2", "zero"),
@@ -329,9 +329,8 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
         norms.setdefault("h1_sq", norms["l2_sq"] + norms["grad_sq"])
     else:
         norms = initial_norms(state0.field)
-    k_max = ccfg.get("k_max", 64)
-    ab = abar_chain(forcing, norms["h1_sq"], T, pc, ic, k_max=k_max, initial_mean=state0.mean)
-    ach = a_chain(forcing, norms, T, pc, ic, k_max=k_max, initial_mean=state0.mean)
+    ab = abar_chain(forcing, norms["h1_sq"], T, pc, ic, initial_mean=state0.mean)
+    ach = a_chain(forcing, norms, T, pc, ic, initial_mean=state0.mean)
     bch = None
     sm = None
     gamma = ccfg.get("gamma", 0.0)
@@ -341,7 +340,7 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
             g = build_forcing(g3, cfg.get("g_forcing", {}), T)
         u0n = cfg.get("perturbation_norms", {"l2_sq": 0.0})
         bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma,
-                      epsilon=ccfg.get("epsilon", 0.5), k_max=k_max)
+                      epsilon=ccfg.get("epsilon", 0.5))
         sm = smallness_check(gamma, ccfg.get("epsilon", 0.5), pc, ic, bch,
                              g_schedule=g, u0_norms=u0n)
     # example-1 style bound on the all-time fluctuation integral, when closed form
@@ -357,11 +356,15 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
 
 
 @_building()
-def _scenario_from_config(cfg: dict) -> tuple:
-    """The scenario of a stability config and its `resume` perturbation (or None)."""
+def _scenario_from_config(cfg: dict, seed=None) -> tuple:
+    """The scenario of a stability config and its initial perturbation: the
+    `resume` snapshot, or the field drawn from the perturbation spec, whose
+    seed `seed` overrides."""
     s = dict(cfg.get("scenario", {}))
     resume = s.pop("resume", None)
     pert = PerturbationSpec(**cfg.get("perturbation", {}))
+    if seed is not None:
+        pert.seed = seed
     for tup in ("force_constant", "force_mode", "g_mode"):
         if tup in s:
             s[tup] = tuple(s[tup])
@@ -371,14 +374,14 @@ def _scenario_from_config(cfg: dict) -> tuple:
     scn.forcings()
     grid3 = PeriodicGrid(scn.L, 3, scn.N)
     if resume is None:
-        make_perturbation(grid3, pert)  # rejects an empty spectrum and a mean above gamma
-        return scn, None
+        # rejects an empty spectrum and a mean above gamma
+        return scn, make_perturbation(grid3, pert)
     pert.mean_h1_sq(scn.L)
     return scn, _read_snapshot_on(resume, grid3)
 
 
 def _run_one_stability(scn: Scenario, u0, outdir: str, svg: bool) -> dict:
-    res = run_stability_experiment(scn, u0_override=u0)
+    res = run_stability_experiment(scn, u0)
     doc = {
         "schema": "nsbox-stability/1",
         "scenario": res.certificate["inputs"],
@@ -435,9 +438,7 @@ def cmd_stability(cfg: dict, outdir: str, seed, svg: bool, jobs: int) -> int:
         subs = [(cfg, outdir)]
     runs = []
     for sub, subdir in subs:
-        scn, u0 = _scenario_from_config(sub)
-        if seed is not None:
-            scn.perturbation.seed = seed
+        scn, u0 = _scenario_from_config(sub, seed)
         runs.append((scn, u0, subdir, svg))
     if jobs > 1 and len(runs) > 1:
         with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -463,8 +464,8 @@ def cmd_report(cfg: dict, outdir: str) -> int:
         raise ConfigError(f"report {path} is not a JSON object")
     cert = doc.get("certificate", doc)
     print(f"report: {path}")
-    for key, src in (("schema", doc), ("gamma_hypothesis", cert),
-                     ("barrier_hypotheses_ok", cert), ("aborted", doc)):
+    for key, src in (("schema", doc), ("gamma_hypothesis", cert), ("barrier_hypotheses_ok", cert),
+                     ("barrier_hypotheses_evaluated", cert), ("aborted", doc)):
         if key in src:
             print(f"  {key}: {src[key]}")
     if "barrier" in doc and doc["barrier"]:

@@ -114,7 +114,6 @@ class Scenario:
     constants_mode: str = "empirical_calibrated"
     calibration_seed: int = 0
     calibration_fields: int = 1000
-    k_max: int = 64
     # base flow: Taylor-Green initial data plus an example-1 force
     base_amplitude: float = 0.015
     force_constant: tuple = (1.0, 0.0)
@@ -134,8 +133,6 @@ class Scenario:
             raise ValueError("need at least one window")
         if self.T <= 0 or self.dt <= 0:
             raise ValueError("T and dt must be positive")
-        if self.k_max < 0:
-            raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide the window length")
@@ -376,9 +373,10 @@ def window_statistics(pert: Trajectory, T: float) -> tuple:
     return stats, uniformity
 
 
-def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = None) -> ExperimentResult:
+def run_stability_experiment(scn: Scenario, u0: FlowState | None = None) -> ExperimentResult:
     """Full pipeline: chains from schedules, lockstep simulation, windowed
-    statistics, barrier verdicts, one-sided bound checks."""
+    statistics, barrier verdicts, one-sided bound checks.  The perturbation
+    starts from `u0`, drawn from the scenario's spec when None."""
     fs, g = scn.forcings()
     grid2, grid3 = fs.grid, g.grid
     pc = poincare_constants(scn.nu, scn.L)
@@ -388,15 +386,16 @@ def run_stability_experiment(scn: Scenario, *, u0_override: FlowState | None = N
     )
 
     base0 = taylor_green_state(grid2, amplitude=scn.base_amplitude)
-    u0 = u0_override if u0_override is not None else make_perturbation(grid3, scn.perturbation)
+    if u0 is None:
+        u0 = make_perturbation(grid3, scn.perturbation)
     gamma = scn.perturbation.gamma
 
     norms0 = initial_norms(base0.field)
     u0_norms = {"l2_sq": u0.field.sobolev_norm_sq(0)}
-    ab = abar_chain(fs, norms0["h1_sq"], scn.T, pc, ic, k_max=scn.k_max, initial_mean=base0.mean)
-    ach = a_chain(fs, norms0, scn.T, pc, ic, k_max=scn.k_max, initial_mean=base0.mean)
+    ab = abar_chain(fs, norms0["h1_sq"], scn.T, pc, ic, initial_mean=base0.mean)
+    ach = a_chain(fs, norms0, scn.T, pc, ic, initial_mean=base0.mean)
     bch = b_chain(g, u0_norms, ach, pc, ic, scn.T, gamma=gamma, epsilon=scn.epsilon,
-                  k_max=scn.k_max, u0_mean=u0.mean)
+                  u0_mean=u0.mean)
 
     sm = None
     res = ExperimentResult(scn)

@@ -6,28 +6,24 @@ A `Forcing` supplies three things to the solver and the certificate:
   momentum equation,
 * the time integrals of the integral mean (1/|box|) int f dx, which drive
   the (exact) mean ODE, and
-* per-window schedules: int_{kT}^{(k+1)T} ||fbar||^2_X dt for X in
-  {l2, h1, grad}, the mean-drift path, and their sups over the window
-  index.  Closed-form families certify their sups; the generic fallback
-  evaluates adaptive-Simpson quadrature (rtol 1e-10) and reports the sup
-  as truncated.
+* closed-form sups over the window index k of int_{kT}^{(k+1)T} ||fbar||^2_X
+  dt for X in {l2, h1, grad}, of the mean-drift path, and of its windowed
+  square integral (docs/constants.md derives each).
 
 A family states its closed forms through two declarations, from which the
 base class derives the schedules:
 
 * `mean_rate`: the vector a with mean(t) = a for all t, or None.  It gives
-  both mean integrals and the four drift schedules (a nonzero rate makes the
-  drift sups infinite, certified).  A family with no declared rate gives
-  both mean integrals in closed form itself.
+  both mean integrals and the drift sup (a nonzero rate makes it infinite).
+  A family with no declared rate gives both mean integrals and the drift sup
+  in closed form itself.
 * `profile`: the fixed mean-free field whose multiple bar_amplitude(t) is
-  fbar(t), or None when there is no mean-free part.  The bar schedules are
-  then (0.0, certified).
+  fbar(t), or None when there is no mean-free part.  The bar schedule is
+  then 0.0; a family with a profile gives it in closed form.
 
 Every family the CLI builds is one class; example 1 is a decaying mode over
 a constant mean force, example 2 its window-periodic extension, which repeats
-its inner family's declarations.  Families with other closed forms (the
-decaying mode's bar schedules, the window-periodic extension, the oscillating
-mean's integrals) override the methods concerned.
+its inner family's declarations.
 """
 
 from __future__ import annotations
@@ -46,46 +42,14 @@ __all__ = [
     "OscillatingMeanForcing",
     "DecayingModeForcing",
     "PeriodicExtensionForcing",
-    "adaptive_simpson",
 ]
 
 
-def adaptive_simpson(f, a, b, rtol=1e-10, max_depth=30):
-    """Adaptive Simpson quadrature of a scalar function on [a, b].
-
-    The error budget is rtol times the size of the whole integral (the first
-    split's |left| + |right|), halved at each split, so a piece where f is
-    small is not refined to its own relative accuracy."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth == 0:
-            tol = rtol * (abs(left) + abs(right))
-        if depth >= max_depth or abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, tol / 2, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, tol / 2, depth + 1
-        )
-
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), None, 0)
-
-
 class Forcing:
-    """Base class.  Two declarations turn the generic quadrature schedules into
-    closed forms: `mean_rate` (the mean equals this vector for all t, or None
-    when the family gives both mean integrals itself) and `profile` (fbar(t)
-    is bar_amplitude(t) times this field, or None when fbar is zero)."""
+    """Base class.  Two declarations give the schedules: `mean_rate` (the mean
+    equals this vector for all t, or None when the family gives both mean
+    integrals and the drift sup itself) and `profile` (fbar(t) is
+    bar_amplitude(t) times this field, or None when fbar is zero)."""
 
     mean_rate = None
     profile = None
@@ -127,53 +91,27 @@ class Forcing:
             return 0.0
         return self.bar_amplitude(t) ** 2 * self.profile_norm_sq[norm]
 
-    def window_bar_sq_integral(self, k: int, T: float, norm: str = "l2") -> float:
-        if self.profile is None:
-            return 0.0
-        return adaptive_simpson(lambda t: self.bar_norm_sq(t, norm), k * T, (k + 1) * T)
-
-    def sup_window_bar_sq(self, T: float, k_max: int = 64, norm: str = "l2"):
-        """(sup over k of the window integral, certified?).  Generic path
-        truncates at k_max."""
-        if self.profile is None:
-            return 0.0, True
-        vals = [self.window_bar_sq_integral(k, T, norm) for k in range(k_max + 1)]
-        return max(vals), False
+    def sup_window_bar_sq(self, T: float, norm: str = "l2") -> float:
+        """sup over k of int_{kT}^{(k+1)T} ||fbar||^2 dt: 0.0 without a profile;
+        a family with a profile overrides it."""
+        if self.profile is not None:
+            raise NotImplementedError
+        return 0.0
 
     def drift(self, t: float, initial_mean) -> np.ndarray:
         """Mean path: initial velocity mean plus the accumulated mean force."""
         return np.asarray(initial_mean, dtype=float) + self.mean_integral(0.0, t)
 
-    def drift_sup_abs(self, T: float, k_max: int, initial_mean):
-        """(sup_t |drift(t)| over [0,(k_max+1)T], certified?)."""
-        if self.mean_rate is not None:
-            if np.any(self.mean_rate != 0.0):
-                return math.inf, True
-            return float(np.linalg.norm(initial_mean)), True
-        ts = np.linspace(0.0, (k_max + 1) * T, 16 * (k_max + 1) + 1)
-        val = max(float(np.linalg.norm(self.drift(t, initial_mean))) for t in ts)
-        return val, False
+    def drift_sup_abs(self, initial_mean) -> float:
+        """sup over t >= 0 of |drift(t)|: |m0| under a zero rate, else inf."""
+        if np.any(self.mean_rate != 0.0):
+            return math.inf
+        return float(np.linalg.norm(initial_mean))
 
-    def window_drift_sq_integral(self, k: int, T: float, initial_mean) -> float:
-        a = self.mean_rate
-        if a is not None:
-            # int_{kT}^{(k+1)T} sum_c (m_c + a_c t)^2 dt, componentwise closed form
-            m = np.asarray(initial_mean, dtype=float)
-            t0, t1 = k * T, (k + 1) * T
-            return float(sum(
-                m * m * (t1 - t0) + m * a * (t1 * t1 - t0 * t0) + a * a * (t1**3 - t0**3) / 3.0
-            ))
-        return adaptive_simpson(
-            lambda t: float(np.sum(self.drift(t, initial_mean) ** 2)), k * T, (k + 1) * T
-        )
-
-    def sup_window_drift_sq(self, T: float, k_max: int, initial_mean):
-        if self.mean_rate is not None:
-            if np.any(self.mean_rate != 0.0):
-                return math.inf, True
-            return float(np.sum(np.asarray(initial_mean, dtype=float) ** 2)) * T, True
-        vals = [self.window_drift_sq_integral(k, T, initial_mean) for k in range(k_max + 1)]
-        return max(vals), False
+    def sup_window_drift_sq(self, T: float, initial_mean) -> float:
+        """Bound on sup over k of int_{kT}^{(k+1)T} |drift|^2 dt: T times the
+        squared drift sup, exact when the drift is constant."""
+        return T * self.drift_sup_abs(initial_mean) ** 2
 
 
 class ZeroForcing(Forcing):
@@ -192,7 +130,7 @@ class ConstantMeanForcing(Forcing):
 
 
 class OscillatingMeanForcing(Forcing):
-    """mean(t) = amp * sin(omega t); closed-form integrals."""
+    """mean(t) = amp * sin(omega t); closed-form integrals and drift sup."""
 
     def __init__(self, grid, amp, omega=1.0):
         amp = np.asarray(amp, dtype=float)
@@ -210,6 +148,13 @@ class OscillatingMeanForcing(Forcing):
         val = (t1 - t0) * math.cos(w * t0) / w - (math.sin(w * t1) - math.sin(w * t0)) / w**2
         return self.amp * val
 
+    def drift_sup_abs(self, initial_mean):
+        """drift(t) = m0 + amp s / omega with s = 1 - cos(omega t) in [0, 2]; its
+        norm is convex in s, so the sup is at s = 0 or s = 2 (t = pi / omega)."""
+        m0 = np.asarray(initial_mean, dtype=float)
+        return max(float(np.linalg.norm(m0)),
+                   float(np.linalg.norm(m0 + 2.0 * self.amp / self.omega)))
+
 
 class DecayingModeForcing(Forcing):
     """A decaying fluctuation over a constant mean force:
@@ -217,7 +162,7 @@ class DecayingModeForcing(Forcing):
 
     The profile must be mean-free and the constant (zero by default) has one
     entry per component; it is the declared mean rate.  All window integrals
-    are closed-form and the sup over windows is attained at k = 0 (certified).
+    are closed-form and, a(t)^2 decreasing, the sup over windows is at k = 0.
     """
 
     def __init__(self, profile: SpectralField, rate: float, amplitude: float = 1.0,
@@ -242,8 +187,8 @@ class DecayingModeForcing(Forcing):
         w = (math.exp(-2 * lam * k * T) - math.exp(-2 * lam * (k + 1) * T)) / (2 * lam)
         return self.amplitude**2 * self.profile_norm_sq[norm] * w
 
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        return self.window_bar_sq_integral(0, T, norm), True
+    def sup_window_bar_sq(self, T, norm="l2"):
+        return self.window_bar_sq_integral(0, T, norm)
 
     def infinite_bar_sq_integral(self, norm="l2") -> float:
         """int_0^inf ||fbar||^2 dt = amplitude^2 ||profile||^2 / (2 rate)."""
@@ -251,10 +196,11 @@ class DecayingModeForcing(Forcing):
 
 
 class PeriodicExtensionForcing(Forcing):
-    """f(x, t) = h(x, t - kT) for t in [kT, (k+1)T): exact window reduction.
+    """f(x, t) = h(x, t - kP) for t in [kP, (k+1)P), with period P.
     The inner family h must declare its mean rate: a repeated constant mean is
-    that constant mean, and a repeat of a + b(t) * profile is a + b(t - kT) *
-    profile, so both declarations carry over."""
+    that constant mean, and a repeat of a + b(t) * profile is a + b(t - kP) *
+    profile, so both declarations carry over.  Every family with a declared
+    rate has b(t)^2 non-increasing, which the bar schedule relies on."""
 
     def __init__(self, inner: Forcing, T: float):
         if T <= 0:
@@ -271,12 +217,11 @@ class PeriodicExtensionForcing(Forcing):
         k = math.floor(t / self.T)
         return self.inner.bar_amplitude(t - k * self.T)
 
-    def window_bar_sq_integral(self, k, T, norm="l2"):
-        if abs(T - self.T) < 1e-12:
-            return self.inner.window_bar_sq_integral(0, T, norm)
-        return super().window_bar_sq_integral(k, T, norm)
-
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        if abs(T - self.T) < 1e-12:
-            return self.inner.window_bar_sq_integral(0, T, norm), True
-        return super().sup_window_bar_sq(T, k_max, norm)
+    def sup_window_bar_sq(self, T, norm="l2"):
+        """With T = n P + r (0 <= r < P), a window holds n whole periods and an
+        arc of length r; b(t)^2 decreasing within a period, the arc starting at
+        phase 0 is the largest, so the sup is the k = 0 window: n I(P) + I(r)
+        with I(x) the inner window integral over [0, x]."""
+        n, r = divmod(T, self.T)
+        inner = self.inner.sup_window_bar_sq
+        return n * inner(self.T, norm) + inner(r, norm)

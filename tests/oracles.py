@@ -1,16 +1,20 @@
 """Test oracles: an independent nonlinear term, the energy balance of a
 trajectory, the structural invariants of a stored state, the divergence and
-L^p norms of a field, a 2D forcing lifted to the 3D grid, and 4-point
+L^p norms of a field, a 2D forcing lifted to the 3D grid, 4-point
 Gauss-Legendre quadrature, the reference for the forcings' closed-form mean
-integrals.
+integrals, and adaptive quadrature of a forcing's window integrals, the
+reference for its closed-form schedules.
 
 They are built on `SpectralField` and the forcing interface alone and share
 no code with the solver's band stepper.
 """
 
-import numpy as np
+import math
 
-from nsbox.forcing import Forcing
+import numpy as np
+from scipy.integrate import quad
+
+from nsbox.forcing import Forcing, PeriodicExtensionForcing
 from nsbox.spectral import SpectralField, lift_2d_to_3d, lp_norms
 
 _GL4_NODES = np.array(
@@ -91,6 +95,23 @@ def gl4(f, a, b):
     for x, w in zip(_GL4_NODES, _GL4_WEIGHTS):
         acc = acc + w * np.asarray(f(mid + half * x))
     return half * acc
+
+
+def window_integral(fn, a, b, period=None):
+    """int_a^b fn(t) dt by scipy quad, split at every multiple of `period`
+    inside (a, b), where a window-periodic forcing jumps."""
+    cuts = [a, b]
+    if period is not None:
+        cuts += [j * period for j in range(math.floor(a / period) + 1, math.ceil(b / period))]
+    cuts = sorted(c for c in set(cuts) if a <= c <= b)
+    return sum(quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
+
+
+def window_bar_sq(f, k, T, norm="l2"):
+    """int_{kT}^{(k+1)T} ||fbar||^2 dt of the forcing f, by quadrature."""
+    period = f.T if isinstance(f, PeriodicExtensionForcing) else None
+    return window_integral(lambda t: f.bar_norm_sq(t, norm), k * T, (k + 1) * T, period)
 
 
 class LiftedForcing(Forcing):

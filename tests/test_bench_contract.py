@@ -11,6 +11,7 @@ import pathlib
 
 import scipy.fft
 
+import nsbox.forcing
 import nsbox.solver
 import nsbox.spectral
 
@@ -39,3 +40,17 @@ def test_recorder_record_exists():
 
 def test_spectral_transforms_through_scipy_fft():
     assert nsbox.spectral._fft is scipy.fft
+
+
+def test_forcing_schedules_are_traced():
+    # the tracer's forcing.schedule layer is every method of a Forcing class
+    # named with one of these prefixes; the certify sweep's forcings (examples
+    # 1 and 2, a zero g) must reach the three schedules the chains call there
+    spans = load_spans()
+    traced = {(cls, name) for cls in spans._subclasses(nsbox.forcing.Forcing)
+              for name in vars(cls) if name.startswith(spans.FORCING_SCHEDULE_PREFIXES)}
+    for cls in (nsbox.forcing.DecayingModeForcing, nsbox.forcing.PeriodicExtensionForcing,
+                nsbox.forcing.ZeroForcing):
+        for name in ("sup_window_bar_sq", "drift_sup_abs", "sup_window_drift_sq"):
+            owner = next(c for c in cls.__mro__ if name in vars(c))
+            assert (owner, name) in traced

@@ -37,7 +37,7 @@ from nsbox.spectral import (
     lift_2d_to_3d,
     random_field,
 )
-from oracles import lp_norm
+from oracles import lp_norm, window_bar_sq
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,11 +61,8 @@ class ConstantBarForcing(DecayingModeForcing):
     def bar_amplitude(self, t):
         return 1.0
 
-    def window_bar_sq_integral(self, k, T, norm="l2"):
+    def sup_window_bar_sq(self, T, norm="l2"):
         return self.profile_norm_sq[norm] * T
-
-    def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-        return self.profile_norm_sq[norm] * T, True
 
 
 class TestPoincare:
@@ -328,8 +325,8 @@ class TestAbarChain:
         pc, ic, grid = setup_2pi
 
         class DivergentSchedule(ZeroForcing):
-            def sup_window_bar_sq(self, T, k_max=64, norm="l2"):
-                return math.inf, True
+            def sup_window_bar_sq(self, T, norm="l2"):
+                return math.inf
 
         with pytest.raises(ValueError, match="integrable"):
             abar_chain(DivergentSchedule(grid, 2), 0.0, 4.0, pc, ic)
@@ -340,12 +337,10 @@ class TestAbarChain:
 
         T = 4.0
         f = PeriodicExtensionForcing(DecayingModeForcing(unit_h1_profile(grid), rate=1.0), T)
-        w0 = f.window_bar_sq_integral(0, T, "h1")
-        w7 = f.window_bar_sq_integral(7, T, "h1")
-        assert w0 == pytest.approx(w7, rel=1e-13)
+        w0 = window_bar_sq(f, 0, T, "h1")
+        assert window_bar_sq(f, 7, T, "h1") == pytest.approx(w0, rel=1e-12)
         ch = abar_chain(f, 0.01, T, pc, ic)
-        assert ch.abar1_sq == pytest.approx(w0)
-        assert ch.certified["abar1_sq"]
+        assert ch.abar1_sq == pytest.approx(w0, rel=1e-12)
 
     def test_example_two_drift_is_certified(self, setup_2pi):
         # the repeated decaying mode declares its zero mean rate, so the drift
@@ -356,7 +351,6 @@ class TestAbarChain:
         h = DecayingModeForcing(unit_h1_profile(grid), rate=1.0)
         m0 = np.array([0.3, -0.4])
         ch = abar_chain(PeriodicExtensionForcing(h, 4.0), 0.01, 4.0, pc, ic, initial_mean=m0)
-        assert ch.certified["abar4_sq"]
         assert ch.abar4_sq == float(np.linalg.norm(m0)) ** 2
 
 
@@ -411,20 +405,6 @@ class TestAChain:
         pc, ic, grid = setup_2pi
         with pytest.raises(ValueError):
             a_chain(ZeroForcing(grid, 2), {"l2_sq": -1, "grad_sq": 0, "grad2_sq": 0}, 3.0, pc, ic)
-
-    def test_negative_k_max_rejected(self, setup_2pi):
-        # k_max = -1 would take the sups over no window at all
-        pc, ic, grid = setup_2pi
-        norms = {"l2_sq": 0.0, "grad_sq": 0.0, "grad2_sq": 0.0}
-        f = ConstantMeanForcing(grid, [1.0, 0.0])
-        with pytest.raises(ValueError, match="k_max"):
-            abar_chain(f, 0.0, 3.0, pc, ic, k_max=-1)
-        with pytest.raises(ValueError, match="k_max"):
-            a_chain(f, norms, 3.0, pc, ic, k_max=-1)
-        ach = a_chain(ZeroForcing(grid, 2), norms, 3.0, pc, ic)
-        with pytest.raises(ValueError, match="k_max"):
-            b_chain(ZeroForcing(PeriodicGrid(L=TWO_PI, dim=3, N=8), 3), {"l2_sq": 0.0}, ach,
-                    pc, ic, 3.0, k_max=-1)
 
     def test_unbounded_drift_reported(self, setup_2pi):
         pc, ic, grid = setup_2pi
@@ -518,7 +498,28 @@ class TestReport:
                                  achain=ach, bchain=bch, smallness=sm)
         assert doc["schema"] == "nsbox-certificate/1"
         for key in ("poincare", "constants", "t_star", "gamma_star", "abar_chain",
-                    "a_chain", "b_chain", "hypotheses", "truncation"):
+                    "a_chain", "b_chain", "hypotheses"):
             assert key in doc
         assert doc["gamma_hypothesis"] == "ok"
         assert isinstance(doc["barrier_hypotheses_ok"], bool)
+        # no simulated series: g2_budget is null, so not every hypothesis was evaluated
+        assert doc["hypotheses"]["g2_budget"] is None
+        assert doc["barrier_hypotheses_evaluated"] is False
+
+    def test_barrier_hypotheses_evaluated(self, setup_2pi):
+        # true only when every barrier hypothesis has a verdict; a missing chain
+        # or a null budget passes barrier_hypotheses_ok but leaves this false
+        pc, ic, grid = setup_2pi
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
+        z2, z3 = ZeroForcing(grid, 2), ZeroForcing(g3, 3)
+        ab = abar_chain(z2, 0.0, 4.0, pc, ic)
+        ach = a_chain(z2, {"l2_sq": 0.0, "grad_sq": 0.0, "grad2_sq": 0.0}, 4.0, pc, ic)
+        bch = b_chain(z3, {"l2_sq": 0.0}, ach, pc, ic, 4.0, gamma=1e-4)
+        sm = smallness_check(1e-4, 0.5, pc, ic, bch, gradv_l3_series=np.zeros(5), g_schedule=z3,
+                             u0_norms={"l2_sq": 0.0}, times=np.linspace(0.0, 1.0, 5))
+        full = certificate_report(nu=1.0, L=TWO_PI, T=4.0, constants=ic, abar=ab, achain=ach,
+                                  bchain=bch, smallness=sm)
+        assert full["barrier_hypotheses_evaluated"] is True
+        base_only = certificate_report(nu=1.0, L=TWO_PI, T=4.0, constants=ic, abar=ab, achain=ach)
+        assert base_only["barrier_hypotheses_ok"] is True
+        assert base_only["barrier_hypotheses_evaluated"] is False

@@ -128,10 +128,10 @@ class TestConfigValidation:
                      id="grid.dim"),
         pytest.param("certify", {"certificate": {"T": 5.0, "N": 8, "k_max": -1},
                                  "forcing": {"family": "oscillating_mean"}},
-                     "certificate.k_max", id="certificate.k_max-negative"),
+                     "unknown key 'certificate.k_max'", id="certificate.k_max-negative"),
         pytest.param("stability", {"scenario": {"N": 8, "T": 1.0, "windows": 1, "dt": 0.02,
                                                 "calibration_fields": 20, "k_max": -1}},
-                     "scenario.k_max", id="scenario.k_max-negative"),
+                     "unknown key 'scenario.k_max'", id="scenario.k_max-negative"),
         pytest.param("certify", {"certificate": {"T": 5.0, "N": 8, "calibration_seed": -1,
                                                  "constants_mode": "empirical_calibrated"}},
                      "certificate.calibration_seed", id="certificate.calibration_seed-negative"),
@@ -416,9 +416,26 @@ class TestCertify:
         doc = json.loads((out / "certificate.json").read_text())
         assert doc["a_chain"]["a9"] == 0.3
         assert doc["abar_chain"]["abar4_sq"] == pytest.approx(0.09, rel=1e-15)
-        assert doc["truncation"]["base.a9"] and doc["truncation"]["abar.abar4_sq"]
+        assert "truncation" not in doc
 
-    def test_gamma_violation_in_report(self, tmp_path):
+    def test_example2_partial_period_sup(self, tmp_path):
+        # a period just above T / 8: each window starts at a later phase, and the
+        # sup over windows is the first one, n I(P) + I(r) with T = n P + r
+        from nsbox.experiments import build_forcing
+        from oracles import window_bar_sq
+
+        forcing = {"family": "example2", "mode": [5, 0], "amplitude": 0.2, "window": 1.0001}
+        cfg = write_cfg(tmp_path, {"certificate": {"T": 8, "N": 16}, "forcing": forcing})
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "certificate.json").read_text())
+        f = build_forcing(PeriodicGrid(L=TWO_PI, dim=2, N=16), forcing, 8.0)
+        windows = [window_bar_sq(f, k, 8.0, "h1") for k in range(65)]
+        assert max(windows) == windows[0]
+        assert doc["abar_chain"]["abar1_sq"] == pytest.approx(windows[0], rel=1e-10)
+        assert doc["abar_chain"]["abar1_sq"] == pytest.approx(3.5970, rel=1e-4)
+
+    def test_gamma_violation_in_report(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
             {
@@ -434,9 +451,15 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "certificate.json").read_text())
         assert doc["gamma_hypothesis"] == "violated"
+        # no simulated series: g2_budget is null, so the barrier hypotheses pass
+        # without all being evaluated
+        assert doc["hypotheses"]["g2_budget"] is None
+        assert doc["barrier_hypotheses_evaluated"] is False
+        capsys.readouterr()
         assert main(["report", "--config",
                      write_cfg(tmp_path, {"path": str(out / "certificate.json")}, "r.json"),
                      "--out", str(out)]) == EXIT_OK
+        assert "  barrier_hypotheses_evaluated: False\n" in capsys.readouterr().out
 
 
 class TestStability:
@@ -565,6 +588,8 @@ class TestStability:
         cert = doc["certificate"]
         assert f"  gamma_hypothesis: {cert['gamma_hypothesis']}\n" in printed
         assert f"  barrier_hypotheses_ok: {cert['barrier_hypotheses_ok']}\n" in printed
+        assert cert["barrier_hypotheses_evaluated"] is True
+        assert "  barrier_hypotheses_evaluated: True\n" in printed
         assert f"  check.all_ok: {doc['checks']['all_ok']}\n" in printed
         assert f"  check.x_le_y: {doc['checks']['x_le_y']}\n" in printed
 
@@ -588,3 +613,31 @@ class TestStability:
             report = out / f"scenario_{i:03d}" / "report.json"
             assert line == f"stability: never_exceeded=True report={report}"
             assert json.loads(report.read_text())["scenario"]["perturbation"]["seed"] == 5
+
+    def test_perturbation_drawn_once_after_the_seed(self, tmp_path, monkeypatch):
+        # each scenario's perturbation is drawn once, with the --seed override,
+        # and the run starts from that field
+        import nsbox.cli
+        import nsbox.experiments
+
+        seeds = []
+        draw = nsbox.experiments.make_perturbation
+
+        def counted(grid3, spec):
+            seeds.append(spec.seed)
+            return draw(grid3, spec)
+
+        monkeypatch.setattr(nsbox.cli, "make_perturbation", counted)
+        monkeypatch.setattr(nsbox.experiments, "make_perturbation", counted)
+        sweep = {"scenarios": [self._scn_cfg(), self._scn_cfg(T=5.0, dt=0.025)]}
+        sweep = write_cfg(tmp_path, sweep)
+        assert main(["stability", "--config", sweep, "--out", str(tmp_path / "sweep"),
+                     "--seed", "5"]) == EXIT_OK
+        assert seeds == [5, 5]
+        named = self._scn_cfg()
+        named["perturbation"]["seed"] = 5
+        named = write_cfg(tmp_path, named, "named.json")
+        assert main(["stability", "--config", named, "--out", str(tmp_path / "named")]) == EXIT_OK
+        docs = [json.loads((tmp_path / d / "report.json").read_text())
+                for d in ("sweep/scenario_000", "named")]
+        assert docs[0]["content_hash"] == docs[1]["content_hash"]

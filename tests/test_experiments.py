@@ -22,7 +22,7 @@ from nsbox.experiments import (
 from nsbox.forcing import DecayingModeForcing, ZeroForcing
 from nsbox.solver import FlowState, SolverConfig, evolve_base_2d, evolve_pair, taylor_green_state
 from nsbox.spectral import PeriodicGrid, SpectralField
-from oracles import div_norm
+from oracles import div_norm, window_bar_sq
 from test_acceptance import example_one_threshold
 
 TWO_PI = 2.0 * np.pi
@@ -88,9 +88,9 @@ class TestForcingFamilies:
     def test_example2_periodic(self):
         scn = Scenario(N=16, force_family="example2")
         f, _ = scn.forcings()
-        w0 = f.window_bar_sq_integral(0, scn.T, "h1")
-        w7 = f.window_bar_sq_integral(7, scn.T, "h1")
-        assert w0 == pytest.approx(w7, rel=1e-13)
+        w0 = window_bar_sq(f, 0, scn.T, "h1")
+        assert window_bar_sq(f, 7, scn.T, "h1") == pytest.approx(w0, rel=1e-12)
+        assert f.sup_window_bar_sq(scn.T, "h1") == pytest.approx(w0, rel=1e-12)
 
     def test_g_forcing_zero_unless_amplitude(self):
         _, g = Scenario(N=8).forcings()
@@ -249,5 +249,3 @@ class TestRunExperiment:
             Scenario(T=1.0, dt=0.3)  # dt does not divide T
         with pytest.raises(ValueError):
             Scenario(windows=0)
-        with pytest.raises(ValueError, match="k_max"):
-            Scenario(N=8, k_max=-1)

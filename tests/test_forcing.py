@@ -12,10 +12,9 @@ from nsbox.forcing import (
     OscillatingMeanForcing,
     PeriodicExtensionForcing,
     ZeroForcing,
-    adaptive_simpson,
 )
 from nsbox.spectral import PeriodicGrid, SpectralField
-from oracles import gl4
+from oracles import gl4, window_bar_sq, window_integral
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,31 +33,6 @@ def unit_h1_profile(grid):
 @pytest.fixture
 def grid():
     return PeriodicGrid(L=TWO_PI, dim=2, N=16)
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        assert adaptive_simpson(lambda t: t**3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-13)
-
-    def test_exponential(self):
-        val = adaptive_simpson(lambda t: math.exp(-2 * t), 0.0, 3.0)
-        assert val == pytest.approx((1 - math.exp(-6)) / 2, rel=1e-10)
-
-    def test_high_order_zero_not_refined_to_its_own_scale(self):
-        # (1 - cos t)^2 has a fourth-order zero at 2 pi; a per-piece relative
-        # tolerance split there to max_depth (about 70 000 evaluations)
-        calls = []
-
-        def f(t):
-            calls.append(t)
-            return (1.0 - math.cos(t)) ** 2
-
-        def antiderivative(t):
-            return 1.5 * t - 2.0 * math.sin(t) + math.sin(2.0 * t) / 4.0
-
-        val = adaptive_simpson(f, 6.0, 12.0)
-        assert val == pytest.approx(antiderivative(12.0) - antiderivative(6.0), abs=1e-10)
-        assert len(calls) < 2000
 
 
 class TestDecayingMode:
@@ -81,40 +55,36 @@ class TestDecayingMode:
         f = DecayingModeForcing(unit_h1_profile(grid), rate=0.7, amplitude=0.3)
         for k, norm in ((0, "l2"), (2, "h1"), (1, "grad")):
             closed = f.window_bar_sq_integral(k, 1.3, norm)
-            quad = adaptive_simpson(lambda t: f.bar_norm_sq(t, norm), k * 1.3, (k + 1) * 1.3)
-            assert closed == pytest.approx(quad, rel=1e-9)
+            assert closed == pytest.approx(window_bar_sq(f, k, 1.3, norm), rel=1e-12)
 
     def test_sup_is_first_window(self, grid):
         f = DecayingModeForcing(unit_h1_profile(grid), rate=1.0)
-        sup, certified = f.sup_window_bar_sq(2.0, 8, "l2")
-        assert certified
-        assert sup == pytest.approx(f.window_bar_sq_integral(0, 2.0, "l2"))
+        assert f.sup_window_bar_sq(2.0, "l2") == f.window_bar_sq_integral(0, 2.0, "l2")
 
 
 class TestConstantMean:
     def test_bar_vanishes(self, grid):
         f = ConstantMeanForcing(grid, [1.0, 0.0])
         assert f.profile is None and f.bar_norm_sq(0.5) == 0.0
-        assert f.sup_window_bar_sq(1.0, 4, "h1") == (0.0, True)
+        assert f.sup_window_bar_sq(1.0, "h1") == 0.0
 
     def test_drift_linear_and_unbounded(self, grid):
         f = ConstantMeanForcing(grid, [2.0, 0.0])
         assert np.allclose(f.drift(3.0, [0.5, 0.0]), [6.5, 0.0])
-        sup, certified = f.drift_sup_abs(1.0, 16, [0.0, 0.0])
-        assert math.isinf(sup) and certified
+        assert math.isinf(f.drift_sup_abs([0.0, 0.0]))
 
     def test_window_drift_integral_closed_form(self, grid):
-        f = ConstantMeanForcing(grid, [3.0, 0.0])
-        m0 = np.array([1.0, 0.0])
-        k, T = 2, 0.7
-        closed = f.window_drift_sq_integral(k, T, m0)
-        quad = adaptive_simpson(lambda t: float(np.sum(f.drift(t, m0) ** 2)), k * T, (k + 1) * T)
-        assert closed == pytest.approx(quad, rel=1e-10)
+        # a zero force keeps the drift at m0: every window integral is T |m0|^2
+        f = ConstantMeanForcing(grid, [0.0, 0.0])
+        m0 = np.array([1.0, -0.5])
+        T = 0.7
+        for k in (0, 2):
+            quad = window_integral(lambda t: float(np.sum(f.drift(t, m0) ** 2)), k * T, (k + 1) * T)
+            assert f.sup_window_drift_sq(T, m0) == pytest.approx(quad, rel=1e-13)
 
     def test_divergent_window_drift_sup(self, grid):
         f = ConstantMeanForcing(grid, [1.0, 0.0])
-        sup, certified = f.sup_window_drift_sq(1.0, 8, [0.0, 0.0])
-        assert math.isinf(sup) and certified
+        assert math.isinf(f.sup_window_drift_sq(1.0, [0.0, 0.0]))
 
 
 class TestOscillatingMean:
@@ -124,8 +94,28 @@ class TestOscillatingMean:
         ref = 2.0 * (math.cos(3 * 0.2) - math.cos(3 * 1.1)) / 3.0
         assert got[0] == pytest.approx(ref, rel=1e-13)
         dbl = f.mean_double_integral(0.2, 1.1)
-        num = adaptive_simpson(lambda s: (1.1 - s) * 2.0 * math.sin(3 * s), 0.2, 1.1)
-        assert dbl[0] == pytest.approx(num, rel=1e-9)
+        num = window_integral(lambda s: (1.1 - s) * 2.0 * math.sin(3 * s), 0.2, 1.1)
+        assert dbl[0] == pytest.approx(num, rel=1e-12)
+
+    @pytest.mark.parametrize("m0", [[0.0, 0.0], [0.3, -0.4], [0.5, -0.2]])
+    def test_drift_sup_attained_at_half_period(self, grid, m0):
+        # drift(t) = m0 + amp (1 - cos(omega t)) / omega; with |m0 + 2 amp / omega|
+        # >= |m0| the sup is |drift(pi / omega)|
+        f = OscillatingMeanForcing(grid, [0.7, 0.2], omega=2.5)
+        sup = f.drift_sup_abs(m0)
+        assert sup == pytest.approx(float(np.linalg.norm(f.drift(math.pi / 2.5, m0))), rel=1e-15)
+        ts = np.linspace(0.0, 4 * math.pi / 2.5, 4001)
+        sampled = max(float(np.linalg.norm(f.drift(t, m0))) for t in ts)
+        assert sampled <= sup * (1 + 1e-15)
+        assert f.sup_window_drift_sq(3.0, m0) == 3.0 * sup**2
+
+    def test_drift_sup_at_start(self, grid):
+        # m0 = -1.6 amp / omega: the drift runs from |m0| back towards zero
+        f = OscillatingMeanForcing(grid, [1.0, 0.0], omega=2.0)
+        m0 = [-0.8, 0.0]
+        assert f.drift_sup_abs(m0) == 0.8
+        ts = np.linspace(0.0, 2 * math.pi, 2001)
+        assert max(float(np.linalg.norm(f.drift(t, m0))) for t in ts) <= 0.8
 
 
 class TestComposite:
@@ -138,8 +128,7 @@ class TestComposite:
         assert f.window_bar_sq_integral(0, 2.0, "h1") == pytest.approx(
             h.window_bar_sq_integral(0, 2.0, "h1")
         )
-        sup, cert = f.drift_sup_abs(2.0, 8, [0.0, 0.0])
-        assert math.isinf(sup) and cert
+        assert math.isinf(f.drift_sup_abs([0.0, 0.0]))
         assert np.allclose(f.mean_integral(0.0, 0.3), [0.3, 0.0])
 
 
@@ -155,12 +144,13 @@ class TestPeriodicExtension:
 
     def test_window_integrals_equal_across_k(self, grid):
         T = 2.0
-        f = PeriodicExtensionForcing(DecayingModeForcing(unit_h1_profile(grid), rate=1.0), T)
-        w0 = f.window_bar_sq_integral(0, T, "h1")
-        w7 = f.window_bar_sq_integral(7, T, "h1")
-        assert w0 == pytest.approx(w7, rel=1e-14)
-        sup, certified = f.sup_window_bar_sq(T, 16, "h1")
-        assert certified and sup == pytest.approx(w0)
+        h = DecayingModeForcing(unit_h1_profile(grid), rate=1.0)
+        f = PeriodicExtensionForcing(h, T)
+        w0 = window_bar_sq(f, 0, T, "h1")
+        assert window_bar_sq(f, 7, T, "h1") == pytest.approx(w0, rel=1e-12)
+        # a window as long as the period: the inner family's first window, bit for bit
+        assert f.sup_window_bar_sq(T, "h1") == h.window_bar_sq_integral(0, T, "h1")
+        assert f.sup_window_bar_sq(T, "h1") == pytest.approx(w0, rel=1e-12)
 
     def test_validation(self, grid):
         with pytest.raises(ValueError):
@@ -209,5 +199,34 @@ class TestDeclarations:
     def test_example_one_with_zero_constant_certifies_drift(self, grid):
         f = build_forcing(grid, {"family": "example1", "constant": [0.0, 0.0]})
         m0 = np.array([0.3, 0.4])
-        assert f.drift_sup_abs(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
-        assert f.sup_window_drift_sq(2.0, 8, m0) == (pytest.approx(0.5, rel=1e-15), True)
+        assert f.drift_sup_abs(m0) == pytest.approx(0.5, rel=1e-15)
+        assert f.sup_window_drift_sq(2.0, m0) == pytest.approx(0.5, rel=1e-15)
+
+
+# example 2's period P against the window T: equal, T = 3P, T = 2.5P (a partial
+# period in each window), and P just above T / 8, where a window starts at a
+# phase that drifts by 8e-4 T per window
+EXAMPLE2_PERIODS = (1.0, 1 / 3, 1 / 2.5, 1.0001 / 8)
+
+
+class TestBarScheduleSup:
+    """The closed-form bar sup bounds the windows k <= 64, computed by
+    quadrature split at the period jumps, and is the k = 0 window."""
+
+    def check(self, f, T):
+        for norm in ("l2", "h1", "grad"):
+            sup = f.sup_window_bar_sq(T, norm)
+            windows = [window_bar_sq(f, k, T, norm) for k in range(65)]
+            assert sup == pytest.approx(windows[0], rel=1e-11, abs=1e-300)
+            assert max(windows) <= sup * (1 + 1e-11)
+
+    @pytest.mark.parametrize("name", CLI_FAMILIES)
+    @pytest.mark.parametrize("T", (2.0, 5.5))
+    def test_cli_families(self, grid, name, T):
+        self.check(build_forcing(grid, {"family": name, "amplitude": 0.3, "rate": 0.4}, T), T)
+
+    @pytest.mark.parametrize("ratio", EXAMPLE2_PERIODS)
+    @pytest.mark.parametrize("T", (4.0, 8.0))
+    def test_example2_period(self, grid, T, ratio):
+        fcfg = {"family": "example2", "amplitude": 0.2, "mode": [5, 0], "window": ratio * T}
+        self.check(build_forcing(grid, fcfg, T), T)
