@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from nsbox.constants import InterpolationConstants, PoincareConstants, poincare_constants
+from nsbox.constants import InterpolationConstants, PoincareConstants
 
 __all__ = [
     "t_star",
@@ -42,8 +42,11 @@ def gamma_star(ic: InterpolationConstants, pc: PoincareConstants) -> float:
     return (pc.c_1 / (2.0 * ic.c_3)) ** 0.25
 
 
-def _require_nonneg(**kwargs):
-    for name, v in kwargs.items():
+def _require_inputs(T, **nonneg):
+    """A positive window length T and nonnegative data."""
+    if not T > 0:
+        raise ValueError(f"window length T must be positive, got {T}")
+    for name, v in nonneg.items():
         if v < 0:
             raise ValueError(f"{name} must be nonnegative, got {v}")
 
@@ -78,7 +81,7 @@ def abar_chain(schedule, vbar0_h1_sq: float, T: float, pc, ic, *,
     abar4_sq = squared sup of the mean-drift path.
     Membership requires T >= t_star and T > abar3_sq.
     """
-    _require_nonneg(vbar0_h1_sq=vbar0_h1_sq, T=T)
+    _require_inputs(T, vbar0_h1_sq=vbar0_h1_sq)
     a1 = schedule.sup_window_bar_sq(T, "h1")
     if not math.isfinite(a1):
         raise ValueError("forcing schedule is not window-integrable in H1")
@@ -155,7 +158,7 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *,
     for key in ("l2_sq", "grad_sq", "grad2_sq"):
         if key not in initial_norms:
             raise ValueError(f"initial_norms missing {key!r}")
-    _require_nonneg(T=T, **{k: float(v) for k, v in initial_norms.items()})
+    _require_inputs(T, **{k: float(v) for k, v in initial_norms.items()})
 
     a1 = schedule.sup_window_bar_sq(T, "l2") / pc.c_s1
     a2 = a1 / (1.0 - math.exp(-pc.c_s1 * T)) + initial_norms["l2_sq"]
@@ -226,7 +229,7 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
         raise ValueError("b_chain requires the base-flow chain")
     if "l2_sq" not in u0_norms:
         raise ValueError("u0_norms must provide 'l2_sq'")
-    _require_nonneg(T=T, gamma=gamma, u0_l2_sq=u0_norms["l2_sq"])
+    _require_inputs(T, gamma=gamma, u0_l2_sq=u0_norms["l2_sq"])
     m0 = np.asarray(u0_mean, float)
     a3, a8, a9 = achain.a3_sq, achain.a8_sq, achain.a9
 
@@ -262,7 +265,7 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
         "energy_window_plain": -pc.c_1 * T / 2.0 + a8 <= 0.0,
         "energy_window_weighted": -pc.c_1 * T / 2.0 + ic.c_2 * a8 <= 0.0,
         "energy_halving": 1.0 - math.exp(-pc.c_1 * T / 2.0) >= 0.5,
-        "gamma_le_gamma_star": 0.0 < gamma <= gs if gamma > 0 else True,
+        "gamma_le_gamma_star": 0.0 < gamma <= gs,
         "drift_finite": math.isfinite(b6),
     }
     return BChain(
@@ -272,36 +275,20 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
     )
 
 
-def smallness_check(
-    gamma: float,
-    epsilon: float,
-    pc,
-    ic,
-    bchain: BChain,
-    *,
-    gradv_l3_series=None,
-    g_schedule=None,
-    u0_norms=None,
-    u0_mean=(0.0, 0.0, 0.0),
-    times=None,
-) -> dict:
-    """Evaluate the two smallness hypotheses behind the barrier argument.
+def smallness_check(pc, ic, bchain: BChain, g_schedule, u0_norms: dict, *, u0_mean,
+                    gradv_l3_series=None, times=None) -> dict:
+    """Evaluate the two smallness hypotheses behind the barrier argument, at
+    the level gamma and the fraction epsilon of the b-chain.
 
     G^2(t) = c_3 ||grad v(t)||_L3^2 (b5_sq + |drift(t)|^2) + c_4 ||gbar(t)||^2
-    must stay below c_1 gamma / 4; the combined forcing-size function
-    (max over its window/pointwise contributions) must stay below
-    epsilon * gamma.  Verdicts are reported, never raised.
+    must stay below c_1 gamma / 4 (checked only along a simulated series);
+    the combined forcing-size function (max over its window/pointwise
+    contributions) must stay below epsilon * gamma.  Verdicts are reported,
+    never raised.
     """
-    out = {
-        "gamma": gamma,
-        "gamma_star": bchain.gamma_star,
-        "gamma_hypothesis": "ok" if 0 < gamma <= bchain.gamma_star else "violated",
-        "epsilon": epsilon,
-    }
     m0 = np.asarray(u0_mean, float)
-    g2_budget = pc.c_1 * gamma / 4.0
-    out["g2_budget"] = g2_budget
-    if gradv_l3_series is not None and times is not None and g_schedule is not None:
+    out = {"g2_budget": pc.c_1 * bchain.gamma / 4.0}
+    if gradv_l3_series is not None and times is not None:
         b5 = bchain.b5_sq
         g2 = np.empty(len(times))
         for i, t in enumerate(times):
@@ -309,66 +296,55 @@ def smallness_check(
             gbar_sq = g_schedule.bar_norm_sq(t, "l2")
             g2[i] = ic.c_3 * gradv_l3_series[i] ** 2 * (b5 + float(np.sum(drift**2))) + ic.c_4 * gbar_sq
         out["g2_max"] = float(np.max(g2))
-        out["g2_ok"] = bool(out["g2_max"] <= g2_budget)
+        out["g2_ok"] = bool(out["g2_max"] <= out["g2_budget"])
         out["g2_series"] = g2
-    if g_schedule is not None and u0_norms is not None:
-        gbar_budget = epsilon * gamma
-        addends = {
-            "window_force": bchain.b1_sq,
-            "initial_energy": u0_norms["l2_sq"],
-            "window_drift": bchain.b2_sq,
-            "pointwise_drift": bchain.b6_mean_drift**2 if math.isfinite(bchain.b6_mean_drift) else math.inf,
-        }
-        if times is not None:
-            addends["pointwise_force"] = max(g_schedule.bar_norm_sq(t, "l2") for t in times)
-        gbar = max(addends.values())
-        out["gbar_combination"] = "max"
-        out["gbar_max"] = gbar
-        out["gbar_budget"] = gbar_budget
-        out["gbar_ok"] = bool(gbar <= gbar_budget)
-        out["gbar_addends"] = addends
+    addends = {
+        "window_force": bchain.b1_sq,
+        "initial_energy": u0_norms["l2_sq"],
+        "window_drift": bchain.b2_sq,
+        "pointwise_drift": bchain.b6_mean_drift**2 if math.isfinite(bchain.b6_mean_drift) else math.inf,
+    }
+    if times is not None:
+        addends["pointwise_force"] = max(g_schedule.bar_norm_sq(t, "l2") for t in times)
+    gbar = max(addends.values())
+    gbar_budget = bchain.epsilon * bchain.gamma
+    out["gbar_combination"] = "max"
+    out["gbar_max"] = gbar
+    out["gbar_budget"] = gbar_budget
+    out["gbar_ok"] = bool(gbar <= gbar_budget)
+    out["gbar_addends"] = addends
     return out
 
 
-def certificate_report(
-    *,
-    nu: float,
-    L: float,
-    T: float,
-    constants: InterpolationConstants,
-    abar: AbarChain | None = None,
-    achain: AChain | None = None,
-    bchain: BChain | None = None,
-    smallness: dict | None = None,
-    inputs: dict | None = None,
-) -> dict:
-    """Assemble the JSON-ready certificate document (schema-stable keys)."""
-    pc = poincare_constants(nu, L)
+def certificate_report(pc: PoincareConstants, ic: InterpolationConstants, abar: AbarChain,
+                       achain: AChain, bchain: BChain | None = None,
+                       smallness: dict | None = None, inputs: dict | None = None) -> dict:
+    """Assemble the JSON-ready certificate document (schema-stable keys) from
+    the constants the chains used.  `gamma_hypothesis` restates the b-chain's
+    pert.gamma_le_gamma_star verdict; `inputs`, when given, records what the
+    chains were computed from."""
     doc = {
         "schema": "nsbox-certificate/1",
-        "inputs": dict(inputs or {}),
-        "poincare": {"nu": nu, "L": L, "kappa": pc.kappa, "c_s1": pc.c_s1, "c_1": pc.c_1},
-        "constants": asdict(constants),
-        "t_star": t_star(pc),
-        "gamma_star": gamma_star(constants, pc),
-        "T": T,
+        "poincare": {"nu": pc.nu, "L": pc.L, "kappa": pc.kappa, "c_s1": pc.c_s1, "c_1": pc.c_1},
+        "constants": asdict(ic),
+        "t_star": abar.t_star,
+        "gamma_star": gamma_star(ic, pc),
+        "T": abar.T,
+        "abar_chain": asdict(abar),
+        "a_chain": {**asdict(achain), "h21_reference": achain.h21_reference()},
     }
-    hypotheses = {}
-    if abar is not None:
-        doc["abar_chain"] = asdict(abar)
-        hypotheses["membership"] = abar.member
-    if achain is not None:
-        doc["a_chain"] = {**asdict(achain), "h21_reference": achain.h21_reference()}
-        hypotheses.update({f"base.{k}": v for k, v in achain.hypotheses.items()})
+    if inputs is not None:
+        doc["inputs"] = inputs
+    hypotheses = {"membership": abar.member}
+    hypotheses.update({f"base.{k}": v for k, v in achain.hypotheses.items()})
     if bchain is not None:
         doc["b_chain"] = asdict(bchain)
         hypotheses.update({f"pert.{k}": v for k, v in bchain.hypotheses.items()})
+        doc["gamma_hypothesis"] = "ok" if bchain.hypotheses["gamma_le_gamma_star"] else "violated"
     if smallness is not None:
         doc["smallness"] = {k: v for k, v in smallness.items() if k != "g2_series"}
-        if "gamma_hypothesis" in smallness:
-            doc["gamma_hypothesis"] = smallness["gamma_hypothesis"]
         hypotheses["g2_budget"] = smallness.get("g2_ok")
-        hypotheses["gbar_budget"] = smallness.get("gbar_ok")
+        hypotheses["gbar_budget"] = smallness["gbar_ok"]
     doc["hypotheses"] = hypotheses
     barrier_keys = [
         "membership",

@@ -313,6 +313,7 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
             raise ConfigError(f"initial_norms is missing {', '.join(missing)}")
     ccfg = cfg.get("certificate", {})
     nu, L, T = ccfg.get("nu", 1.0), ccfg.get("L", 2 * np.pi), ccfg.get("T", 4.0)
+    N, gamma, epsilon = ccfg.get("N", 32), ccfg.get("gamma", 0.0), ccfg.get("epsilon", 0.5)
     mode = ccfg.get("constants_mode", "analytic_conservative")
     pc = poincare_constants(nu, L)
     ic = interpolation_constants(
@@ -320,7 +321,7 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
         n_fields=ccfg.get("calibration_fields", 1000),
     )
     with _building():
-        grid2 = PeriodicGrid(L=L, dim=2, N=ccfg.get("N", 32))
+        grid2 = PeriodicGrid(L=L, dim=2, N=N)
         forcing = build_forcing(grid2, cfg.get("forcing", {}), T)
         # the mean comes from `initial` even when `initial_norms` gives the norms
         state0 = _build_initial(grid2, cfg.get("initial", {}), seed)
@@ -331,23 +332,19 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
         norms = initial_norms(state0.field)
     ab = abar_chain(forcing, norms["h1_sq"], T, pc, ic, initial_mean=state0.mean)
     ach = a_chain(forcing, norms, T, pc, ic, initial_mean=state0.mean)
-    bch = None
-    sm = None
-    gamma = ccfg.get("gamma", 0.0)
+    bch = sm = None
     if "perturbation_norms" in cfg or gamma:
         with _building():
-            g3 = PeriodicGrid(L=L, dim=3, N=ccfg.get("N", 32))
-            g = build_forcing(g3, cfg.get("g_forcing", {}), T)
+            g = build_forcing(PeriodicGrid(L=L, dim=3, N=N), cfg.get("g_forcing", {}), T)
         u0n = cfg.get("perturbation_norms", {"l2_sq": 0.0})
-        bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma,
-                      epsilon=ccfg.get("epsilon", 0.5))
-        sm = smallness_check(gamma, ccfg.get("epsilon", 0.5), pc, ic, bch,
-                             g_schedule=g, u0_norms=u0n)
+        # certify takes no perturbation mean
+        m0 = np.zeros(3)
+        bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma, epsilon=epsilon, u0_mean=m0)
+        sm = smallness_check(pc, ic, bch, g, u0n, u0_mean=m0)
     # example-1 style bound on the all-time fluctuation integral, when closed form
     abar1_upper = forcing.infinite_bar_sq_integral("h1")
     extras = {} if abar1_upper is None else {"abar1_sq_upper": abar1_upper}
-    doc = certificate_report(nu=nu, L=L, T=T, constants=ic, abar=ab, achain=ach,
-                             bchain=bch, smallness=sm, inputs={"config": cfg, **extras})
+    doc = certificate_report(pc, ic, ab, ach, bch, sm, inputs={"config": cfg, **extras})
     doc["timestamp"] = time.time()
     doc["content_hash"] = nsio.content_hash(doc)
     nsio.write_report_json(os.path.join(outdir, "certificate.json"), doc)
@@ -384,12 +381,11 @@ def _run_one_stability(scn: Scenario, u0, outdir: str, svg: bool) -> dict:
     res = run_stability_experiment(scn, u0)
     doc = {
         "schema": "nsbox-stability/1",
-        "scenario": res.certificate["inputs"],
+        "scenario": dataclasses.asdict(scn),
         "certificate": res.certificate,
         "barrier": res.barrier,
         "checks": res.checks,
         "windows": [dataclasses.asdict(w) for w in res.windows],
-        "uniformity": res.checks.get("uniformity", {}),
         "aborted": res.aborted,
         "abort_diagnostic": res.abort_diagnostic,
     }

@@ -9,7 +9,7 @@ below its certified bound and that the smallness/barrier predictions hold.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -299,7 +299,7 @@ def barrier_monitor(times, x2, g2, pc, ic, gamma) -> dict:
     Forward-difference form: (X2(t+dt) - X2(t))/dt <= -(c_1/2) X2 + G2 + slack
     with slack = 10x the discretization-error estimate (from the series' own
     second differences).  The raw form with the cubic term c_3 X2^3 is
-    reported alongside.
+    reported alongside.  The barrier holds (never_exceeded) while X2 < gamma.
     """
     times = np.asarray(times, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -313,7 +313,7 @@ def barrier_monitor(times, x2, g2, pc, ic, gamma) -> dict:
     slack = 10.0 * (dt / 2.0) * est + 64 * np.finfo(float).eps * float(np.max(x2, initial=0.0))
     r_reduced = diff + (pc.c_1 / 2.0) * x2[:-1] - g2[:-1]
     r_cubic = diff + x2[:-1] * (pc.c_1 - ic.c_3 * x2[:-1] ** 2) - g2[:-1]
-    exceed = np.nonzero(x2 > gamma)[0]
+    exceed = np.nonzero(x2 >= gamma)[0]
     return {
         "tol_slack": slack,
         "residual_reduced_max": float(np.max(r_reduced)) if len(r_reduced) else 0.0,
@@ -388,14 +388,13 @@ def run_stability_experiment(scn: Scenario, u0: FlowState | None = None) -> Expe
     base0 = taylor_green_state(grid2, amplitude=scn.base_amplitude)
     if u0 is None:
         u0 = make_perturbation(grid3, scn.perturbation)
-    gamma = scn.perturbation.gamma
 
     norms0 = initial_norms(base0.field)
     u0_norms = {"l2_sq": u0.field.sobolev_norm_sq(0)}
     ab = abar_chain(fs, norms0["h1_sq"], scn.T, pc, ic, initial_mean=base0.mean)
     ach = a_chain(fs, norms0, scn.T, pc, ic, initial_mean=base0.mean)
-    bch = b_chain(g, u0_norms, ach, pc, ic, scn.T, gamma=gamma, epsilon=scn.epsilon,
-                  u0_mean=u0.mean)
+    bch = b_chain(g, u0_norms, ach, pc, ic, scn.T, gamma=scn.perturbation.gamma,
+                  epsilon=scn.epsilon, u0_mean=u0.mean)
 
     sm = None
     res = ExperimentResult(scn)
@@ -405,20 +404,14 @@ def run_stability_experiment(scn: Scenario, u0: FlowState | None = None) -> Expe
         res.abort_diagnostic = str(exc)
     else:
         ps = res.pert.series
-        sm = smallness_check(
-            gamma, scn.epsilon, pc, ic, bch,
-            gradv_l3_series=res.pert.base.series["gradv_l3"], g_schedule=g,
-            u0_norms=u0_norms, u0_mean=u0.mean, times=ps["t"],
-        )
+        sm = smallness_check(pc, ic, bch, g, u0_norms, u0_mean=u0.mean,
+                             gradv_l3_series=res.pert.base.series["gradv_l3"], times=ps["t"])
         res.g2 = sm["g2_series"]
-        res.barrier = barrier_monitor(ps["t"], ps["h1_sq"], res.g2, pc, ic, gamma)
+        res.barrier = barrier_monitor(ps["t"], ps["h1_sq"], res.g2, pc, ic, bch.gamma)
         res.windows, uniformity = window_statistics(res.pert, scn.T)
-        res.checks = _bound_checks(res.pert, res.windows, pc, ach, bch, scn.T, gamma)
+        res.checks = _bound_checks(res.pert, res.windows, pc, ach, bch, scn.T, res.barrier)
         res.checks["uniformity"] = uniformity
-    res.certificate = certificate_report(
-        nu=scn.nu, L=scn.L, T=scn.T, constants=ic, abar=ab, achain=ach, bchain=bch,
-        smallness=sm, inputs=asdict(scn),
-    )
+    res.certificate = certificate_report(pc, ic, ab, ach, bch, sm)
     return res
 
 
@@ -431,9 +424,10 @@ def _one_sided(values, bound, carry=None) -> dict:
     return out
 
 
-def _bound_checks(pert, stats, pc, ach, bch, T, gamma) -> dict:
+def _bound_checks(pert, stats, pc, ach, bch, T, barrier) -> dict:
     """One-sided comparisons of simulated window quantities against the
-    certified chain values (a violation is an actionable failure)."""
+    certified chain values (a violation is an actionable failure); the
+    barrier verdict is the monitor's."""
     bs, ps = pert.base.series, pert.series
     w = WindowedSeries(ps["t"], T)
     ks = range(len(stats))
@@ -458,7 +452,7 @@ def _bound_checks(pert, stats, pc, ach, bch, T, gamma) -> dict:
         "grad2_sup": _one_sided(sup_grad2, ach.a13_sq),
         "grad2_window": _one_sided(q_grad2, ach.a14_sq),
         "pert_energy": _one_sided(q_pert, bch.b5_sq, carry=bch.b5_sq_carry),
-        "barrier_sup": {"sup_x2": x2max, "gamma": gamma, "ok": bool(x2max < gamma)},
+        "barrier_sup": {"sup_x2": x2max, "gamma": bch.gamma, "ok": barrier["never_exceeded"]},
     }
     # nesting of the perturbation norms
     x_le_y = bool(np.all(ps["h1_sq"] <= ps["h2_sq"] * (1 + 1e-12) + 1e-300))

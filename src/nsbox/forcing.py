@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def _per_component(v, components: int, what: str) -> np.ndarray:
+    """`v` as a float vector with one entry per velocity component."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (components,):
+        raise ValueError(f"{what} needs {components} components, got {v.size}")
+    return v
+
+
 class Forcing:
     """Base class.  Two declarations give the schedules: `mean_rate` (the mean
     equals this vector for all t, or None when the family gives both mean
@@ -124,18 +132,16 @@ class ConstantMeanForcing(Forcing):
     """Spatially constant force a: pure mean, no fluctuating part."""
 
     def __init__(self, grid, a):
-        a = np.asarray(a, dtype=float)
-        super().__init__(grid, len(a))
-        self.mean_rate = a
+        super().__init__(grid, grid.dim)
+        self.mean_rate = _per_component(a, grid.dim, "constant force")
 
 
 class OscillatingMeanForcing(Forcing):
     """mean(t) = amp * sin(omega t); closed-form integrals and drift sup."""
 
     def __init__(self, grid, amp, omega=1.0):
-        amp = np.asarray(amp, dtype=float)
-        super().__init__(grid, len(amp))
-        self.amp = amp
+        super().__init__(grid, grid.dim)
+        self.amp = _per_component(amp, grid.dim, "oscillating mean force")
         self.omega = float(omega)
 
     def mean_integral(self, t0, t1):
@@ -175,9 +181,8 @@ class DecayingModeForcing(Forcing):
         self.profile = profile
         self.rate = float(rate)
         self.amplitude = float(amplitude)
-        self.mean_rate = np.zeros(self.components) if constant is None else np.asarray(constant, dtype=float)
-        if self.mean_rate.shape != (self.components,):
-            raise ValueError(f"constant force needs {self.components} components, got {self.mean_rate.size}")
+        self.mean_rate = (np.zeros(self.components) if constant is None
+                          else _per_component(constant, self.components, "constant force"))
 
     def bar_amplitude(self, t):
         return self.amplitude * math.exp(-self.rate * t)

@@ -175,6 +175,7 @@ class Trajectory:
 
 
 def _pad(v, dim):
+    """`v` with zeros appended up to `dim` entries: a lifted 2D mean in 3D."""
     v = np.asarray(v, dtype=float)
     if len(v) < dim:
         return np.concatenate([v, np.zeros(dim - len(v))])
@@ -182,10 +183,8 @@ def _pad(v, dim):
 
 
 def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
-    """mean(t+dt) = mean(t) + int_t^{t+dt} (1/|box|) int f dx dt'; a forcing
-    with fewer components than the mean leaves the others unforced."""
-    mean = np.asarray(mean, dtype=float)
-    return mean + _pad(forcing.mean_integral(t, t + dt), len(mean))
+    """mean(t+dt) = mean(t) + int_t^{t+dt} (1/|box|) int f dx dt'."""
+    return np.asarray(mean, dtype=float) + forcing.mean_integral(t, t + dt)
 
 
 # -- systems ------------------------------------------------------------------

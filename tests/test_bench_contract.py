@@ -9,20 +9,25 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
 import scipy.fft
 
 import nsbox.forcing
 import nsbox.solver
 import nsbox.spectral
 
-SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("nsbox_bench_spans", SPANS_PATH)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"nsbox_bench_{name}", BENCH_DIR / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_spans():
+    return load_bench("spans")
 
 
 def test_span_targets_resolve_to_callables():
@@ -54,3 +59,22 @@ def test_forcing_schedules_are_traced():
         for name in ("sup_window_bar_sq", "drift_sup_abs", "sup_window_drift_sq"):
             owner = next(c for c in cls.__mro__ if name in vars(c))
             assert (owner, name) in traced
+
+
+@pytest.mark.parametrize("name", ["certify-sweep", "stability-n32"])
+def test_bench_readers_find_every_report_key(name, tmp_path):
+    # the benchmark reads verdicts, chain values and checks out of the reports
+    # by key; one tiny op through its own readers must find every verdict its
+    # reference holds (set where the reference's is), the same series, and as
+    # many chain values, so a dropped report key fails here, not in a bench run
+    workloads = load_bench("workloads")
+    wl = workloads.WORKLOADS[name](tiny=True)
+    cfg = wl.config(workloads.DEFAULT_SEED, 0)
+    got = wl.summary(cfg, *wl.run(cfg, str(tmp_path)))
+    ref = workloads.load_reference(name)
+    assert set(ref["verdicts"]) <= set(got["verdicts"])
+    assert [k for k, v in ref["verdicts"].items()
+            if v is not None and got["verdicts"][k] is None] == []
+    assert set(got["series"]) == set(ref["series"])
+    if name == "certify-sweep":
+        assert len(got["series"]["chains"]) == len(ref["series"]["chains"])

@@ -406,6 +406,20 @@ class TestAChain:
         with pytest.raises(ValueError):
             a_chain(ZeroForcing(grid, 2), {"l2_sq": -1, "grad_sq": 0, "grad2_sq": 0}, 3.0, pc, ic)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_window_length_must_be_positive(self, setup_2pi, T):
+        # T = 0 would divide by 1 - exp(0) in a2_sq; every chain rejects it
+        pc, ic, grid = setup_2pi
+        z2, z3 = ZeroForcing(grid, 2), ZeroForcing(PeriodicGrid(L=TWO_PI, dim=3, N=8), 3)
+        norms = {"l2_sq": 0.0, "grad_sq": 0.0, "grad2_sq": 0.0}
+        with pytest.raises(ValueError, match="window length T must be positive"):
+            a_chain(z2, norms, T, pc, ic)
+        with pytest.raises(ValueError, match="window length T must be positive"):
+            abar_chain(z2, 0.0, T, pc, ic)
+        ach = a_chain(z2, norms, 4.0, pc, ic)
+        with pytest.raises(ValueError, match="window length T must be positive"):
+            b_chain(z3, {"l2_sq": 0.0}, ach, pc, ic, T)
+
     def test_unbounded_drift_reported(self, setup_2pi):
         pc, ic, grid = setup_2pi
         f = DecayingModeForcing(unit_h1_profile(grid), rate=1.0, amplitude=0.1, constant=[1.0, 0.0])
@@ -466,22 +480,29 @@ class TestSmallness:
         ach = a_chain(ZeroForcing(grid, 2), {"l2_sq": 0, "grad_sq": 0, "grad2_sq": 0}, 4.0, pc, ic)
         bch = b_chain(ZeroForcing(g3, 3), {"l2_sq": 0.0}, ach, pc, ic, 4.0, gamma=1e-4)
         times = np.linspace(0, 4, 9)
-        out = smallness_check(
-            1e-4, 0.5, pc, ic, bch,
-            gradv_l3_series=np.zeros(9), g_schedule=ZeroForcing(g3, 3),
-            u0_norms={"l2_sq": 0.0}, times=times,
-        )
-        assert out["gamma_hypothesis"] == "ok"
+        out = smallness_check(pc, ic, bch, ZeroForcing(g3, 3), {"l2_sq": 0.0},
+                              u0_mean=np.zeros(3), gradv_l3_series=np.zeros(9), times=times)
+        assert bch.hypotheses["gamma_le_gamma_star"]
+        assert out["g2_budget"] == pc.c_1 * 1e-4 / 4.0
         assert out["g2_max"] == 0.0 and out["g2_ok"]
         assert out["gbar_max"] == 0.0 and out["gbar_ok"]
+        assert out["gbar_budget"] == 0.5 * 1e-4
 
     def test_gamma_violation_is_verdict(self, setup_2pi):
+        # gamma is decided once, by the b-chain: above gamma_star and at zero
+        # it is violated, and the budgets scale with the b-chain's gamma
         pc, ic, grid = setup_2pi
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
         ach = a_chain(ZeroForcing(grid, 2), {"l2_sq": 0, "grad_sq": 0, "grad2_sq": 0}, 4.0, pc, ic)
-        bch = b_chain(ZeroForcing(g3, 3), {"l2_sq": 0.0}, ach, pc, ic, 4.0, gamma=10.0)
-        out = smallness_check(10.0, 0.5, pc, ic, bch)
-        assert out["gamma_hypothesis"] == "violated"
+        for gamma in (10.0, 0.0):
+            bch = b_chain(ZeroForcing(g3, 3), {"l2_sq": 0.0}, ach, pc, ic, 4.0, gamma=gamma,
+                          epsilon=0.25)
+            assert bch.hypotheses["gamma_le_gamma_star"] is False
+            out = smallness_check(pc, ic, bch, ZeroForcing(g3, 3), {"l2_sq": 0.0},
+                                  u0_mean=np.zeros(3))
+            assert out["g2_budget"] == pc.c_1 * gamma / 4.0
+            assert out["gbar_budget"] == 0.25 * gamma
+            assert "g2_ok" not in out
 
 
 class TestReport:
@@ -492,14 +513,18 @@ class TestReport:
         ab = abar_chain(f, 0.02, 4.0, pc, ic)
         ach = a_chain(f, {"l2_sq": 0.01, "grad_sq": 0.01, "grad2_sq": 0.01}, 4.0, pc, ic)
         bch = b_chain(ZeroForcing(g3, 3), {"l2_sq": 1e-5}, ach, pc, ic, 4.0, gamma=1e-4)
-        sm = smallness_check(1e-4, 0.5, pc, ic, bch, g_schedule=ZeroForcing(g3, 3),
-                             u0_norms={"l2_sq": 1e-5})
-        doc = certificate_report(nu=1.0, L=TWO_PI, T=4.0, constants=ic, abar=ab,
-                                 achain=ach, bchain=bch, smallness=sm)
+        sm = smallness_check(pc, ic, bch, ZeroForcing(g3, 3), {"l2_sq": 1e-5},
+                             u0_mean=np.zeros(3))
+        doc = certificate_report(pc, ic, ab, ach, bch, sm)
         assert doc["schema"] == "nsbox-certificate/1"
         for key in ("poincare", "constants", "t_star", "gamma_star", "abar_chain",
                     "a_chain", "b_chain", "hypotheses"):
             assert key in doc
+        assert doc["poincare"]["nu"] == pc.nu and doc["poincare"]["L"] == pc.L
+        assert doc["T"] == 4.0 and doc["t_star"] == ab.t_star
+        # each value is written once: gamma, gamma_star and epsilon only in the b-chain
+        assert "inputs" not in doc
+        assert not {"gamma", "gamma_star", "epsilon", "gamma_hypothesis"} & set(doc["smallness"])
         assert doc["gamma_hypothesis"] == "ok"
         assert isinstance(doc["barrier_hypotheses_ok"], bool)
         # no simulated series: g2_budget is null, so not every hypothesis was evaluated
@@ -515,11 +540,10 @@ class TestReport:
         ab = abar_chain(z2, 0.0, 4.0, pc, ic)
         ach = a_chain(z2, {"l2_sq": 0.0, "grad_sq": 0.0, "grad2_sq": 0.0}, 4.0, pc, ic)
         bch = b_chain(z3, {"l2_sq": 0.0}, ach, pc, ic, 4.0, gamma=1e-4)
-        sm = smallness_check(1e-4, 0.5, pc, ic, bch, gradv_l3_series=np.zeros(5), g_schedule=z3,
-                             u0_norms={"l2_sq": 0.0}, times=np.linspace(0.0, 1.0, 5))
-        full = certificate_report(nu=1.0, L=TWO_PI, T=4.0, constants=ic, abar=ab, achain=ach,
-                                  bchain=bch, smallness=sm)
+        sm = smallness_check(pc, ic, bch, z3, {"l2_sq": 0.0}, u0_mean=np.zeros(3),
+                             gradv_l3_series=np.zeros(5), times=np.linspace(0.0, 1.0, 5))
+        full = certificate_report(pc, ic, ab, ach, bch, sm)
         assert full["barrier_hypotheses_evaluated"] is True
-        base_only = certificate_report(nu=1.0, L=TWO_PI, T=4.0, constants=ic, abar=ab, achain=ach)
+        base_only = certificate_report(pc, ic, ab, ach)
         assert base_only["barrier_hypotheses_ok"] is True
         assert base_only["barrier_hypotheses_evaluated"] is False

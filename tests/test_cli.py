@@ -60,6 +60,13 @@ class TestConfigValidation:
                      "nonzero 2D integer mode", id="forcing-mode-zero"),
         pytest.param("simulate", {"forcing": {"family": "example1", "constant": [1, 0, 0]}},
                      "constant force needs 2 components", id="example1-constant-length"),
+        # a forcing vector has one entry per velocity component
+        pytest.param("simulate", {"forcing": {"family": "constant_mean", "constant": [1, 0, 0, 0]}},
+                     "constant force needs 2 components, got 4", id="constant-mean-length"),
+        pytest.param("certify", {"certificate": {"T": 5.0, "N": 8},
+                                 "forcing": {"family": "oscillating_mean", "constant": [1, 0, 0]}},
+                     "oscillating mean force needs 2 components, got 3",
+                     id="oscillating-mean-length"),
         pytest.param("stability", {"scenario": {"force_mode": [0, 0]}},
                      "nonzero 2D integer mode", id="scenario-force-mode-zero"),
         pytest.param("stability", {"scenario": {"g_amplitude": 0.1, "g_mode": [0, 0, 0]}},
@@ -461,6 +468,56 @@ class TestCertify:
                      "--out", str(out)]) == EXIT_OK
         assert "  barrier_hypotheses_evaluated: False\n" in capsys.readouterr().out
 
+    def test_gamma_zero_violates_the_gamma_hypothesis(self, tmp_path):
+        # 0 < gamma <= gamma_star is decided once, by the b-chain: at gamma = 0
+        # the flag and the top-level verdict agree that it fails
+        cfg = write_cfg(tmp_path, {
+            "certificate": {"T": 8, "N": 16, "gamma": 0},
+            "forcing": {"family": "example1", "amplitude": 0.122, "mode": [5, 0]},
+            "initial": {"kind": "taylor_green", "amplitude": 0.015},
+            "perturbation_norms": {"l2_sq": 0.0},
+        })
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "certificate.json").read_text())
+        assert doc["gamma_hypothesis"] == "violated"
+        assert doc["hypotheses"]["pert.gamma_le_gamma_star"] is False
+        assert doc["barrier_hypotheses_ok"] is False
+
+    def test_reproduces_the_stability_certificate(self, tmp_path):
+        # certify on a stability run's scenario and initial perturbation energy
+        # gives that run's certificate: the two commands evaluate one set of chains
+        stab = write_cfg(tmp_path, {
+            "scenario": {"N": 16, "T": 0.05, "windows": 1, "dt": 2.5e-3,
+                         "calibration_fields": 8},
+            "perturbation": {"gamma": 1e-4, "seed": 3},
+        }, name="stability.json")
+        assert main(["stability", "--config", stab, "--out", str(tmp_path / "s")]) == EXIT_OK
+        report = json.loads((tmp_path / "s" / "report.json").read_text())
+        s, run = report["scenario"], report["certificate"]
+        cert = write_cfg(tmp_path, {
+            "certificate": {"nu": s["nu"], "L": s["L"], "T": s["T"], "N": s["N"],
+                            "constants_mode": s["constants_mode"],
+                            "calibration_seed": s["calibration_seed"],
+                            "calibration_fields": s["calibration_fields"],
+                            "gamma": s["perturbation"]["gamma"], "epsilon": s["epsilon"]},
+            "forcing": {"family": s["force_family"], "constant": s["force_constant"],
+                        "amplitude": s["force_amplitude"], "rate": s["force_rate"],
+                        "mode": s["force_mode"]},
+            "initial": {"kind": "taylor_green", "amplitude": s["base_amplitude"]},
+            "perturbation_norms": {
+                "l2_sq": run["smallness"]["gbar_addends"]["initial_energy"]},
+        }, name="certify.json")
+        assert main(["certify", "--config", cert, "--out", str(tmp_path / "c")]) == EXIT_OK
+        doc = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        for key in ("abar_chain", "a_chain", "b_chain", "constants", "poincare",
+                    "gamma_hypothesis"):
+            assert doc[key] == run[key], key
+        # only the G^2 budget needs the simulated series
+        assert doc["hypotheses"].pop("g2_budget") is None
+        assert run["hypotheses"].pop("g2_budget") is not None
+        assert doc["hypotheses"] == run["hypotheses"]
+
 
 class TestStability:
     def _scn_cfg(self, **over):
@@ -512,7 +569,8 @@ class TestStability:
             docs.append(json.loads((tmp_path / name / "report.json").read_text()))
         for doc in docs:
             assert "_resume" not in doc["scenario"]
-            assert "_resume" not in doc["certificate"]["inputs"]
+            # the scenario is written once, at the top level
+            assert "inputs" not in doc["certificate"]
         assert docs[0]["barrier"]["never_exceeded"] is docs[1]["barrier"]["never_exceeded"] is True
         sups = [doc["checks"]["barrier_sup"]["sup_x2"] for doc in docs]
         assert sups[1] == pytest.approx(sups[0], rel=1e-12)

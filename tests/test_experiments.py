@@ -115,15 +115,26 @@ class TestBarrierMonitor:
         assert out["never_exceeded"]
 
     def test_exponential_synthetic(self, consts):
-        # X2 = gamma exp(-c1 t / 2), G2 = 0 saturates the reduced inequality
+        # X2 = X2(0) exp(-c1 t / 2), G2 = 0 saturates the reduced inequality;
+        # X2(0) sits just below gamma, as a drawn perturbation does
         pc, ic = consts
         gamma = 1e-4
         t = np.linspace(0, 5, 2001)
-        x2 = gamma * np.exp(-pc.c_1 * t / 2.0)
+        x2 = gamma * (1.0 - 1e-9) * np.exp(-pc.c_1 * t / 2.0)
         out = barrier_monitor(t, x2, np.zeros_like(t), pc, ic, gamma)
         assert out["violations_reduced"] == 0
         assert out["residual_reduced_max"] <= out["tol_slack"]
         assert out["never_exceeded"]
+
+    def test_reaching_gamma_is_an_exceedance(self, consts):
+        # the barrier holds while X2 < gamma: a sample equal to gamma exceeds it
+        pc, ic = consts
+        t = np.linspace(0, 1, 11)
+        x2 = np.full(11, 0.5e-4)
+        x2[4] = 1e-4
+        out = barrier_monitor(t, x2, np.zeros_like(t), pc, ic, 1e-4)
+        assert not out["never_exceeded"]
+        assert out["first_exceedance_time"] == t[4]
 
     def test_exceedance_detection(self, consts):
         pc, ic = consts

@@ -228,9 +228,6 @@ class TestMeanTracking:
         f = ConstantMeanForcing(g, [2.0, 0.0])
         m = mean_ode_step(np.array([1.0, 1.0]), f, 0.0, 0.25)
         assert m == pytest.approx([1.5, 1.0])
-        # a forcing with fewer components than the mean leaves the rest unforced
-        m3 = mean_ode_step(np.array([1.0, 1.0, 1.0]), f, 0.0, 0.25)
-        assert m3 == pytest.approx([1.5, 1.0, 1.0])
 
     def test_speed_excludes_mean(self):
         # the recorded speed, the one the CFL check reads, is max |u| of the
