@@ -191,7 +191,7 @@ def build_forcing(grid: PeriodicGrid, fcfg: dict, window_T=None) -> Forcing:
                                       omega=fcfg.get("omega", 1.0))
     profile = single_mode_profile(grid, fcfg.get("mode", (1, 0)),
                                   normalize=fcfg.get("normalize", "l2"))
-    constant = fcfg.get("constant", [1.0, 0.0]) if family == "example1" else None
+    constant = fcfg.get("constant", [1.0] + [0.0] * (comp - 1)) if family == "example1" else None
     h = DecayingModeForcing(profile, rate=fcfg.get("rate", 1.0),
                             amplitude=fcfg.get("amplitude", 1.0), constant=constant)
     if family in ("decaying_mode", "example1"):

@@ -8,7 +8,8 @@ A `Forcing` supplies three things to the solver and the certificate:
   the (exact) mean ODE, and
 * closed-form sups over the window index k of int_{kT}^{(k+1)T} ||fbar||^2_X
   dt for X in {l2, h1, grad}, of the mean-drift path, and of its windowed
-  square integral (docs/constants.md derives each).
+  square integral (docs/constants.md derives each), and over t of
+  ||fbar(t)||^2_X.
 
 A family states its closed forms through two declarations, from which the
 base class derives the schedules:
@@ -98,6 +99,12 @@ class Forcing:
         if self.profile is None:
             return 0.0
         return self.bar_amplitude(t) ** 2 * self.profile_norm_sq[norm]
+
+    def sup_bar_norm_sq(self, norm: str = "l2") -> float:
+        """sup over t >= 0 of ||fbar(t)||^2: its value at t = 0, since every
+        family has a(t)^2 non-increasing within a period that restarts at
+        phase 0."""
+        return self.bar_norm_sq(0.0, norm)
 
     def sup_window_bar_sq(self, T: float, norm: str = "l2") -> float:
         """sup over k of int_{kT}^{(k+1)T} ||fbar||^2 dt: 0.0 without a profile;
@@ -205,7 +212,7 @@ class PeriodicExtensionForcing(Forcing):
     The inner family h must declare its mean rate: a repeated constant mean is
     that constant mean, and a repeat of a + b(t) * profile is a + b(t - kP) *
     profile, so both declarations carry over.  Every family with a declared
-    rate has b(t)^2 non-increasing, which the bar schedule relies on."""
+    rate has b(t)^2 non-increasing, which the bar schedules rely on."""
 
     def __init__(self, inner: Forcing, T: float):
         if T <= 0:

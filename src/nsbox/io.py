@@ -1,9 +1,12 @@
 """File formats: field snapshots, trajectory sidecars, CSV/JSON/SVG reports.
 
-Snapshot layout: magic line, one JSON header line
-{L, dim, N, components, time, mean, sha256}, then the physical samples as
-little-endian float64 in row-major order with x1 fastest.  The checksum
-covers the payload; a mismatch on read is a data-integrity error.
+Snapshot layout (NSBOXSNAP2): a magic line; one JSON header line
+{L, dim, N, components, time, mean}; one line with the hex sha256 of the
+header line (newline included) followed by the payload; then the payload,
+the field's half-spectrum coefficients as little-endian complex128 in C
+order, shape (components, grid.coeff_shape).  A state reads back bit for
+bit.  Any changed byte fails the magic, the checksum or the header check, a
+data-integrity error on read.
 """
 
 from __future__ import annotations
@@ -33,64 +36,55 @@ __all__ = [
     "content_hash",
 ]
 
-_MAGIC = b"NSBOXSNAP1\n"
+_MAGIC = b"NSBOXSNAP2\n"
 
 
 class SnapshotError(RuntimeError):
     """Corrupt or mismatched snapshot file."""
 
 
-def _payload_order(samples: np.ndarray) -> np.ndarray:
-    """Reorder (components, x1, x2[, x3]) so x1 varies fastest on disk."""
-    spatial = list(range(1, samples.ndim))
-    return np.ascontiguousarray(samples.transpose([0] + spatial[::-1]))
+def _digest(header: bytes, payload: bytes) -> bytes:
+    h = hashlib.sha256(header)
+    h.update(payload)
+    return h.hexdigest().encode()
 
 
 def write_snapshot(path, state: FlowState) -> None:
     field = state.field
-    samples = field.physical()
-    payload = _payload_order(samples).astype("<f8").tobytes()
-    header = {
+    header = json.dumps({
         "L": field.grid.L,
         "dim": field.grid.dim,
         "N": field.grid.N,
         "components": field.components,
         "time": state.t,
         "mean": [float(m) for m in state.mean],
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    _atomic_write_bytes(path, _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    }, sort_keys=True).encode() + b"\n"
+    payload = field.coeffs.astype("<c16").tobytes()
+    _atomic_write_bytes(path, _MAGIC + header + _digest(header, payload) + b"\n" + payload)
 
 
 def read_snapshot(path) -> FlowState:
-    """The stored state; SnapshotError when the file is not a snapshot, its
-    payload fails the checksum, or its header does not describe a state."""
+    """The stored state; SnapshotError when the file is not a snapshot, fails
+    the checksum, or its header does not describe a state."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_MAGIC):
         raise SnapshotError(f"{path}: not a field snapshot")
-    rest = blob[len(_MAGIC):]
-    nl = rest.find(b"\n")
-    if nl < 0:
+    parts = blob[len(_MAGIC):].split(b"\n", 2)
+    if len(parts) < 3:
         raise SnapshotError(f"{path}: truncated header")
-    payload = rest[nl + 1:]
+    header, digest, payload = parts
+    if _digest(header + b"\n", payload) != digest:
+        raise SnapshotError(f"{path}: checksum mismatch (corrupt file)")
     try:
-        header = json.loads(rest[:nl])
+        header = json.loads(header)
         if not isinstance(header, dict):
             raise SnapshotError(f"{path}: bad header: not an object")
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise SnapshotError(f"{path}: checksum mismatch (corrupt payload)")
         grid = PeriodicGrid(L=header["L"], dim=header["dim"], N=header["N"])
-        comp = header["components"]
-        flat = np.frombuffer(payload, dtype="<f8")
-        expect = comp * grid.N**grid.dim
-        if flat.size != expect:
-            raise SnapshotError(f"{path}: payload size {flat.size} != {expect}")
-        shaped = flat.reshape((comp,) + (grid.N,) * grid.dim)
-        spatial = list(range(1, grid.dim + 1))
-        samples = shaped.transpose([0] + spatial[::-1])
-        field = SpectralField.from_physical(grid, samples)
-        return FlowState(t=header["time"], field=field, mean=np.asarray(header["mean"], float))
+        shape = (header["components"],) + grid.coeff_shape
+        coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
+        return FlowState(t=header["time"], field=SpectralField(grid, coeffs),
+                         mean=np.asarray(header["mean"], float))
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SnapshotError(f"{path}: bad header: {exc!r}") from exc
 

@@ -64,15 +64,17 @@ def test_forcing_schedules_are_traced():
 @pytest.mark.parametrize("name", ["certify-sweep", "stability-n32"])
 def test_bench_readers_find_every_report_key(name, tmp_path):
     # the benchmark reads verdicts, chain values and checks out of the reports
-    # by key; one tiny op through its own readers must find every verdict its
-    # reference holds (set where the reference's is), the same series, and as
-    # many chain values, so a dropped report key fails here, not in a bench run
+    # by key, and fails an op on a verdict key its reference lacks or holds
+    # alone; one tiny op through its own readers must give exactly the
+    # reference's verdict keys (set where the reference's is), the same series,
+    # and as many chain values, so a dropped or added report key fails here,
+    # not in a bench run
     workloads = load_bench("workloads")
     wl = workloads.WORKLOADS[name](tiny=True)
     cfg = wl.config(workloads.DEFAULT_SEED, 0)
     got = wl.summary(cfg, *wl.run(cfg, str(tmp_path)))
     ref = workloads.load_reference(name)
-    assert set(ref["verdicts"]) <= set(got["verdicts"])
+    assert set(got["verdicts"]) == set(ref["verdicts"])
     assert [k for k, v in ref["verdicts"].items()
             if v is not None and got["verdicts"][k] is None] == []
     assert set(got["series"]) == set(ref["series"])

@@ -321,6 +321,17 @@ class TestSimulate:
         sidecar = json.loads((out / "state_series.json").read_text())
         assert sidecar["means"][0] == [0.25, 0.0, 0.0]
 
+    def test_example1_on_the_3d_grid(self, tmp_path):
+        # example 1's default constant force has one entry per component
+        cfg = write_cfg(tmp_path, {
+            "system": "full3d", "grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.02},
+            "forcing": {"family": "example1", "mode": [1, 0, 0]},
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((out / "state_series.json").read_text())
+        assert sidecar["means"][-1] == pytest.approx([0.02, 0.0, 0.0], rel=1e-12)
+
     def test_states_stored_at_window_boundaries_and_sample_times(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "system": "base2d", "grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.2},
@@ -484,12 +495,23 @@ class TestCertify:
         assert doc["hypotheses"]["pert.gamma_le_gamma_star"] is False
         assert doc["barrier_hypotheses_ok"] is False
 
+    def test_example1_g_forcing_on_the_3d_grid(self, tmp_path):
+        # g lives on the 3D grid: example 1's default constant force there
+        # has three components, and its drift is unbounded
+        cfg = write_cfg(tmp_path, {"certificate": {"N": 8, "gamma": 1e-4},
+                                   "g_forcing": {"family": "example1", "mode": [1, 0, 0]}})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_OK
+        doc = json.loads((tmp_path / "c" / "certificate.json").read_text())
+        assert doc["b_chain"]["b6_mean_drift"] == "inf"
+
     def test_reproduces_the_stability_certificate(self, tmp_path):
         # certify on a stability run's scenario and initial perturbation energy
-        # gives that run's certificate: the two commands evaluate one set of chains
+        # gives that run's certificate: the two commands evaluate one set of
+        # chains and one forcing-size budget, here with a g whose pointwise
+        # sup exceeds it
         stab = write_cfg(tmp_path, {
             "scenario": {"N": 16, "T": 0.05, "windows": 1, "dt": 2.5e-3,
-                         "calibration_fields": 8},
+                         "calibration_fields": 8, "g_amplitude": 0.01, "g_rate": 10.0},
             "perturbation": {"gamma": 1e-4, "seed": 3},
         }, name="stability.json")
         assert main(["stability", "--config", stab, "--out", str(tmp_path / "s")]) == EXIT_OK
@@ -504,6 +526,8 @@ class TestCertify:
             "forcing": {"family": s["force_family"], "constant": s["force_constant"],
                         "amplitude": s["force_amplitude"], "rate": s["force_rate"],
                         "mode": s["force_mode"]},
+            "g_forcing": {"family": "decaying_mode", "amplitude": s["g_amplitude"],
+                          "rate": s["g_rate"], "mode": s["g_mode"]},
             "initial": {"kind": "taylor_green", "amplitude": s["base_amplitude"]},
             "perturbation_norms": {
                 "l2_sq": run["smallness"]["gbar_addends"]["initial_energy"]},
@@ -513,6 +537,9 @@ class TestCertify:
         for key in ("abar_chain", "a_chain", "b_chain", "constants", "poincare",
                     "gamma_hypothesis"):
             assert doc[key] == run[key], key
+        for key in ("gbar_addends", "gbar_max", "gbar_budget", "gbar_ok"):
+            assert doc["smallness"][key] == run["smallness"][key], key
+        assert doc["hypotheses"]["gbar_budget"] is False
         # only the G^2 budget needs the simulated series
         assert doc["hypotheses"].pop("g2_budget") is None
         assert run["hypotheses"].pop("g2_budget") is not None
@@ -553,8 +580,7 @@ class TestStability:
 
     def test_resume_matches_fresh_run(self, tmp_path):
         # resuming from a snapshot of the seeded perturbation reproduces the
-        # fresh run up to the snapshot's roundoff; the snapshot path stays out
-        # of the report
+        # fresh run bit for bit; the snapshot path stays out of the report
         from nsbox.experiments import PerturbationSpec, make_perturbation
         from nsbox.spectral import PeriodicGrid
 
@@ -571,14 +597,18 @@ class TestStability:
             assert "_resume" not in doc["scenario"]
             # the scenario is written once, at the top level
             assert "inputs" not in doc["certificate"]
-        assert docs[0]["barrier"]["never_exceeded"] is docs[1]["barrier"]["never_exceeded"] is True
-        sups = [doc["checks"]["barrier_sup"]["sup_x2"] for doc in docs]
-        assert sups[1] == pytest.approx(sups[0], rel=1e-12)
+        assert docs[0]["barrier"]["never_exceeded"] is True
+        assert docs[1]["content_hash"] == docs[0]["content_hash"]
+        series = [(tmp_path / name / "series.csv").read_bytes() for name in ("fresh", "resumed")]
+        assert series[1] == series[0]
 
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda blob: blob[:-3] + bytes([blob[-3] ^ 0x55]) + blob[-2:], id="payload"),
-        # the checksum covers only the payload
         pytest.param(lambda blob: blob.replace(b'"N": 8', b'"N": 9', 1), id="header"),
+        pytest.param(lambda blob: blob.replace(b'"time": 0.0', b'"time": 1.0', 1),
+                     id="header-time"),
+        pytest.param(lambda blob: blob.replace(b'"mean": [0.0', b'"mean": [0.5', 1),
+                     id="header-mean"),
     ])
     def test_corrupted_resume_snapshot_exit3(self, tmp_path, capsys, corrupt):
         # build a valid perturbation snapshot, then corrupt it

@@ -211,14 +211,21 @@ EXAMPLE2_PERIODS = (1.0, 1 / 3, 1 / 2.5, 1.0001 / 8)
 
 class TestBarScheduleSup:
     """The closed-form bar sup bounds the windows k <= 64, computed by
-    quadrature split at the period jumps, and is the k = 0 window."""
+    quadrature split at the period jumps, and is the k = 0 window; the
+    pointwise bar sup bounds ||fbar(t)||^2 on a dense sample of [0, 16 T] and
+    is its value at t = 0."""
 
     def check(self, f, T):
+        times = np.linspace(0.0, 16 * T, 4097)
         for norm in ("l2", "h1", "grad"):
             sup = f.sup_window_bar_sq(T, norm)
             windows = [window_bar_sq(f, k, T, norm) for k in range(65)]
             assert sup == pytest.approx(windows[0], rel=1e-11, abs=1e-300)
             assert max(windows) <= sup * (1 + 1e-11)
+            sup = f.sup_bar_norm_sq(norm)
+            sampled = [f.bar_norm_sq(t, norm) for t in times]
+            assert sup == sampled[0]
+            assert max(sampled) <= sup * (1 + 1e-12)
 
     @pytest.mark.parametrize("name", CLI_FAMILIES)
     @pytest.mark.parametrize("T", (2.0, 5.5))

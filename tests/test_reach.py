@@ -17,10 +17,12 @@ import nsbox
 SRC = pathlib.Path(nsbox.__file__).parent
 
 # definitions no command reaches, kept as reference implementations that the
-# kernel tests compare against
+# kernel tests compare against, or for the benchmark
 ALLOWED = {
     "derivative": "reference for grad_samples, the band restriction and the oracle nonlinear term",
     "dealias": "reference for the band restriction and the oracle nonlinear term",
+    "physical": "the benchmark's simulate set-up (bench/workloads.py) warms the inverse "
+                "transform with it; snapshots no longer store samples",
 }
 
 
