@@ -29,6 +29,7 @@ __all__ = [
     "b_chain",
     "smallness_check",
     "certificate_report",
+    "verdict", "reduce_verdicts",
 ]
 
 
@@ -40,6 +41,29 @@ def t_star(pc: PoincareConstants) -> float:
 def gamma_star(ic: InterpolationConstants, pc: PoincareConstants) -> float:
     """Largest admissible smallness level: c_1 - c_3 g*^4 = c_1/2."""
     return (pc.c_1 / (2.0 * ic.c_3)) ** 0.25
+
+
+def verdict(values, bound, *, carry=None, strict=False) -> dict:
+    """The one-sided check max(values) <= bound (< when strict), and against
+    `carry`, the bound carried over from the previous window, when given.
+    The one null rule: `ok` and `ok_carry` are None (not evaluated) when there
+    are no values or the bound is not finite.  Every `ok` of a report is
+    written here."""
+    def ok(b):
+        if len(values) == 0 or not math.isfinite(b):
+            return None
+        return bool(max(values) < b if strict else max(values) <= b)
+
+    out = {"values": values, "bound": bound, "ok": ok(bound)}
+    if carry is not None:
+        out.update(bound_carry=carry, ok_carry=ok(carry))
+    return out
+
+
+def reduce_verdicts(oks) -> tuple:
+    """(every verdict passes, every verdict was evaluated) for a list of
+    `ok`s: a null verdict passes but is not evaluated."""
+    return all(ok is not False for ok in oks), all(ok is not None for ok in oks)
 
 
 def _require_inputs(T, **nonneg):
@@ -161,10 +185,12 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *,
     _require_inputs(T, **{k: float(v) for k, v in initial_norms.items()})
 
     a1 = schedule.sup_window_bar_sq(T, "l2") / pc.c_s1
-    a2 = a1 / (1.0 - math.exp(-pc.c_s1 * T)) + initial_norms["l2_sq"]
+    # 1 - e^{-x} as -expm1(-x), which stays accurate (and nonzero) for small x
+    half = -math.expm1(-pc.c_s1 * T / 2.0)
+    a2 = a1 / -math.expm1(-pc.c_s1 * T) + initial_norms["l2_sq"]
     a3 = a1 + a2
     a4 = pc.c_s1 * _exp(ic.c_s2 * a3) * a1 if a1 > 0 else 0.0
-    a5 = a4 / (1.0 - math.exp(-pc.c_s1 * T / 2.0)) + initial_norms["grad_sq"]
+    a5 = a4 / half + initial_norms["grad_sq"]
     a6 = a4 + a5
     a7 = ic.c_s2 * (a6 + 1.0) * a3 + a5
     a8 = a3 + a7
@@ -178,7 +204,7 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *,
     hyp = {
         "gradient_window": T >= 2.0 * ic.c_s2 * a3 / pc.c_s1,
         "grad2_window": -pc.c_s1 * T / 2.0 + ic.c_s4 * a8 <= 0.0,
-        "grad2_halving": 1.0 - math.exp(-pc.c_s1 * T / 2.0) >= 0.5,
+        "grad2_halving": half >= 0.5,
         "drift_finite": math.isfinite(a9),
     }
     return AChain(
@@ -205,6 +231,8 @@ class BChain:
     epsilon: float
     T: float
     hypotheses: dict = field(default_factory=dict)
+    FLAGS = ("energy_window_plain", "energy_window_weighted", "energy_halving",
+             "gamma_le_gamma_star", "drift_finite")  # the hypotheses' keys
 
 
 def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
@@ -261,13 +289,13 @@ def b_chain(g_schedule, u0_norms: dict, achain: AChain, pc, ic, T: float, *,
         b7 = (tg + b6**2) * (a8 * (1.0 + a8 + a9**2) + a9**2 + tg) + gamma**2
     else:
         b7 = math.inf
-    hyp = {
-        "energy_window_plain": -pc.c_1 * T / 2.0 + a8 <= 0.0,
-        "energy_window_weighted": -pc.c_1 * T / 2.0 + ic.c_2 * a8 <= 0.0,
-        "energy_halving": 1.0 - math.exp(-pc.c_1 * T / 2.0) >= 0.5,
-        "gamma_le_gamma_star": 0.0 < gamma <= gs,
-        "drift_finite": math.isfinite(b6),
-    }
+    hyp = dict(zip(BChain.FLAGS, (
+        -pc.c_1 * T / 2.0 + a8 <= 0.0,
+        -pc.c_1 * T / 2.0 + ic.c_2 * a8 <= 0.0,
+        1.0 - math.exp(-pc.c_1 * T / 2.0) >= 0.5,
+        0.0 < gamma <= gs,
+        math.isfinite(b6),
+    )))
     return BChain(
         b1_sq=b1, b2_sq=b2, b3_sq=b3, b4_sq=b4, b5_sq=b5, b5_sq_carry=b5_carry,
         b6_mean_drift=b6, b7_sq=b7, gamma=gamma, gamma_star=gs, epsilon=epsilon,
@@ -287,7 +315,7 @@ def smallness_check(pc, ic, bchain: BChain, g_schedule, u0_norms: dict, *, u0_me
     reported, never raised.
     """
     m0 = np.asarray(u0_mean, float)
-    out = {"g2_budget": pc.c_1 * bchain.gamma / 4.0}
+    g2 = []
     if gradv_l3_series is not None and times is not None:
         b5 = bchain.b5_sq
         g2 = np.empty(len(times))
@@ -295,9 +323,6 @@ def smallness_check(pc, ic, bchain: BChain, g_schedule, u0_norms: dict, *, u0_me
             drift = g_schedule.drift(t, m0)
             gbar_sq = g_schedule.bar_norm_sq(t, "l2")
             g2[i] = ic.c_3 * gradv_l3_series[i] ** 2 * (b5 + float(np.sum(drift**2))) + ic.c_4 * gbar_sq
-        out["g2_max"] = float(np.max(g2))
-        out["g2_ok"] = bool(out["g2_max"] <= out["g2_budget"])
-        out["g2_series"] = g2
     addends = {
         "window_force": bchain.b1_sq,
         "initial_energy": u0_norms["l2_sq"],
@@ -305,13 +330,12 @@ def smallness_check(pc, ic, bchain: BChain, g_schedule, u0_norms: dict, *, u0_me
         "pointwise_drift": bchain.b6_mean_drift**2 if math.isfinite(bchain.b6_mean_drift) else math.inf,
         "pointwise_force": g_schedule.sup_bar_norm_sq("l2"),
     }
-    gbar = max(addends.values())
-    gbar_budget = bchain.epsilon * bchain.gamma
-    out["gbar_max"] = gbar
-    out["gbar_budget"] = gbar_budget
-    out["gbar_ok"] = bool(gbar <= gbar_budget)
-    out["gbar_addends"] = addends
-    return out
+    return {
+        "g2": verdict([float(np.max(g2))] if len(g2) else [], pc.c_1 * bchain.gamma / 4.0),
+        "gbar": verdict([max(addends.values())], bchain.epsilon * bchain.gamma),
+        "gbar_addends": addends,
+        "g2_series": g2,
+    }
 
 
 def certificate_report(pc: PoincareConstants, ic: InterpolationConstants, abar: AbarChain,
@@ -335,31 +359,18 @@ def certificate_report(pc: PoincareConstants, ic: InterpolationConstants, abar: 
         doc["inputs"] = inputs
     hypotheses = {"membership": abar.member}
     hypotheses.update({f"base.{k}": v for k, v in achain.hypotheses.items()})
+    # a chain or a simulation that did not run leaves its flags null
+    pert = dict.fromkeys(BChain.FLAGS) if bchain is None else bchain.hypotheses
+    hypotheses.update({f"pert.{k}": v for k, v in pert.items()})
     if bchain is not None:
         doc["b_chain"] = asdict(bchain)
-        hypotheses.update({f"pert.{k}": v for k, v in bchain.hypotheses.items()})
         doc["gamma_hypothesis"] = "ok" if bchain.hypotheses["gamma_le_gamma_star"] else "violated"
     if smallness is not None:
         doc["smallness"] = {k: v for k, v in smallness.items() if k != "g2_series"}
-        hypotheses["g2_budget"] = smallness.get("g2_ok")
-        hypotheses["gbar_budget"] = smallness["gbar_ok"]
+    hypotheses["g2_budget"] = smallness["g2"]["ok"] if smallness else None
+    hypotheses["gbar_budget"] = smallness["gbar"]["ok"] if smallness else None
     doc["hypotheses"] = hypotheses
-    barrier_keys = [
-        "membership",
-        "base.gradient_window",
-        "base.grad2_window",
-        "base.grad2_halving",
-        "pert.energy_window_plain",
-        "pert.energy_window_weighted",
-        "pert.energy_halving",
-        "pert.gamma_le_gamma_star",
-        "g2_budget",
-        "gbar_budget",
-    ]
-    # a missing or null hypothesis passes barrier_hypotheses_ok; this says
-    # whether every one was evaluated
-    doc["barrier_hypotheses_ok"] = all(
-        hypotheses.get(k, True) in (True, None) for k in barrier_keys
-    )
-    doc["barrier_hypotheses_evaluated"] = all(hypotheses.get(k) is not None for k in barrier_keys)
+    # every flag but the drift bounds' gates the barrier argument
+    doc["barrier_hypotheses_ok"], doc["barrier_hypotheses_evaluated"] = reduce_verdicts(
+        [v for k, v in hypotheses.items() if not k.endswith("drift_finite")])
     return doc

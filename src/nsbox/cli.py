@@ -325,22 +325,22 @@ def cmd_certify(cfg: dict, outdir: str, seed, svg: bool) -> int:
         forcing = build_forcing(grid2, cfg.get("forcing", {}), T)
         # the mean comes from `initial` even when `initial_norms` gives the norms
         state0 = _build_initial(grid2, cfg.get("initial", {}), seed)
-    if "initial_norms" in cfg:
-        norms = dict(cfg["initial_norms"])
-        norms.setdefault("h1_sq", norms["l2_sq"] + norms["grad_sq"])
-    else:
-        norms = initial_norms(state0.field)
-    ab = abar_chain(forcing, norms["h1_sq"], T, pc, ic, initial_mean=state0.mean)
-    ach = a_chain(forcing, norms, T, pc, ic, initial_mean=state0.mean)
-    bch = sm = None
-    if "perturbation_norms" in cfg or gamma:
-        with _building():
+        if "initial_norms" in cfg:
+            norms = dict(cfg["initial_norms"])
+            norms.setdefault("h1_sq", norms["l2_sq"] + norms["grad_sq"])
+        else:
+            norms = initial_norms(state0.field)
+        # a chain rejecting its data (a forcing not window-integrable) is one too
+        ab = abar_chain(forcing, norms["h1_sq"], T, pc, ic, initial_mean=state0.mean)
+        ach = a_chain(forcing, norms, T, pc, ic, initial_mean=state0.mean)
+        bch = sm = None
+        if "perturbation_norms" in cfg or gamma:
             g = build_forcing(PeriodicGrid(L=L, dim=3, N=N), cfg.get("g_forcing", {}), T)
-        u0n = cfg.get("perturbation_norms", {"l2_sq": 0.0})
-        # certify takes no perturbation mean
-        m0 = np.zeros(3)
-        bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma, epsilon=epsilon, u0_mean=m0)
-        sm = smallness_check(pc, ic, bch, g, u0n, u0_mean=m0)
+            u0n = cfg.get("perturbation_norms", {"l2_sq": 0.0})
+            # certify takes no perturbation mean
+            m0 = np.zeros(3)
+            bch = b_chain(g, u0n, ach, pc, ic, T, gamma=gamma, epsilon=epsilon, u0_mean=m0)
+            sm = smallness_check(pc, ic, bch, g, u0n, u0_mean=m0)
     # example-1 style bound on the all-time fluctuation integral, when closed form
     abar1_upper = forcing.infinite_bar_sq_integral("h1")
     extras = {} if abar1_upper is None else {"abar1_sq_upper": abar1_upper}
@@ -467,12 +467,13 @@ def cmd_report(cfg: dict, outdir: str) -> int:
     if "barrier" in doc and doc["barrier"]:
         for k, v in doc["barrier"].items():
             print(f"  barrier.{k}: {v}")
-    if "checks" in doc and isinstance(doc["checks"], dict):
-        for k, v in doc["checks"].items():
-            if isinstance(v, dict) and "ok" in v:
-                print(f"  check.{k}: ok={v['ok']}")
-            elif isinstance(v, bool):
-                print(f"  check.{k}: {v}")
+    # every verdict record (a dict with an `ok`) and every bare verdict
+    for prefix, section in (("check", doc.get("checks")), ("smallness", cert.get("smallness"))):
+        for k, rec in section.items() if isinstance(section, dict) else ():
+            if isinstance(rec, dict) and "ok" in rec:
+                print(f"  {prefix}.{k}: ok={rec['ok']} bound={rec['bound']}")
+            elif isinstance(rec, bool):
+                print(f"  {prefix}.{k}: {rec}")
     return EXIT_OK
 
 

@@ -18,7 +18,9 @@ from nsbox.certificate import (
     abar_chain,
     b_chain,
     certificate_report,
+    reduce_verdicts,
     smallness_check,
+    verdict,
 )
 from nsbox.constants import interpolation_constants, poincare_constants
 from nsbox.forcing import (
@@ -299,7 +301,8 @@ def barrier_monitor(times, x2, g2, pc, ic, gamma) -> dict:
     Forward-difference form: (X2(t+dt) - X2(t))/dt <= -(c_1/2) X2 + G2 + slack
     with slack = 10x the discretization-error estimate (from the series' own
     second differences).  The raw form with the cubic term c_3 X2^3 is
-    reported alongside.  The barrier holds (never_exceeded) while X2 < gamma.
+    reported alongside.  The barrier holds (never_exceeded, the verdict `sup`)
+    while X2 < gamma.
     """
     times = np.asarray(times, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -314,14 +317,16 @@ def barrier_monitor(times, x2, g2, pc, ic, gamma) -> dict:
     r_reduced = diff + (pc.c_1 / 2.0) * x2[:-1] - g2[:-1]
     r_cubic = diff + x2[:-1] * (pc.c_1 - ic.c_3 * x2[:-1] ** 2) - g2[:-1]
     exceed = np.nonzero(x2 >= gamma)[0]
+    sup = verdict([float(np.max(x2))], gamma, strict=True)
     return {
         "tol_slack": slack,
         "residual_reduced_max": float(np.max(r_reduced)) if len(r_reduced) else 0.0,
         "residual_cubic_max": float(np.max(r_cubic)) if len(r_cubic) else 0.0,
         "violations_reduced": int(np.sum(r_reduced > slack)),
         "violations_cubic": int(np.sum(r_cubic > slack)),
-        "never_exceeded": len(exceed) == 0,
+        "never_exceeded": sup["ok"],
         "first_exceedance_time": float(times[exceed[0]]) if len(exceed) else None,
+        "sup": sup,
     }
 
 
@@ -359,17 +364,11 @@ def window_statistics(pert: Trajectory, T: float) -> tuple:
     ]
     uniformity = {"complete_windows": w.count, "excluded_tail": w.tail}
     for name in ("sup_vs_h1", "sup_vs_h2", "sup_u_l2", "sup_u_h1"):
-        vals = np.array([getattr(st, name) for st in stats])
-        ratios = []
-        for k in range(1, len(vals)):
-            if vals[k - 1] > 1e-30:
-                ratios.append(vals[k] / vals[k - 1])
-        key = f"max_ratio_{name}"
-        uniformity[key] = float(max(ratios)) if ratios else 1.0
+        vals = [getattr(st, name) for st in stats]
+        ratios = [b / a for a, b in zip(vals, vals[1:]) if a > 1e-30]
+        uniformity[f"max_ratio_{name}"] = float(max(ratios)) if ratios else 1.0
     uniformity["no_upward_trend"] = all(
-        uniformity[f"max_ratio_{n}"] <= 1.05
-        for n in ("sup_vs_h1", "sup_vs_h2", "sup_u_l2", "sup_u_h1")
-    )
+        v <= 1.05 for k, v in uniformity.items() if k.startswith("max_ratio_"))
     return stats, uniformity
 
 
@@ -409,25 +408,18 @@ def run_stability_experiment(scn: Scenario, u0: FlowState | None = None) -> Expe
         res.g2 = sm["g2_series"]
         res.barrier = barrier_monitor(ps["t"], ps["h1_sq"], res.g2, pc, ic, bch.gamma)
         res.windows, uniformity = window_statistics(res.pert, scn.T)
-        res.checks = _bound_checks(res.pert, res.windows, pc, ach, bch, scn.T, res.barrier)
+        # the monitor's sup record is the barrier_sup check: one decision, written once
+        res.checks = _bound_checks(res.pert, res.windows, pc, ach, bch, scn.T,
+                                   res.barrier.pop("sup"))
         res.checks["uniformity"] = uniformity
     res.certificate = certificate_report(pc, ic, ab, ach, bch, sm)
     return res
 
 
-def _one_sided(values, bound, carry=None) -> dict:
-    """Simulated window values against a certified bound (and the bound
-    carried over from the previous window, when the chain gives one)."""
-    out = {"values": values, "bound": bound, "ok": bool(max(values) <= bound)}
-    if carry is not None:
-        out.update(bound_carry=carry, ok_carry=bool(max(values) <= carry))
-    return out
-
-
-def _bound_checks(pert, stats, pc, ach, bch, T, barrier) -> dict:
+def _bound_checks(pert, stats, pc, ach, bch, T, barrier_sup) -> dict:
     """One-sided comparisons of simulated window quantities against the
     certified chain values (a violation is an actionable failure); the
-    barrier verdict is the monitor's."""
+    barrier's is the monitor's record `barrier_sup`."""
     bs, ps = pert.base.series, pert.series
     w = WindowedSeries(ps["t"], T)
     ks = range(len(stats))
@@ -444,34 +436,29 @@ def _bound_checks(pert, stats, pc, ach, bch, T, barrier) -> dict:
     # conservative
     d2_h1_upper = 3.0 * (bs["h3_sq"] - bs["h2_sq"]) + d2
     q_grad2 = [w.energy_sup(d2, d2_h1_upper, pc.c_s1, k) for k in ks]
-    x2max = float(np.max(ps["h1_sq"]))
-    checks = {
-        "window_start_energy": _one_sided(starts, ach.a2_sq),
-        "window_energy": _one_sided(q_energy, ach.a3_sq),
-        "window_gradient": _one_sided(q_grad, ach.a8_sq),
-        "grad2_sup": _one_sided(sup_grad2, ach.a13_sq),
-        "grad2_window": _one_sided(q_grad2, ach.a14_sq),
-        "pert_energy": _one_sided(q_pert, bch.b5_sq, carry=bch.b5_sq_carry),
-        "barrier_sup": {"sup_x2": x2max, "gamma": bch.gamma, "ok": barrier["never_exceeded"]},
-    }
-    # nesting of the perturbation norms
-    x_le_y = bool(np.all(ps["h1_sq"] <= ps["h2_sq"] * (1 + 1e-12) + 1e-300))
-    all_ok = x_le_y and all(c["ok"] for c in checks.values())
-    checks["x_le_y"] = x_le_y
-
-    # space-time second-order norms vs the reported envelopes (front
-    # constants are unnamed: ratios are reported, asserted only when finite)
+    # space-time second-order norms: the base flow's against the reported
+    # envelope (its front constant is unnamed: a ratio), the perturbation's b7_sq
     h21_vs = [st.int_vst_sq + st.int_vs_h2_sq + st.int_gradp_sq for st in stats]
     h21_u = [st.int_ut_sq + st.int_u_h2_sq + st.int_gradq_sq for st in stats]
     h21_ref = ach.h21_reference()
-    checks["h21_envelope"] = {
-        "values": h21_vs,
-        "reference": h21_ref,
-        "envelope_ratio": (max(h21_vs) / h21_ref if math.isfinite(h21_ref) and h21_ref > 0
-                           else None),
+    checks = {
+        "window_start_energy": verdict(starts, ach.a2_sq),
+        "window_energy": verdict(q_energy, ach.a3_sq),
+        "window_gradient": verdict(q_grad, ach.a8_sq),
+        "grad2_sup": verdict(sup_grad2, ach.a13_sq),
+        "grad2_window": verdict(q_grad2, ach.a14_sq),
+        "pert_energy": verdict(q_pert, bch.b5_sq, carry=bch.b5_sq_carry),
+        "barrier_sup": barrier_sup,
+        # nesting of the perturbation norms
+        "x_le_y": bool(np.all(ps["h1_sq"] <= ps["h2_sq"] * (1 + 1e-12) + 1e-300)),
+        "h21_envelope": {
+            "values": h21_vs,
+            "reference": h21_ref,
+            "envelope_ratio": (max(h21_vs) / h21_ref if math.isfinite(h21_ref) and h21_ref > 0
+                               else None),
+        },
+        "pert_h21": verdict(h21_u, bch.b7_sq),
     }
-    check_b7 = {"values": h21_u, "bound": bch.b7_sq}
-    check_b7["ok"] = bool(max(h21_u) <= bch.b7_sq) if math.isfinite(bch.b7_sq) else None
-    checks["pert_h21"] = check_b7
-    checks["all_ok"] = bool(all_ok and check_b7["ok"] in (True, None))
+    oks = [c["ok"] for c in checks.values() if isinstance(c, dict) and "ok" in c]
+    checks["all_ok"] = reduce_verdicts([checks["x_le_y"], *oks])[0]
     return checks

@@ -376,7 +376,7 @@ class TestCriterion7OneSidedBounds:
             f"window-start energy <= a2_sq for k=0..{len(c31['values'])-1} "
             f"(max {max(c31['values']):.2e} vs {c31['bound']:.2e}); perturbation energy "
             f"<= b5_sq (max {max(c41['values']):.2e} vs {c41['bound']:.2e}); "
-            f"sup X^2 = {c415['sup_x2']:.3e} < gamma = {c415['gamma']:.1e}",
+            f"sup X^2 = {max(c415['values']):.3e} < gamma = {c415['bound']:.1e}",
         )
 
 

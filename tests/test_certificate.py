@@ -483,10 +483,8 @@ class TestSmallness:
         out = smallness_check(pc, ic, bch, ZeroForcing(g3, 3), {"l2_sq": 0.0},
                               u0_mean=np.zeros(3), gradv_l3_series=np.zeros(9), times=times)
         assert bch.hypotheses["gamma_le_gamma_star"]
-        assert out["g2_budget"] == pc.c_1 * 1e-4 / 4.0
-        assert out["g2_max"] == 0.0 and out["g2_ok"]
-        assert out["gbar_max"] == 0.0 and out["gbar_ok"]
-        assert out["gbar_budget"] == 0.5 * 1e-4
+        assert out["g2"] == {"values": [0.0], "bound": pc.c_1 * 1e-4 / 4.0, "ok": True}
+        assert out["gbar"] == {"values": [0.0], "bound": 0.5 * 1e-4, "ok": True}
 
     def test_gamma_violation_is_verdict(self, setup_2pi):
         # gamma is decided once, by the b-chain: above gamma_star and at zero
@@ -500,9 +498,8 @@ class TestSmallness:
             assert bch.hypotheses["gamma_le_gamma_star"] is False
             out = smallness_check(pc, ic, bch, ZeroForcing(g3, 3), {"l2_sq": 0.0},
                                   u0_mean=np.zeros(3))
-            assert out["g2_budget"] == pc.c_1 * gamma / 4.0
-            assert out["gbar_budget"] == 0.25 * gamma
-            assert "g2_ok" not in out
+            assert out["g2"] == {"values": [], "bound": pc.c_1 * gamma / 4.0, "ok": None}
+            assert out["gbar"]["bound"] == 0.25 * gamma
 
 
 class TestReport:

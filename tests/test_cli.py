@@ -116,6 +116,10 @@ class TestConfigValidation:
         pytest.param("certify", {"certificate": {"T": 5.0, "N": 8},
                                  "initial_norms": {"l2_sq": 0.1}},
                      "initial_norms is missing grad_sq, grad2_sq", id="initial-norms-incomplete"),
+        # accepted by the schema and the forcing, rejected by the chains
+        pytest.param("certify", {"certificate": {"N": 8, "T": 4},
+                                 "forcing": {"family": "example2", "window": 1e-320}},
+                     "not window-integrable in H1", id="certify-chain-rejects-forcing"),
         # keys nothing reads: files go to --out, plots follow --svg, and the
         # grid's dimension follows `system`
         pytest.param("simulate", {"grid": {"N": 8}, "solver": {"dt": 0.01, "t_end": 0.02},
@@ -364,6 +368,17 @@ class TestSimulate:
         assert st.field.grid.N == 8
 
 
+@pytest.mark.parametrize("command, doc", [
+    # 1 - exp(-c T) rounds to 0 below T ~ 1e-16; the chains divide by it
+    pytest.param("certify", {"certificate": {"T": 1e-17, "N": 8}}, id="certify-tiny-T"),
+    pytest.param("stability", {"scenario": {"N": 8, "T": 1e-300, "dt": 1e-300, "windows": 1,
+                                            "calibration_fields": 8}}, id="stability-tiny-T"),
+])
+def test_tiny_positive_window_runs(tmp_path, command, doc):
+    cfg = write_cfg(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 class TestCertify:
     def test_zero_data_membership(self, tmp_path):
         for T, expect in ((5.0, True), (2.0, False)):
@@ -537,7 +552,7 @@ class TestCertify:
         for key in ("abar_chain", "a_chain", "b_chain", "constants", "poincare",
                     "gamma_hypothesis"):
             assert doc[key] == run[key], key
-        for key in ("gbar_addends", "gbar_max", "gbar_budget", "gbar_ok"):
+        for key in ("gbar_addends", "gbar"):
             assert doc["smallness"][key] == run["smallness"][key], key
         assert doc["hypotheses"]["gbar_budget"] is False
         # only the G^2 budget needs the simulated series
@@ -680,6 +695,14 @@ class TestStability:
         assert "  barrier_hypotheses_evaluated: True\n" in printed
         assert f"  check.all_ok: {doc['checks']['all_ok']}\n" in printed
         assert f"  check.x_le_y: {doc['checks']['x_le_y']}\n" in printed
+        # every record, the checks' and the smallness budgets', with its ok and bound
+        records = {**{f"check.{k}": v for k, v in doc["checks"].items()},
+                   **{f"smallness.{k}": v for k, v in cert["smallness"].items()}}
+        printed_records = [n for n, rec in records.items() if isinstance(rec, dict) and "ok" in rec]
+        assert len(printed_records) == 10
+        for name in printed_records:
+            rec = records[name]
+            assert f"  {name}: ok={rec['ok']} bound={rec['bound']}\n" in printed
 
     @pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "not-json"])
     def test_unreadable_report_exit2(self, tmp_path, capsys, content):

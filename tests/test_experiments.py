@@ -237,6 +237,21 @@ class TestRunExperiment:
         envelope = scn.perturbation.gamma * np.exp(-pc.c_1 * t / 2.0)
         assert np.all(res.pert.series["h1_sq"] <= envelope)
 
+    def test_infinite_bounds_are_not_evaluated(self):
+        # a strong force makes the second-derivative and perturbation chains
+        # infinite: those checks decide nothing, so they are null (not
+        # evaluated), which all_ok passes
+        scn = Scenario(N=8, T=0.1, dt=0.05, windows=1, calibration_fields=8,
+                       force_amplitude=0.5)
+        res = run_stability_experiment(scn)
+        records = {k: c for k, c in res.checks.items() if isinstance(c, dict) and "ok" in c}
+        infinite = {k for k, c in records.items() if c["bound"] == math.inf}
+        assert infinite == {"grad2_sup", "grad2_window", "pert_energy", "pert_h21"}
+        assert all(records[k]["ok"] is None for k in infinite)
+        assert res.checks["pert_energy"]["ok_carry"] is None
+        assert all(c["ok"] is True for k, c in records.items() if k not in infinite)
+        assert res.checks["all_ok"] is True
+
     def test_large_gamma_flagged_not_raised(self):
         scn = Scenario(
             N=8, windows=1, T=4.0, dt=0.01, calibration_fields=40,
