@@ -75,6 +75,11 @@ def _require_inputs(T, **nonneg):
             raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
+def _over(x: float, frac: float) -> float:
+    """x / frac for frac = 1 - e^{-c T}, which a tiny T rounds to 0: 0/0 is 0, x/0 is inf."""
+    return 0.0 if x == 0 else x / frac if frac > 0 else math.inf
+
+
 def _exp(x: float) -> float:
     """exp with overflow mapped to inf (non-finite chains are findings)."""
     if x > 709.0:
@@ -185,12 +190,12 @@ def a_chain(schedule, initial_norms: dict, T: float, pc, ic, *,
     _require_inputs(T, **{k: float(v) for k, v in initial_norms.items()})
 
     a1 = schedule.sup_window_bar_sq(T, "l2") / pc.c_s1
-    # 1 - e^{-x} as -expm1(-x), which stays accurate (and nonzero) for small x
+    # 1 - e^{-x} as -expm1(-x), which stays accurate for small x (and 0 once x underflows)
     half = -math.expm1(-pc.c_s1 * T / 2.0)
-    a2 = a1 / -math.expm1(-pc.c_s1 * T) + initial_norms["l2_sq"]
+    a2 = _over(a1, -math.expm1(-pc.c_s1 * T)) + initial_norms["l2_sq"]
     a3 = a1 + a2
     a4 = pc.c_s1 * _exp(ic.c_s2 * a3) * a1 if a1 > 0 else 0.0
-    a5 = a4 / half + initial_norms["grad_sq"]
+    a5 = _over(a4, half) + initial_norms["grad_sq"]
     a6 = a4 + a5
     a7 = ic.c_s2 * (a6 + 1.0) * a3 + a5
     a8 = a3 + a7

@@ -29,8 +29,8 @@ import numpy as np
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
+    derivative_coeffs,
     derivative_multiplier,
-    grad_samples,
     gradient_magsq,
     lp_norms,
     random_field,
@@ -167,7 +167,7 @@ def _scores_2d(grid, coeffs):
                      for a in ((2, 0), (0, 2), (1, 1)))
     lap = np.sqrt(d20 + d02 + 2 * d11).tolist()
     # w does not depend on x3: ||grad w||_L3^3 = L int |grad u|^3, ||w||_H2^2 = L ||u||_H2^2
-    gradsq = gradient_magsq(grid, grad_samples(grid, coeffs))
+    gradsq = gradient_magsq(grid, to_samples(grid, derivative_coeffs(grid, coeffs)))
     lift_l3 = lp_norms(grid, gradsq, 3, cell=grid.L * grid.cell_volume)
     lift_h2 = np.sqrt(grid.L * weighted_norm_sq(grid, coeffs, grid.sobolev_multiplier(2)))
     return l2, gr, lap, l3, l4, linf, lift_l3, lift_h2.tolist()

@@ -1,17 +1,17 @@
 """Time integration of the periodic-box flow systems with exact mean tracking.
 
-One system class serves the 2D base flow, the full 3D flow, and the 3D
+One object per flow serves the 2D base flow, the full 3D flow, and the 3D
 perturbation u = v - v_s around a lifted 2D base flow v_s: the perturbation
 is the flow equation plus the terms of the base flow, and with v_s = 0 it is
-the single-flow equation.  Each system advances its mean-free, solenoidal
-part spectrally and its spatial mean by the exact mean ODE
-d/dt mean = (1/|box|) int f dx.
+the single-flow equation.  Each flow holds its band state and advances its
+mean-free, solenoidal part spectrally and its spatial mean by the exact mean
+ODE d/dt mean = (1/|box|) int f dx.
 
 Layout: the 2/3 rule keeps only the modes with |m_a| < N/3 on every axis,
 so every array of a step (state, stage terms, integrating factors, Parseval
 weights) lives on that box, the grid's `band`.  The half (rfftn) spectrum
 appears only inside the transforms: an inverse scatters the box into a
-half-spectrum stack that each system owns and that stays zero outside the
+half-spectrum stack that each flow owns and that stays zero outside the
 box, and a forward transform keeps only the box of its output, which is the
 dealiasing.  A stored state is the box scattered back into the half spectrum,
 made only at the sample steps.
@@ -32,22 +32,22 @@ recorder's `gradv_l3` read.  A 3D flow takes the rotational form:
 with omega = curl u, omega_s e3 = curl v_s, phi = |u|^2/2 + u . v_s and
 m the perturbation's mean (v_s = 0 for a single flow).  That is 6 inverse
 components (u, omega) and 4 forward (the vector and phi).  The Leray
-projection removes grad phi; it is kept in the raw term so that `gradp_sq`
-is the gradient part of the same term as in the convective form.  Both
-forms agree to roundoff because the 2/3 rule makes dealiased quadratic
+projection removes grad phi and returns the norm of all it removes,
+`gradp_sq`: the gradient part of the same term as in the convective form.
+Both forms agree to roundoff because the 2/3 rule makes dealiased quadratic
 products exact truncations of their convolutions.
 
-One driver steps every system: a single flow alone, or the base flow and the
+One driver steps every flow: a single flow alone, or the base flow and the
 perturbation in lockstep.  Each RHS evaluation returns a record (explicit
-term, raw term, speed, the 2D flow's velocity and gradients, mean, forcing);
+term, gradp_sq, speed, the 2D flow's velocity and gradients, mean, forcing);
 the perturbation's RHS takes the base's record as an argument, so the base's
 velocity and gradients are transformed once per stage and shared with the
 perturbation and the recorder.  A step runs stage by stage (t, and under
 RK3 also t + dt/2 and t + dt), and at each stage the perturbation reads the
-base's record of that stage.  Records are dropped once read: a stepper keeps
+base's record of that stage.  Records are dropped once read: a flow keeps
 only the explicit terms of the current step.
 
-A driver stores the state of every system at t = 0, at t_end and at each of
+A driver stores the state of every flow at t = 0, at t_end and at each of
 its sample times, which must be step times; the per-step series are dense.
 
 Known defect: the perturbation's integrating factor reads the base mean at
@@ -70,7 +70,6 @@ from nsbox.spectral import (
     derivative_coeffs,
     extend,
     grad_l3_norm,
-    gradient_part_normsq,
     inner_product,
     integrating_factor,
     leray_project_coeffs,
@@ -187,20 +186,37 @@ def mean_ode_step(mean, forcing: Forcing, t: float, dt: float) -> np.ndarray:
     return np.asarray(mean, dtype=float) + forcing.mean_integral(t, t + dt)
 
 
-# -- systems ------------------------------------------------------------------
+# -- flows --------------------------------------------------------------------
 
 
 class _Eval(NamedTuple):
-    """One right-hand-side evaluation of a system at one stage."""
+    """One right-hand-side evaluation of a flow at one stage."""
 
     rhs: np.ndarray    # explicit term on the band: Leray-projected, mode 0 zeroed
-    raw: np.ndarray    # the explicit term on the band before projection
+    gradp_sq: float    # squared L2 norm of the gradient part the projection removed
     speed: float       # max speed of the mean-free advecting velocity, which the
                        # explicit term advects with (means go in the integrating factor)
     phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
     grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
     mean: np.ndarray   # the spatial mean the evaluation used
     fbar: np.ndarray | None  # the band part of the mean-free forcing the evaluation used
+
+
+def _mean_path_integrals(forcings, means, t, dt, dim):
+    """Integrals of the advecting mean over [t, t+dt/2] and [t+dt/2, t+dt].
+
+    The mean path is m(tau) = m(t) + int_t^tau mean-force, so
+    int m = m(t) * h + double integral of the mean force.
+    """
+    h = dt / 2.0
+    I1 = np.zeros(dim)
+    I2 = np.zeros(dim)
+    for f, m in zip(forcings, means):
+        m = _pad(m, dim)
+        I1 += m * h + _pad(f.mean_double_integral(t, t + h), dim)
+        m_half = m + _pad(f.mean_integral(t, t + h), dim)
+        I2 += m_half * h + _pad(f.mean_double_integral(t + h, t + dt), dim)
+    return I1, I2
 
 
 class _Flow:
@@ -211,14 +227,26 @@ class _Flow:
     advection of ubar by mean_u + mean_vs goes into the integrating factor.
     A 2D flow evaluates the product in convective form, a 3D flow in
     rotational form (module docstring).
+
+    A step from t is `evaluate` at the current state, `start`, two calls of
+    `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`; the flow
+    keeps only the explicit terms of the stages (module docstring).
     """
 
-    def __init__(self, grid, forcing, base_forcing=None):
-        self.grid = grid
-        self.band = grid.band
+    def __init__(self, state0, forcing, cfg, base_forcing=None):
+        self.grid = grid = state0.field.grid
+        self.band = band = grid.band
         self.forcing = forcing
-        # the forcings of the advecting means, in the order of the stepper's means
+        # the forcings of the advecting means, in the order of `start`'s means
         self.mean_forcings = (forcing,) if base_forcing is None else (forcing, base_forcing)
+        self.dt = cfg.dt
+        self.coeffs = restrict(band, state0.field.coeffs)
+        self.mean = np.asarray(state0.mean, float).copy()
+        self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
+        self.prev_rhs = self.prev_factor = None  # the last step's, for AB2
+        # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
+        self._visc_half = np.exp(-cfg.nu * band.ksq * (cfg.dt / 2.0))
+        self._visc_full = np.exp(-cfg.nu * band.ksq * cfg.dt)
         # preallocated transform stacks: in 2D, u and grad u in and (u . grad) u
         # out; in 3D, u and curl u in and the rotational vector and phi out.  The
         # inverse's half-spectrum stack is zeroed once: each inverse writes its box.
@@ -227,7 +255,7 @@ class _Flow:
         self._products = np.empty((products,) + grid.shape)
         # the band part of the forcing profile: the only part that reaches the state
         profile = forcing.profile
-        self._profile = None if profile is None else restrict(self.band, profile.coeffs)
+        self._profile = None if profile is None else restrict(band, profile.coeffs)
 
     def rhs(self, coeffs, mean, t, base=None):
         """The evaluation at the band coefficients `coeffs`; `base` is the base
@@ -260,8 +288,9 @@ class _Flow:
         if self._profile is not None:
             fbar = self._profile * self.forcing.bar_amplitude(t)
             raw += fbar
-        rhs = zero_mode0(leray_project_coeffs(band, raw))
-        return _Eval(rhs, raw, float(np.sqrt(np.max(speedsq))), phys, grads, mean, fbar)
+        rhs, gradp_sq = leray_project_coeffs(band, raw)
+        return _Eval(zero_mode0(rhs), gradp_sq, float(np.sqrt(np.max(speedsq))), phys, grads,
+                     mean, fbar)
 
     def _rotational(self, samples, mean, base):
         """Fill the product stack with the samples of
@@ -292,61 +321,18 @@ class _Flow:
             phi += u[1] * vs[1]
         return w
 
-
-# -- stepping ----------------------------------------------------------------
-
-
-def _mean_path_integrals(forcings, means, t, dt, dim):
-    """Integrals of the advecting mean over [t, t+dt/2] and [t+dt/2, t+dt].
-
-    The mean path is m(tau) = m(t) + int_t^tau mean-force, so
-    int m = m(t) * h + double integral of the mean force.
-    """
-    h = dt / 2.0
-    I1 = np.zeros(dim)
-    I2 = np.zeros(dim)
-    for f, m in zip(forcings, means):
-        m = _pad(m, dim)
-        I1 += m * h + _pad(f.mean_double_integral(t, t + h), dim)
-        m_half = m + _pad(f.mean_integral(t, t + h), dim)
-        I2 += m_half * h + _pad(f.mean_double_integral(t + h, t + dt), dim)
-    return I1, I2
-
-
-class _Stepper:
-    """Integrating-factor stepping for one system, one stage at a time.
-
-    A step from t is `evaluate` at the current state, `start`, two calls of
-    `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`.  The
-    stepper keeps only the explicit terms of the stages; each evaluation goes
-    on to the recorder or to the next system and is then dropped.
-    """
-
-    def __init__(self, system, cfg, state0):
-        self.system = system
-        self.dt = cfg.dt
-        band = system.band
-        self.coeffs = restrict(band, state0.field.coeffs)
-        self.mean = np.asarray(state0.mean, float).copy()
-        self.t = self.terms = self.lam = self.lam_h = self.mean_next = None  # the current step's
-        self.prev_rhs = None
-        self.prev_factor = None
-        # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
-        self._visc_half = np.exp(-cfg.nu * band.ksq * (cfg.dt / 2.0))
-        self._visc_full = np.exp(-cfg.nu * band.ksq * cfg.dt)
-
     def evaluate(self, t, base=None):
         """The RHS at the current state at time t; the first stage of a step."""
-        ev = self.system.rhs(self.coeffs, self.mean, t, base)
+        ev = self.rhs(self.coeffs, self.mean, t, base)
         self.t, self.terms = t, [ev.rhs]
         return ev
 
     def start(self, use_rk3, base_mean=None):
         """Integrating factors and end mean of the step; `base_mean` is the
-        advecting system's mean."""
-        system, band, t, dt = self.system, self.system.band, self.t, self.dt
+        advecting flow's mean."""
+        band, t, dt = self.band, self.t, self.dt
         means = (self.mean,) if base_mean is None else (self.mean, base_mean)
-        I1, I2 = _mean_path_integrals(system.mean_forcings, means, t, dt, band.dim)
+        I1, I2 = _mean_path_integrals(self.mean_forcings, means, t, dt, band.dim)
         if use_rk3:
             self.lam_h = tuple(integrating_factor(band, self._visc_half, I) for I in (I1, I2))
             self.lam = self.lam_h[0] * self.lam_h[1]
@@ -355,14 +341,14 @@ class _Stepper:
         self.mean_next = self._mean_at(dt)
 
     def stage(self, base=None):
-        """The next RK3 stage, reading the advecting system's evaluation `base`
+        """The next RK3 stage, reading the advecting flow's evaluation `base`
         of the same stage."""
         t, dt, n = self.t, self.dt, self.terms
         if len(n) == 1:
             h, v = dt / 2.0, self.lam_h[0] * (self.coeffs + (dt / 2.0) * n[0])
         else:
             h, v = dt, self.lam * (self.coeffs - dt * n[0]) + 2.0 * dt * self.lam_h[1] * n[1]
-        ev = self.system.rhs(v, self._mean_at(h), t + h, base)
+        ev = self.rhs(v, self._mean_at(h), t + h, base)
         n.append(ev.rhs)
         return ev
 
@@ -381,7 +367,7 @@ class _Stepper:
 
     def _mean_at(self, h):
         """The mean at t + h, by the exact mean ODE."""
-        return mean_ode_step(self.mean, self.system.forcing, self.t, h)
+        return mean_ode_step(self.mean, self.forcing, self.t, h)
 
 
 # -- recording ----------------------------------------------------------------
@@ -416,7 +402,7 @@ class _Recorder:
         # the state is zero outside the band, the forcing need not be
         d["forcing_inner"].append(0.0 if ev.fbar is None else inner_product(band, ev.fbar, coeffs))
         d["fbar_l2_sq"].append(self.forcing.bar_norm_sq(t))
-        d["gradp_sq"].append(gradient_part_normsq(band, ev.raw))
+        d["gradp_sq"].append(ev.gradp_sq)
         d["speed"].append(ev.speed)
         d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
@@ -424,15 +410,18 @@ class _Recorder:
             d["dudt_sq"].append(float(weighted_norm_sq(band, diff, 1.0)))
         else:
             d["dudt_sq"].append(0.0)
-        # no copy: `_Stepper.finish` binds a new array and never writes to this one
+        # no copy: `_Flow.finish` binds a new array and never writes to this one
         self._prev_coeffs = coeffs
         if band.dim == 2:
             d["gradv_l3"].append(grad_l3_norm(self.grid, ev.grads))
 
     def finalize(self):
-        out = {}
-        for k, v in self.data.items():
-            out[k] = np.array(v)
+        """The series as arrays; a SolverAbort at the first non-finite value."""
+        out = {k: np.array(v) for k, v in self.data.items()}
+        for k, v in out.items():
+            bad = np.flatnonzero(~np.isfinite(v.reshape(len(v), -1)).all(axis=1))
+            if len(bad):
+                raise SolverAbort(float(out["t"][bad[0]]), int(bad[0]), f"non-finite {k}")
         return out
 
 
@@ -458,35 +447,34 @@ def _check_cfl(t, dt, speed, grid, cfg):
         raise CFLViolation(t, cfl, cfg.cfl_max, advisory)
 
 
-def _evolve(systems, states0, cfg, sample_times):
-    """Advance coupled systems in lockstep; returns one Trajectory per system.
+def _evolve(flows, cfg, sample_times):
+    """Advance coupled flows in lockstep; returns one Trajectory per flow.
 
-    Each system after the first is advected by the one before it: its RHS
-    reads that system's evaluation at the same stage.  A step runs stage by
-    stage, and each stage evaluates the systems in order.
+    Each flow after the first is advected by the one before it: its RHS
+    reads that flow's evaluation at the same stage.  A step runs stage by
+    stage, and each stage evaluates the flows in order.
     """
     plan = _sample_plan(cfg, sample_times)
     n_steps = cfg.n_steps
     rk3 = cfg.scheme == "rk3-imex"
-    steppers = [_Stepper(s, cfg, s0) for s, s0 in zip(systems, states0)]
-    recs = [_Recorder(s.grid, s.forcing) for s in systems]
-    states = [[] for _ in systems]
+    recs = [_Recorder(f.grid, f.forcing) for f in flows]
+    states = [[] for _ in flows]
     for n in range(n_steps + 1):
         t = n * cfg.dt
         speed, base = 0.0, None
-        for st, rec, out in zip(steppers, recs, states):
+        for st, rec, out in zip(flows, recs, states):
             base = st.evaluate(t, base)
             speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
             if n in plan:
-                field = SpectralField(st.system.grid, extend(st.system.band, st.coeffs))
+                field = SpectralField(st.grid, extend(st.band, st.coeffs))
                 out.append(FlowState(t, field, st.mean.copy()))
         if n == n_steps:
             break
-        _check_cfl(t, cfg.dt, speed, steppers[-1].system.grid, cfg)
-        use_rk3 = rk3 or steppers[0].prev_rhs is None
+        _check_cfl(t, cfg.dt, speed, flows[-1].grid, cfg)
+        use_rk3 = rk3 or flows[0].prev_rhs is None
         base_mean = None
-        for st in steppers:
+        for st in flows:
             st.start(use_rk3, base_mean)
             # Known defect: the next system's integrating factor reads this
             # system's mean at t + dt where _mean_path_integrals expects it at
@@ -495,9 +483,9 @@ def _evolve(systems, states0, cfg, sample_times):
             base_mean = st.mean_next
         for _ in range(2 if use_rk3 else 0):
             base = None
-            for st in steppers:
+            for st in flows:
                 base = st.stage(base)
-        for st in steppers:
+        for st in flows:
             st.finish()
             if not np.all(np.isfinite(st.coeffs.view(float))):
                 raise SolverAbort(t + cfg.dt, n + 1, "non-finite spectral coefficients")
@@ -510,14 +498,14 @@ def evolve_base_2d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
     (mean-free part plus its exactly tracked mean)."""
     if state0.field.grid.dim != 2:
         raise ValueError("base flow must live on a 2D grid")
-    return _evolve([_Flow(state0.field.grid, forcing)], [state0], cfg, sample_times)[0]
+    return _evolve([_Flow(state0, forcing, cfg)], cfg, sample_times)[0]
 
 
 def evolve_full_3d(state0: FlowState, forcing: Forcing, cfg: SolverConfig,
                    *, sample_times=None) -> Trajectory:
     if state0.field.grid.dim != 3:
         raise ValueError("full flow must live on a 3D grid")
-    return _evolve([_Flow(state0.field.grid, forcing)], [state0], cfg, sample_times)[0]
+    return _evolve([_Flow(state0, forcing, cfg)], cfg, sample_times)[0]
 
 
 def evolve_pair(base_state0, base_forcing, u0: FlowState, g_forcing: Forcing,
@@ -530,8 +518,8 @@ def evolve_pair(base_state0, base_forcing, u0: FlowState, g_forcing: Forcing,
         raise ValueError("pair expects a 2D base state and a 3D perturbation")
     if grid2.L != grid3.L or grid2.N != grid3.N:
         raise ValueError("base and perturbation grids must share L and N")
-    systems = [_Flow(grid2, base_forcing), _Flow(grid3, g_forcing, base_forcing)]
-    base, pert = _evolve(systems, [base_state0, u0], cfg, sample_times)
+    flows = [_Flow(base_state0, base_forcing, cfg), _Flow(u0, g_forcing, cfg, base_forcing)]
+    base, pert = _evolve(flows, cfg, sample_times)
     pert.base = base
     return pert
 

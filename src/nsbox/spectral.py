@@ -23,15 +23,16 @@ Its `band` is a `PeriodicGrid` of the same samples over the 2/3-dealiased box
 alone, the modes with |m_a| < N/3 on every axis: the only modes a dealiased
 computation ever fills (28% of the half spectrum at N = 32).  The kernel
 functions below `SpectralField` take either grid and act on raw
-(C, coeff_shape) arrays: transforms, first-derivative and curl coefficients,
-physical gradients, Parseval norms and inner products, derivative
-multipliers, integrating factors, mode-0 zeroing, Leray projection, and L^p
-norms of pointwise magnitudes.  On a band the transforms go through the half
-spectrum: `extend` scatters the box into it before the inverse, `restrict`
-gathers the box from the forward transform, each as 2^(dim - 1) contiguous
-slice blocks.  The transforms, physical gradients, Parseval norms and L^p
-norms also take stacks with leading batch axes.  The field methods, the
-solver and the constants calibration are built on them.
+(C, coeff_shape) arrays: transforms, first-derivative and curl coefficients
+(whose samples are the physical gradients), Parseval norms and inner
+products, derivative multipliers, integrating factors, mode-0 zeroing, Leray
+projection (and the norm of what it removes), and L^p norms of pointwise
+magnitudes.  On a band the transforms go through the half spectrum: `extend`
+scatters the box into it before the inverse, `restrict` gathers the box from
+the forward transform, each as 2^(dim - 1) contiguous slice blocks.  The
+transforms, derivative coefficients, Parseval norms and L^p norms also take
+stacks with leading batch axes.  The field methods, the solver and the
+constants calibration are built on them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "to_samples",
     "restrict",
     "extend",
-    "grad_samples",
     "derivative_coeffs",
     "curl_coeffs",
     "weighted_norm_sq",
@@ -63,7 +63,6 @@ __all__ = [
     "lift_2d_to_3d",
     "random_field",
     "leray_project_coeffs",
-    "gradient_part_normsq",
 ]
 
 
@@ -269,7 +268,7 @@ class SpectralField:
         """Remove the gradient part per mode: u_hat -= kd (kd.u_hat)/|kd|^2."""
         if self.components != self.grid.dim:
             raise ValueError("projection requires a vector field with components == dim")
-        return SpectralField(self.grid, leray_project_coeffs(self.grid, self.coeffs))
+        return SpectralField(self.grid, leray_project_coeffs(self.grid, self.coeffs)[0])
 
     def subtract_mean(self) -> "SpectralField":
         return SpectralField(self.grid, zero_mode0(self.coeffs.copy()))
@@ -371,16 +370,6 @@ def curl_coeffs(grid: PeriodicGrid, coeffs, out) -> np.ndarray:
     return out
 
 
-def grad_samples(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """(dim, ..., C, shape) physical first derivatives of a raw
-    (..., C, coeff_shape) coefficient array, through `ik` as
-    `SpectralField.derivative` takes them."""
-    out = np.empty((grid.dim,) + coeffs.shape[:-grid.dim] + grid.shape)
-    for a in range(grid.dim):
-        out[a] = to_samples(grid, grid.ik[a] * coeffs)
-    return out
-
-
 def weighted_norm_sq(grid: PeriodicGrid, coeffs, weight):
     """|box| sum_m weight(m) |c(m)|^2 over the components of a raw
     (..., C, coeff_shape) array and over the modes it stands for (`herm`): a
@@ -444,7 +433,7 @@ def zero_mode0(coeffs) -> np.ndarray:
 
 def gradient_magsq(grid: PeriodicGrid, grads) -> np.ndarray:
     """(..., grid) samples of |grad u|^2, the squared Frobenius norm, from the
-    (dim, ..., C, grid) physical gradients that `grad_samples` returns."""
+    (dim, ..., C, grid) physical gradients, the samples of `derivative_coeffs`."""
     magsq = np.zeros(grads.shape[1:-grid.dim - 1] + grid.shape)
     for g in grads:
         magsq += np.sum(g**2, axis=-grid.dim - 1)
@@ -477,19 +466,15 @@ def _k_dot(grid: PeriodicGrid, coeffs) -> np.ndarray:
     return kdotu
 
 
-def leray_project_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
-    """Leray projection of a raw (dim, coeff_shape) array: c - kd (kd.c)/|kd|^2."""
-    corr = _k_dot(grid, coeffs) * grid.inv_kdsq
+def leray_project_coeffs(grid: PeriodicGrid, coeffs) -> tuple[np.ndarray, float]:
+    """Leray projection P c = c - kd (kd.c)/|kd|^2 of a raw (dim, coeff_shape) array, and
+    what it removes, ||c - P c||_L2^2 = |box| sum |kd.c|^2/|kd|^2, both from one kd.c."""
+    kdotc = _k_dot(grid, coeffs)
+    corr = kdotc * grid.inv_kdsq
     out = np.array(coeffs, dtype=np.complex128)
     for a in range(grid.dim):
         out[a] -= grid.kd[a] * corr
-    return out
-
-
-def gradient_part_normsq(grid: PeriodicGrid, coeffs) -> float:
-    """||c - P c||_L2^2 = |box| sum |kd.c|^2/|kd|^2 for the Leray projection P."""
-    return float(grid.volume * np.sum(np.abs(_k_dot(grid, coeffs)) ** 2 * grid.inv_kdsq
-                                      * grid.herm))
+    return out, float(grid.volume * np.sum(np.abs(kdotc) ** 2 * grid.inv_kdsq * grid.herm))
 
 
 def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField:

@@ -270,6 +270,17 @@ class TestSimulate:
         assert rc == 4
         assert "abort" in capsys.readouterr().err
 
+    def test_non_finite_series_aborts(self, tmp_path, capsys):
+        # dudt_sq, the difference quotient over dt = 1e-300, overflows while
+        # the coefficients stay finite: the recorded series is checked too
+        cfg = write_cfg(tmp_path, {
+            "system": "base2d", "grid": {"N": 8}, "solver": {"dt": 1e-300, "t_end": 1e-300},
+            "initial": {"kind": "taylor_green", "amplitude": 0.015},
+            "forcing": {"family": "example1", "amplitude": 0.122, "mode": [1, 0]},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert "non-finite dudt_sq" in capsys.readouterr().err
+
     def test_cfl_ignores_the_advecting_mean(self, tmp_path):
         # advection by the mean goes into the integrating factor, so a large
         # constant mean force does not stop the run on CFL
@@ -373,10 +384,18 @@ class TestSimulate:
     pytest.param("certify", {"certificate": {"T": 1e-17, "N": 8}}, id="certify-tiny-T"),
     pytest.param("stability", {"scenario": {"N": 8, "T": 1e-300, "dt": 1e-300, "windows": 1,
                                             "calibration_fields": 8}}, id="stability-tiny-T"),
+    # -expm1(-c T / 2) underflows to 0 at the smallest subnormal T; x > 0 over it is inf
+    pytest.param("certify", {"certificate": {"T": 5e-324, "N": 8}}, id="certify-subnormal-T"),
+    pytest.param("stability", {"scenario": {"N": 8, "T": 5e-324, "dt": 5e-324, "windows": 1,
+                                            "calibration_fields": 8}}, id="stability-subnormal-T"),
 ])
 def test_tiny_positive_window_runs(tmp_path, command, doc):
     cfg = write_cfg(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    if command == "stability":
+        # dudt_sq over such a dt is not finite: the run aborts, the chains stand
+        assert json.loads((out / "report.json").read_text())["aborted"] is True
 
 
 class TestCertify:

@@ -19,7 +19,8 @@ SRC = pathlib.Path(nsbox.__file__).parent
 # definitions no command reaches, kept as reference implementations that the
 # kernel tests compare against, or for the benchmark
 ALLOWED = {
-    "derivative": "reference for grad_samples, the band restriction and the oracle nonlinear term",
+    "derivative": "reference for the physical gradients, the band restriction and the oracle "
+                  "nonlinear term",
     "dealias": "reference for the band restriction and the oracle nonlinear term",
     "physical": "the benchmark's simulate set-up (bench/workloads.py) warms the inverse "
                 "transform with it; snapshots no longer store samples",

@@ -454,14 +454,22 @@ def convective_raw(u, w, wmean=None):
     return -SpectralField.from_physical(g, conv).dealias().coeffs
 
 
+def gradient_part_sq(grid, raw):
+    """|box| sum |kd . raw|^2 / |kd|^2 over the modes of a half-spectrum raw
+    term: the squared norm of the gradient part the Leray projection removes."""
+    kdotr = np.sum(grid.kd * raw, axis=0)
+    return grid.volume * np.sum(grid.herm * np.abs(kdotr) ** 2 * grid.inv_kdsq)
+
+
 class TestHalfSpectrumStepping:
-    """The stepper on the 2/3-dealiased band: its right-hand sides against the
-    convective `nonlinear_term`, its stored states, its transform count."""
+    """The flows on the 2/3-dealiased band: their right-hand sides against the
+    convective `nonlinear_term`, their stored states, transforms and projections."""
 
     @staticmethod
-    def evaluate(system, state, t=0.0, base=None):
-        """The system's RHS evaluation at `state`, restricted to the band."""
-        return system.rhs(restrict(system.band, state.field.coeffs), state.mean, t, base)
+    def evaluate(state, forcing, base_forcing=None, base=None):
+        """The RHS evaluation at t = 0 of a flow started from `state`."""
+        cfg = SolverConfig(nu=0.5, dt=1e-2, t_end=1e-2)
+        return nsbox.solver._Flow(state, forcing, cfg, base_forcing).evaluate(0.0, base)
 
     @pytest.mark.parametrize("N", [8, 12, 16])
     def test_rotational_rhs_matches_convective_oracle(self, N):
@@ -473,23 +481,24 @@ class TestHalfSpectrumStepping:
         zero2, zero3 = ZeroForcing(g2, 2), ZeroForcing(g3, 3)
 
         def close(ev, oracle, raw):
-            # the projected term, and the raw term: the rotational form's grad phi
-            # is the gradient part of the convective product, not an extra term.
-            # Both oracles are dealiased, so they are zero outside the band.
+            # the projected term, and the gradient part of the raw term: the
+            # rotational form's grad phi is the gradient part of the convective
+            # product, not an extra term.  Both oracles are dealiased, so they
+            # are zero outside the band.
             band = oracle.grid.band
             assert np.max(np.abs(ev.rhs - restrict(band, oracle.coeffs))) <= (
                 1e-13 * np.max(np.abs(oracle.coeffs)))
-            assert np.max(np.abs(ev.raw - restrict(band, raw))) <= 1e-13 * np.max(np.abs(raw))
+            assert ev.gradp_sq == pytest.approx(gradient_part_sq(oracle.grid, raw), rel=1e-12)
 
         # the 2D base flow (convective form) and the full 3D flow
-        base = self.evaluate(nsbox.solver._Flow(g2, zero2), vs)
+        base = self.evaluate(vs, zero2)
         close(base, nonlinear_term(vs, vs.field), convective_raw(vs.field, vs.field))
-        close(self.evaluate(nsbox.solver._Flow(g3, zero3), u),
+        close(self.evaluate(u, zero3),
               nonlinear_term(u, u.field), convective_raw(u.field, u.field))
         # the perturbation: -(u + v_s) . grad u - (u + m) . grad v_s, the means
         # of u and v_s in the integrating factor
         lifted = FlowState(0.0, lift_2d_to_3d(vs.field, g3), np.zeros(3))
-        pert = self.evaluate(nsbox.solver._Flow(g3, zero3, zero2), u, base=base)
+        pert = self.evaluate(u, zero3, zero2, base=base)
         oracle = (nonlinear_term(u, u.field + lifted.field)
                   + nonlinear_term(lifted, u.field, advecting_mean=u.mean))
         raw = (convective_raw(u.field, u.field + lifted.field)
@@ -547,6 +556,39 @@ class TestHalfSpectrumStepping:
             assert flow._pad is pad
             assert np.any(pad != 0)
             assert np.all(pad[..., ~flow.grid.dealias_mask] == 0)
+
+    def test_one_projection_per_evaluation(self, monkeypatch):
+        # each RHS evaluation forms kd . c once, in the Leray projection, which
+        # also gives the recorded gradp_sq: one per flow and step under AB2
+        calls = []
+        k_dot = nsbox.spectral._k_dot
+
+        def spy(grid, coeffs):
+            calls.append(grid.dim)
+            return k_dot(grid, coeffs)
+
+        monkeypatch.setattr(nsbox.spectral, "_k_dot", spy)
+        rng = np.random.default_rng(45)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=8)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
+        vs = random_state(g2, rng, [0.1, 0.0])
+        u = random_state(g3, rng, [0.0, 0.2, 0.0], 0.1)
+        zero2, zero3 = ZeroForcing(g2, 2), ZeroForcing(g3, 3)
+        counts = []
+        for steps in (5, 10):
+            calls.clear()
+            pert = evolve_pair(vs, zero2, u, zero3,
+                               SolverConfig(nu=0.5, dt=1e-2, t_end=steps * 1e-2))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 5 * 2
+        # the recorded gradient part, against the raw terms of the initial states
+        lifted = lift_2d_to_3d(vs.field, g3)
+        raw2 = convective_raw(vs.field, vs.field)
+        raw3 = (convective_raw(u.field, u.field + lifted)
+                + convective_raw(lifted, u.field, u.mean))
+        assert pert.base.series["gradp_sq"][0] == pytest.approx(gradient_part_sq(g2, raw2),
+                                                                rel=1e-12)
+        assert pert.series["gradp_sq"][0] == pytest.approx(gradient_part_sq(g3, raw3), rel=1e-12)
 
     @staticmethod
     def count_transforms(monkeypatch, run):

@@ -16,8 +16,6 @@ from nsbox.spectral import (
     derivative_coeffs,
     extend,
     grad_l3_norm,
-    grad_samples,
-    gradient_part_normsq,
     inner_product,
     integrating_factor,
     leray_project_coeffs,
@@ -184,7 +182,7 @@ class TestKernel:
         for a in range(dim):
             assert np.all(np.take(noise.coeffs, g.N // 2, axis=a + 1) != 0)
         for u in (noise.dealias(), noise):
-            grads = grad_samples(g, u.coeffs)
+            grads = to_samples(g, derivative_coeffs(g, u.coeffs))
             assert grads.shape == (dim, dim) + g.shape
             for a in range(dim):
                 e_a = tuple(int(j == a) for j in range(dim))
@@ -204,12 +202,12 @@ class TestKernel:
         g = PeriodicGrid(L=TWO_PI, dim=dim, N=8)
         samples = np.random.default_rng(dim).standard_normal((5, dim) + g.shape)
         coeffs = to_coeffs(g, samples)
-        phys, grads = to_samples(g, coeffs), grad_samples(g, coeffs)
+        phys, grads = to_samples(g, coeffs), to_samples(g, derivative_coeffs(g, coeffs))
         assert grads.shape == (dim, 5, dim) + g.shape
         for b in range(5):
             assert np.array_equal(coeffs[b], to_coeffs(g, samples[b]))
             assert np.array_equal(phys[b], to_samples(g, coeffs[b]))
-            assert np.array_equal(grads[:, b], grad_samples(g, coeffs[b]))
+            assert np.array_equal(grads[:, b], to_samples(g, derivative_coeffs(g, coeffs[b])))
 
     def test_zero_mode0_in_place(self):
         g = PeriodicGrid(L=TWO_PI, dim=2, N=8)
@@ -250,9 +248,9 @@ class TestKernel:
         kdsq = np.sum(kd**2, axis=0)
         inv = np.divide(1.0, kdsq, out=np.zeros_like(kdsq), where=kdsq > 0)
         kdotu = np.sum(kd * fu, axis=0)
-        assert gradient_part_normsq(g, cu) == pytest.approx(
+        projected, gradp_sq = leray_project_coeffs(g, cu)
+        assert gradp_sq == pytest.approx(
             g.volume * np.sum(np.abs(kdotu) ** 2 * inv), rel=1e-13)
-        projected = leray_project_coeffs(g, cu)
         assert np.allclose(projected, (fu - kd * kdotu * inv)[..., :n], rtol=0, atol=1e-15)
         shift = np.array([0.2, -0.7, 1.1][:dim])
         lam = np.exp(-0.3 * ksq - 1j * np.sum(k * shift.reshape((dim,) + (1,) * dim), axis=0))
@@ -264,7 +262,7 @@ class TestKernel:
         g = PeriodicGrid(L=TWO_PI, dim=2, N=16)
         x1, _ = g.coords()
         u = SpectralField.from_physical(g, np.stack([np.sin(x1), np.cos(x1)]) * np.ones(g.shape))
-        assert grad_l3_norm(g, grad_samples(g, u.coeffs)) == pytest.approx(
+        assert grad_l3_norm(g, to_samples(g, derivative_coeffs(g, u.coeffs))) == pytest.approx(
             TWO_PI ** (2 / 3), rel=1e-12)
 
 
@@ -314,8 +312,8 @@ class TestBandLayout:
         if dim == 3:
             got = curl_coeffs(b, box, out=np.empty_like(box))
             assert np.array_equal(got, restrict(b, curl_coeffs(g, c, out=np.empty_like(c))))
-        assert np.array_equal(leray_project_coeffs(b, box),
-                              restrict(b, leray_project_coeffs(g, c)))
+        assert np.array_equal(leray_project_coeffs(b, box)[0],
+                              restrict(b, leray_project_coeffs(g, c)[0]))
         shift = np.array([0.2, -0.7, 1.1][:dim])
         assert np.array_equal(integrating_factor(b, np.exp(-0.3 * b.ksq), shift),
                               restrict(b, integrating_factor(g, np.exp(-0.3 * g.ksq), shift)))
@@ -333,8 +331,8 @@ class TestBandLayout:
         assert np.allclose(weighted_norm_sq(b, cb, wb), weighted_norm_sq(g, cm, wg),
                            rtol=1e-15, atol=0)
         assert inner_product(b, cb, db) == pytest.approx(inner_product(g, cm, dm), rel=1e-15)
-        assert gradient_part_normsq(b, cb) == pytest.approx(gradient_part_normsq(g, cm),
-                                                            rel=1e-15)
+        assert leray_project_coeffs(b, cb)[1] == pytest.approx(leray_project_coeffs(g, cm)[1],
+                                                               rel=1e-15)
 
 
 class TestLerayProjection:
