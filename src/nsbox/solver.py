@@ -9,12 +9,11 @@ ODE d/dt mean = (1/|box|) int f dx.
 
 Layout: the 2/3 rule keeps only the modes with |m_a| < N/3 on every axis,
 so every array of a step (state, stage terms, integrating factors, Parseval
-weights) lives on that box, the grid's `band`.  The half (rfftn) spectrum
-appears only inside the transforms: an inverse scatters the box into a
-half-spectrum stack that each flow owns and that stays zero outside the
-box, and a forward transform keeps only the box of its output, which is the
-dealiasing.  A stored state is the box scattered back into the half spectrum,
-made only at the sample steps.
+weights) lives on that box, the grid's `band`.  The band transforms run
+their passes over only the lines that hold a box mode, into sample and
+coefficient buffers that each flow owns; keeping only the box of a forward
+transform is the dealiasing.  A stored state is the box scattered into the
+half spectrum, made only at the sample steps.
 
 Scheme: per-mode integrating factor exp(-nu |k|^2 dt - i k . int mean dt)
 treats viscosity *and* advection by the spatial mean exactly (the latter is
@@ -23,29 +22,35 @@ mean grows, e.g. under a constant mean force).  The remaining nonlinearity
 (advection by the mean-free velocity) and mean-free forcing are explicit:
 Adams-Bashforth 2 with a Runge-Kutta 3 startup step, or RK3 throughout.
 
-Nonlinear term: each RHS evaluation is one stacked inverse and one stacked
-forward transform.  The 2D flow takes the convective form (w . grad) u, from
-its velocity and gradients, which the perturbation's coupling and the
-recorder's `gradv_l3` read.  A 3D flow takes the rotational form:
-    (u + v_s) . grad u + (u + m) . grad v_s
-      = omega x (u + v_s) + omega_s e3 x u + m . grad v_s + grad phi,
-with omega = curl u, omega_s e3 = curl v_s, phi = |u|^2/2 + u . v_s and
-m the perturbation's mean (v_s = 0 for a single flow).  That is 6 inverse
-components (u, omega) and 4 forward (the vector and phi).  The Leray
-projection removes grad phi and returns the norm of all it removes,
-`gradp_sq`: the gradient part of the same term as in the convective form.
-Both forms agree to roundoff because the 2/3 rule makes dealiased quadratic
-products exact truncations of their convolutions.
+Nonlinear term: each RHS evaluation is one inverse and one forward band
+transform.  The 2D flow takes the convective form (w . grad) u, from its
+velocity and gradients (6 inverse components, 2 forward), which the
+perturbation's coupling and the recorder's `gradv_l3` read.  A 3D flow takes
+the divergence form:
+    (u + v_s) . grad u + (u + m) . grad v_s = div T + m . grad v_s,
+    T_ij = u_i w_j + v_s,i u_j,  w = u + v_s,
+with m the perturbation's mean (v_s = 0 for a single flow).  T is symmetric,
+so that is 3 inverse components (u) and 6 forward (its upper triangle), and
+the term is i k_j T_ij per mode.  m . grad v_s does not depend on x3: it is
+formed from the base flow's band gradient coefficients and added on the
+k3 = 0 plane.  Every product has a factor of u, so a zero perturbation stays
+exactly zero.  Both forms agree to roundoff with the convective product
+because the fields are solenoidal and the 2/3 rule makes dealiased quadratic
+products exact truncations of their convolutions.  The Leray projection
+returns the norm of what it removes, `gradp_sq`, the gradient part of the
+convective term.
 
 One driver steps every flow: a single flow alone, or the base flow and the
 perturbation in lockstep.  Each RHS evaluation returns a record (explicit
-term, gradp_sq, speed, the 2D flow's velocity and gradients, mean, forcing);
-the perturbation's RHS takes the base's record as an argument, so the base's
-velocity and gradients are transformed once per stage and shared with the
-perturbation and the recorder.  A step runs stage by stage (t, and under
-RK3 also t + dt/2 and t + dt), and at each stage the perturbation reads the
-base's record of that stage.  Records are dropped once read: a flow keeps
-only the explicit terms of the current step.
+term, gradp_sq, speed, the 2D flow's velocity and gradients as samples and
+gradient coefficients, mean, forcing); the perturbation's RHS takes the
+base's record as an argument, so the base's velocity and gradients are
+transformed once per stage and shared with the perturbation and the
+recorder.  A step runs stage by stage (t, and under RK3 also t + dt/2 and
+t + dt), and at each stage the perturbation reads the base's record of that
+stage.  Records are dropped once read (their samples are the flow's buffers,
+which its next evaluation overwrites): a flow keeps only the explicit terms
+of the current step.
 
 A driver stores the state of every flow at t = 0, at t_end and at each of
 its sample times, which must be step times; the per-step series are dense.
@@ -66,8 +71,9 @@ from nsbox.forcing import Forcing
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
-    curl_coeffs,
+    add_lifted,
     derivative_coeffs,
+    divergence_coeffs,
     extend,
     grad_l3_norm,
     inner_product,
@@ -198,6 +204,7 @@ class _Eval(NamedTuple):
                        # explicit term advects with (means go in the integrating factor)
     phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
     grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
+    dcoeffs: np.ndarray | None  # 2D: (dim, C, band) coefficients of those gradients
     mean: np.ndarray   # the spatial mean the evaluation used
     fbar: np.ndarray | None  # the band part of the mean-free forcing the evaluation used
 
@@ -226,7 +233,7 @@ class _Flow:
     with u = ubar + mean_u and v_s the base flow (zero for a single flow);
     advection of ubar by mean_u + mean_vs goes into the integrating factor.
     A 2D flow evaluates the product in convective form, a 3D flow in
-    rotational form (module docstring).
+    divergence form (module docstring).
 
     A step from t is `evaluate` at the current state, `start`, two calls of
     `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`; the flow
@@ -247,39 +254,40 @@ class _Flow:
         # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
         self._visc_half = np.exp(-cfg.nu * band.ksq * (cfg.dt / 2.0))
         self._visc_full = np.exp(-cfg.nu * band.ksq * cfg.dt)
-        # preallocated transform stacks: in 2D, u and grad u in and (u . grad) u
-        # out; in 3D, u and curl u in and the rotational vector and phi out.  The
-        # inverse's half-spectrum stack is zeroed once: each inverse writes its box.
-        stack, products = ((3, 2), 2) if grid.dim == 2 else ((6,), 4)
-        self._pad = np.zeros(stack + grid.coeff_shape, dtype=np.complex128)
-        self._products = np.empty((products,) + grid.shape)
+        # the transform buffers, which each evaluation overwrites: in 2D, the
+        # samples of u and grad u in and of (u . grad) u out; in 3D, the samples
+        # of u in and of the flux T (upper triangle) out, with u + v_s beside them
+        ins, outs = ((3, 2), 2) if grid.dim == 2 else ((3,), 6)
+        self._samples = np.empty(ins + grid.shape)
+        self._products = np.empty((outs,) + grid.shape)
+        self._hat = np.empty((outs,) + band.coeff_shape, dtype=np.complex128)
+        perturbation = grid.dim == 3 and base_forcing is not None
+        self._w = np.empty((2,) + grid.shape) if perturbation else None
         # the band part of the forcing profile: the only part that reaches the state
         profile = forcing.profile
         self._profile = None if profile is None else restrict(band, profile.coeffs)
 
     def rhs(self, coeffs, mean, t, base=None):
         """The evaluation at the band coefficients `coeffs`; `base` is the base
-        flow's evaluation at the same stage, or None for a single flow; its
-        x3-independent fields enter the 3D products as broadcast views."""
+        flow's evaluation at the same stage, or None for a single flow."""
         band, prods = self.band, self._products
-        stack = np.empty(self._pad.shape[: -band.dim] + band.coeff_shape, dtype=np.complex128)
+        phys = grads = dcoeffs = None
         if band.dim == 2:
+            stack = np.empty((3, 2) + band.coeff_shape, dtype=np.complex128)
             stack[0] = coeffs
-            derivative_coeffs(band, coeffs, out=stack[1:])
-            samples = to_samples(band, stack, self._pad)
+            dcoeffs = derivative_coeffs(band, coeffs, out=stack[1:])
+            samples = to_samples(band, stack, self._samples)
             phys = w = samples[0]
             grads = samples[1:]
             np.multiply(w[0], grads[0], out=prods)
             prods += w[1] * grads[1]
-            raw = to_coeffs(band, prods)
+            raw = to_coeffs(band, prods, self._hat)
         else:
-            stack[:3] = coeffs
-            curl_coeffs(band, coeffs, out=stack[3:])
-            w = self._rotational(to_samples(band, stack, self._pad), mean, base)
-            phys = grads = None
-            hat = to_coeffs(band, prods)
-            raw = derivative_coeffs(band, hat[3])
-            raw += hat[:3]
+            w = self._flux(to_samples(band, coeffs, self._samples), base)
+            raw = divergence_coeffs(band, to_coeffs(band, prods, self._hat))
+            if base is not None:
+                # m . grad v_s is x3-independent: it lives on the k3 = 0 plane
+                add_lifted(raw[:2], mean[0] * base.dcoeffs[0] + mean[1] * base.dcoeffs[1])
         np.negative(raw, out=raw)
         speedsq = np.square(w[0])
         for a in range(1, band.dim):
@@ -290,36 +298,33 @@ class _Flow:
             raw += fbar
         rhs, gradp_sq = leray_project_coeffs(band, raw)
         return _Eval(zero_mode0(rhs), gradp_sq, float(np.sqrt(np.max(speedsq))), phys, grads,
-                     mean, fbar)
+                     dcoeffs, mean, fbar)
 
-    def _rotational(self, samples, mean, base):
-        """Fill the product stack with the samples of
-        omega x (u + v_s) + omega_s e3 x u + m . grad v_s and of
-        phi = |u|^2/2 + u . v_s from the (6, grid) samples of u and omega;
-        returns the advecting velocity u + v_s."""
-        u, om, prods = samples[:3], samples[3:], self._products
-        w = u
-        if base is not None:
-            w = u.copy()
-            w[:2] += base.phys[..., None]
-        for a in range(3):
-            b, c = (a + 1) % 3, (a + 2) % 3
-            np.multiply(om[b], w[c], out=prods[a])
-            prods[a] -= om[c] * w[b]
-        phi = np.multiply(u[0], u[0], out=prods[3])
-        phi += u[1] * u[1]
-        phi += u[2] * u[2]
-        phi *= 0.5
-        if base is not None:
-            vs, g = base.phys[..., None], base.grads[..., None]  # g[a][c] = d_a v_s,c
-            om_s = g[0][1] - g[1][0]
-            prods[0] -= om_s * u[1]
-            prods[0] += mean[0] * g[0][0] + mean[1] * g[1][0]
-            prods[1] += om_s * u[0]
-            prods[1] += mean[0] * g[0][1] + mean[1] * g[1][1]
-            phi += u[0] * vs[0]
-            phi += u[1] * vs[1]
-        return w
+    def _flux(self, u, base):
+        """Fill the product stack with the samples of the flux
+        T_ij = u_i w_j + v_s,i u_j, w = u + v_s, row by row over its upper
+        triangle, from the (3, grid) samples `u`; returns w.  Each product has
+        a factor of u, so a zero perturbation has a zero flux."""
+        T = self._products
+        if base is None:
+            for n, (i, j) in enumerate((i, j) for i in range(3) for j in range(i, 3)):
+                np.multiply(u[i], u[j], out=T[n])
+            return u
+        vs = base.phys[..., None]
+        w = self._w
+        np.add(u[0], vs[0], out=w[0])
+        np.add(u[1], vs[1], out=w[1])
+        np.add(w[0], vs[0], out=T[0])
+        T[0] *= u[0]                                  # u_0 w_0 + v_s,0 u_0
+        np.multiply(vs[0], u[1], out=T[5])
+        np.multiply(u[0], w[1], out=T[1])
+        T[1] += T[5]                                  # u_0 w_1 + v_s,0 u_1
+        np.multiply(w[0], u[2], out=T[2])             # u_0 w_2 + v_s,0 u_2, w_2 = u_2
+        np.add(w[1], vs[1], out=T[3])
+        T[3] *= u[1]                                  # u_1 w_1 + v_s,1 u_1
+        np.multiply(w[1], u[2], out=T[4])             # u_1 w_2 + v_s,1 u_2
+        np.multiply(u[2], u[2], out=T[5])             # v_s,2 = 0
+        return (w[0], w[1], u[2])
 
     def evaluate(self, t, base=None):
         """The RHS at the current state at time t; the first stage of a step."""

@@ -23,13 +23,17 @@ Its `band` is a `PeriodicGrid` of the same samples over the 2/3-dealiased box
 alone, the modes with |m_a| < N/3 on every axis: the only modes a dealiased
 computation ever fills (28% of the half spectrum at N = 32).  The kernel
 functions below `SpectralField` take either grid and act on raw
-(C, coeff_shape) arrays: transforms, first-derivative and curl coefficients
-(whose samples are the physical gradients), Parseval norms and inner
-products, derivative multipliers, integrating factors, mode-0 zeroing, Leray
-projection (and the norm of what it removes), and L^p norms of pointwise
-magnitudes.  On a band the transforms go through the half spectrum: `extend`
-scatters the box into it before the inverse, `restrict` gathers the box from
-the forward transform, each as 2^(dim - 1) contiguous slice blocks.  The
+(C, coeff_shape) arrays: transforms, first-derivative coefficients (whose
+samples are the physical gradients), the divergence of a symmetric tensor,
+Parseval norms and inner products, derivative multipliers, integrating
+factors, mode-0 zeroing, Leray projection (and the norm of what it removes),
+and L^p norms of pointwise magnitudes.  On a band the transforms run the
+passes of the half-spectrum `irfftn`/`rfftn` themselves, in pocketfft's
+order, over only the lines that hold a box mode and one component at a time,
+so they never allocate more than one component and give the same bits as
+the half-spectrum transform of the box scattered by `extend` (`restrict`
+gathers it back; each moves 2^(dim - 1) contiguous slice blocks).
+`add_lifted` puts a 2D band array on the k3 = 0 plane of a 3D one.  The
 transforms, derivative coefficients, Parseval norms and L^p norms also take
 stacks with leading batch axes.  The field methods, the solver and the
 constants calibration are built on them.
@@ -51,7 +55,8 @@ __all__ = [
     "restrict",
     "extend",
     "derivative_coeffs",
-    "curl_coeffs",
+    "divergence_coeffs",
+    "add_lifted",
     "weighted_norm_sq",
     "inner_product",
     "derivative_multiplier",
@@ -115,8 +120,8 @@ class PeriodicGrid:
         each axis in FFT order (0, ..., K, -K, ..., -1).  It has no Nyquist
         plane, so its `kd` is `k`, its dealias mask is all true and its `herm`
         is 1 at m_last = 0 and 2 elsewhere.  Every kernel function takes it;
-        `to_samples` and `to_coeffs` go through the half spectrum of the same
-        samples, by `extend` and `restrict`."""
+        `to_samples` and `to_coeffs` run the passes of a half-spectrum
+        transform over only the lines that hold a box mode."""
         N, K = self.N, (self.N - 1) // 3
         band = object.__new__(PeriodicGrid)
         band.L, band.dim, band.N, band.shape = self.L, self.dim, N, self.shape
@@ -126,6 +131,7 @@ class PeriodicGrid:
         half = (slice(0, K + 1), slice(N - K, N))
         box = (slice(0, K + 1), slice(K + 1, 2 * K + 1))
         last = (slice(0, K + 1),)
+        band._runs = tuple(zip(half, box))  # (half-spectrum slice, box slice) of each run
         band._blocks = tuple(((..., *h) + last, (..., *b) + last)
                              for h, b in zip(itertools.product(half, repeat=self.dim - 1),
                                              itertools.product(box, repeat=self.dim - 1)))
@@ -316,19 +322,68 @@ class SpectralField:
 # -- kernel: operations on raw (C, coeff_shape) arrays ------------------------
 
 
-def to_coeffs(grid: PeriodicGrid, samples) -> np.ndarray:
-    """Normalized coefficients of a raw (..., C, shape) sample array; on a band
-    grid, the box of them."""
-    coeffs = _fft.rfftn(samples, axes=grid.axes, norm="forward")
-    return coeffs if grid._blocks is None else restrict(grid, coeffs)
+def to_coeffs(grid: PeriodicGrid, samples, out=None) -> np.ndarray:
+    """Normalized coefficients of a raw (..., C, shape) sample array.
+
+    On a band grid, the box of them, written into `out` when given: the box of
+    `rfftn(samples, norm="forward")` bit for bit, by its own passes, r2c on the
+    last axis and then c2c on axes 0, ..., dim - 2 in place, each over only the
+    lines that hold a box mode, one component at a time.  As in `rfftn`,
+    1/N^dim scales the real pass's output once, through its real view: scaling
+    each pass rounds differently when 3 divides N."""
+    if grid._blocks is None:
+        return _fft.rfftn(samples, axes=grid.axes, norm="forward")
+    dim = grid.dim
+    if out is None:
+        out = np.empty(samples.shape[:-dim] + grid.coeff_shape, dtype=np.complex128)
+    scale = 1.0 / grid.N**dim
+    for idx in np.ndindex(samples.shape[:-dim]):
+        c = _fft.rfft(samples[idx], axis=-1)
+        real = c.view(np.float64)
+        real *= scale
+        c = c[..., : grid.coeff_shape[-1]]
+        for a in range(dim - 1):
+            _fft.fft(c, axis=a, overwrite_x=True)  # in place, as in `to_samples`
+            # gather the box's lines of axis a, which the next pass transforms
+            lines = out[idx] if a == dim - 2 else np.empty(
+                c.shape[:a] + (grid.coeff_shape[a],) + c.shape[a + 1 :], dtype=np.complex128)
+            at = (slice(None),) * a
+            for half, box in grid._runs:
+                lines[at + (box,)] = c[at + (half,)]
+            c = lines
+    return out
 
 
-def to_samples(grid: PeriodicGrid, coeffs, pad=None) -> np.ndarray:
-    """Grid samples of a raw (..., C, coeff_shape) coefficient array.  On a
-    band grid the box is first scattered into `pad` by `extend`."""
-    if grid._blocks is not None:
-        coeffs = extend(grid, coeffs, pad)
-    return _fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+def to_samples(grid: PeriodicGrid, coeffs, out=None) -> np.ndarray:
+    """Grid samples of a raw (..., C, coeff_shape) coefficient array.
+
+    On a band grid, written into `out` when given: `irfftn` of the box
+    scattered into the half spectrum bit for bit, by its own passes, inverse
+    c2c on axes 0, ..., dim - 2 and then c2r on the last axis, each over only
+    the lines that hold a box mode, one component at a time.  Each c2c pass
+    scatters its axis into a zeroed buffer of at most one component and
+    transforms it in place (scipy writes the transform of a complex input over
+    it under overwrite_x); no pass scales (norm="forward")."""
+    if grid._blocks is None:
+        return _fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+    N, dim = grid.N, grid.dim
+    if out is None:
+        out = np.empty(coeffs.shape[:-dim] + grid.shape)
+    last = slice(0, grid.coeff_shape[-1])
+    for idx in np.ndindex(coeffs.shape[:-dim]):
+        c = coeffs[idx]
+        for a in range(dim - 1):
+            # the last c2c pass writes the half-spectrum planes the c2r pass reads
+            width = N // 2 + 1 if a == dim - 2 else c.shape[-1]
+            line = np.zeros(c.shape[:a] + (N,) + c.shape[a + 1 : -1] + (width,),
+                            dtype=np.complex128)
+            at = (slice(None),) * a
+            for half, box in grid._runs:
+                line[at + (half, ..., last)] = c[at + (box,)]
+            _fft.ifft(line[..., last], axis=a, norm="forward", overwrite_x=True)
+            c = line
+        out[idx] = _fft.irfft(c, n=N, axis=-1, norm="forward")
+    return out
 
 
 def restrict(band: PeriodicGrid, coeffs) -> np.ndarray:
@@ -340,12 +395,10 @@ def restrict(band: PeriodicGrid, coeffs) -> np.ndarray:
     return out
 
 
-def extend(band: PeriodicGrid, coeffs, out=None) -> np.ndarray:
-    """A raw (..., band.coeff_shape) array scattered into the half spectrum:
-    into `out`, which must be zero outside the box (only the box is written),
-    or into a new zero array."""
-    if out is None:
-        out = np.zeros(coeffs.shape[: -band.dim] + band._half_shape, dtype=np.complex128)
+def extend(band: PeriodicGrid, coeffs) -> np.ndarray:
+    """A raw (..., band.coeff_shape) array scattered into a new half-spectrum
+    array, zero outside the box."""
+    out = np.zeros(coeffs.shape[: -band.dim] + band._half_shape, dtype=np.complex128)
     for half, box in band._blocks:
         out[half] = coeffs[box]
     return out
@@ -359,14 +412,32 @@ def derivative_coeffs(grid: PeriodicGrid, coeffs, out=None) -> np.ndarray:
     return np.multiply(ik, coeffs, out=out)
 
 
-def curl_coeffs(grid: PeriodicGrid, coeffs, out) -> np.ndarray:
-    """(3, coeff_shape) coefficients of the curl i kd x c of a raw
-    (3, coeff_shape) array, written into `out`."""
-    ik = grid.ik
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        np.multiply(ik[b], coeffs[c], out=out[a])
-        out[a] -= ik[c] * coeffs[b]
+def divergence_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
+    """(dim, coeff_shape) coefficients of the divergence sum_j d_j T_ij,
+    i kd_j T_ij, of a symmetric tensor T from the raw (dim (dim + 1) / 2,
+    coeff_shape) coefficients of its upper triangle, row by row (T_00, T_01,
+    ..., T_11, ...)."""
+    dim = grid.dim
+    upper = {}
+    for n, (i, j) in enumerate((i, j) for i in range(dim) for j in range(i, dim)):
+        upper[i, j] = upper[j, i] = n
+    out = np.empty((dim,) + grid.coeff_shape, dtype=np.complex128)
+    for i in range(dim):
+        np.multiply(grid.ik[0], coeffs[upper[i, 0]], out=out[i])
+        for j in range(1, dim):
+            out[i] += grid.ik[j] * coeffs[upper[i, j]]
+    return out
+
+
+def add_lifted(out, coeffs2) -> np.ndarray:
+    """Add the x3-independent field of a raw (..., 2D band) array onto its k3 = 0
+    plane in a raw (..., 3D band) array `out` of the same N, in place: the
+    stored modes m2 >= 0, then their conjugate mirror
+    c(m1, -m2) = conj(c(-m1, m2)) at m2 < 0."""
+    n = coeffs2.shape[-1]
+    out[..., :n, 0] += coeffs2
+    mirror = np.roll(np.flip(coeffs2[..., n - 1 : 0 : -1], axis=-2), 1, axis=-2)
+    out[..., n:, 0] += np.conj(mirror)
     return out
 
 

@@ -8,12 +8,17 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nsbox.spectral
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
-    curl_coeffs,
+    add_lifted,
     derivative_coeffs,
+    divergence_coeffs,
     extend,
     grad_l3_norm,
     inner_product,
@@ -296,12 +301,8 @@ class TestBandLayout:
         assert np.array_equal(restrict(b, extend(b, box)), box)
         samples = to_samples(g, c)
         assert np.array_equal(to_coeffs(b, samples), restrict(b, to_coeffs(g, samples)))
-        # the inverse: bit for bit, into a fresh pad or a zeroed one passed in
-        masked = to_samples(g, c * g.dealias_mask)
-        assert np.array_equal(to_samples(b, box), masked)
-        pad = np.zeros(c.shape, dtype=complex)
-        assert np.array_equal(to_samples(b, box, pad), masked)
-        assert np.all(pad[:, ~g.dealias_mask] == 0)
+        # the inverse: bit for bit
+        assert np.array_equal(to_samples(b, box), to_samples(g, c * g.dealias_mask))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("N", [8, 12, 16, 32])
@@ -309,9 +310,9 @@ class TestBandLayout:
         g, b, c, _ = self.setup(dim, N)
         box = restrict(b, c)
         assert np.array_equal(derivative_coeffs(b, box), restrict(b, derivative_coeffs(g, c)))
-        if dim == 3:
-            got = curl_coeffs(b, box, out=np.empty_like(box))
-            assert np.array_equal(got, restrict(b, curl_coeffs(g, c, out=np.empty_like(c))))
+        flux = np.concatenate([c, c[: dim * (dim + 1) // 2 - dim]])  # an upper triangle
+        assert np.array_equal(divergence_coeffs(b, restrict(b, flux)),
+                              restrict(b, divergence_coeffs(g, flux)))
         assert np.array_equal(leray_project_coeffs(b, box)[0],
                               restrict(b, leray_project_coeffs(g, c)[0]))
         shift = np.array([0.2, -0.7, 1.1][:dim])
@@ -531,6 +532,45 @@ class TestDealias:
             assert np.max(np.abs(prod.coeffs[0] - conv[:, :n])) < 1e-13, N
 
 
+class TestBandTransforms:
+    """On a band grid, `to_samples` and `to_coeffs` run the passes of the
+    half-spectrum `irfftn` and `rfftn` themselves, over only the lines that hold
+    a box mode: the same samples and coefficients bit for bit, from one-axis
+    scipy.fft calls, with their input left as it was."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 3]), N=st.integers(2, 32).map(lambda n: 2 * n),
+           lead=st.sampled_from([(1,), (4,), (6,), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+    @example(dim=3, N=12, lead=(6,), seed=0)  # 3 divides N: the scaling must match
+    @example(dim=2, N=24, lead=(3, 2), seed=1)
+    @example(dim=3, N=4, lead=(1,), seed=2)
+    def test_bit_identical_to_the_half_spectrum(self, dim, N, lead, seed):
+        g = PeriodicGrid(L=TWO_PI, dim=dim, N=N)
+        b = g.band
+        rng = np.random.default_rng(seed)
+        box = rng.standard_normal(lead + b.coeff_shape) + 1j * rng.standard_normal(
+            lead + b.coeff_shape)
+        samples = rng.standard_normal(lead + g.shape)
+        box0, samples0 = box.copy(), samples.copy()
+        calls = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                calls.add(name)
+                return getattr(scipy.fft, name)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(nsbox.spectral, "_fft", Recording())
+            got_samples = to_samples(b, box)
+            got_box = to_coeffs(b, samples, out=np.empty(lead + b.coeff_shape, dtype=complex))
+        assert calls == {"fft", "ifft", "rfft", "irfft"}
+        assert np.array_equal(got_samples, scipy.fft.irfftn(extend(b, box), s=g.shape,
+                                                            axes=g.axes, norm="forward"))
+        assert np.array_equal(got_box, restrict(b, scipy.fft.rfftn(samples, axes=g.axes,
+                                                                   norm="forward")))
+        assert np.array_equal(box, box0) and np.array_equal(samples, samples0)
+
+
 class TestLift:
     def test_zero(self):
         g2 = PeriodicGrid(L=1.0, dim=2, N=8)
@@ -571,6 +611,18 @@ class TestLift:
         g3 = PeriodicGrid(L=2.0, dim=3, N=8)
         with pytest.raises(ValueError):
             lift_2d_to_3d(SpectralField.zeros(g2, 2), g3)
+
+    @pytest.mark.parametrize("N", [8, 12, 16])
+    def test_band_lift_is_the_lift(self, N):
+        # on the bands, `add_lifted` puts a 2D field on the k3 = 0 plane exactly
+        # as `lift_2d_to_3d` does on the half spectra, and adds to what is there
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=N)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=N)
+        u2 = random_field(g2, 2, np.random.default_rng(N), mean_free=False)
+        lifted = restrict(g3.band, lift_2d_to_3d(u2, g3).coeffs[:2])
+        box = np.zeros((2,) + g3.band.coeff_shape, dtype=complex)
+        assert np.array_equal(add_lifted(box, restrict(g2.band, u2.coeffs)), lifted)
+        assert np.array_equal(add_lifted(box, restrict(g2.band, u2.coeffs)), 2.0 * lifted)
 
 
 class TestStructuralProperties:
@@ -656,7 +708,7 @@ def test_layout_stays_in_spectral():
     import nsbox
 
     layout = re.compile(r"scipy\.fft|from scipy import fft|(?:np|numpy)\.fft|\.k1d\b|\.k\[|"
-                        r"\.modes\b")
+                        r"\.modes\b|\.i?kd?\b|\._blocks\b|\._runs\b|\._half_shape\b")
     leaks = [f"{path.name}: {m.group()}"
              for path in sorted(pathlib.Path(nsbox.__file__).parent.glob("*.py"))
              if path.name != "spectral.py"
