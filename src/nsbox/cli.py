@@ -142,7 +142,7 @@ SCHEMAS = {
         },
         "perturbation": {"gamma": _positive, "k0": _positive, "band": _numbers,
                          "seed": _is_int, "mean": _numbers},
-        "scenarios": lambda v: isinstance(v, list),  # scenario dicts for sweeps
+        "scenarios": lambda v: isinstance(v, list) and len(v) > 0,  # scenario dicts for sweeps
     },
     "report": {"path": lambda v: isinstance(v, str)},
 }
@@ -425,6 +425,10 @@ def cmd_stability(cfg: dict, outdir: str, seed, svg: bool, jobs: int) -> int:
     to `outdir`, a `scenarios` list one scenario per entry under scenario_NNN/.
     All are validated and built before any of them runs."""
     if "scenarios" in cfg:
+        beside = sorted(set(cfg) - {"scenarios"})
+        if beside:
+            raise ConfigError(f"keys {beside} beside 'scenarios' would be ignored: "
+                              "give them in each entry of 'scenarios'")
         schema = {k: v for k, v in SCHEMAS["stability"].items() if k != "scenarios"}
         for sub in cfg["scenarios"]:
             validate_config(sub, schema)
@@ -458,19 +462,27 @@ def cmd_report(cfg: dict, outdir: str) -> int:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"report {path} is not a JSON object")
-    cert = doc.get("certificate", doc)
+
+    def section(src, key):  # a missing or null section is empty
+        sec = src.get(key) or {}
+        if not isinstance(sec, dict):
+            raise ConfigError(f"cannot read report {path}: {key} is not an object")
+        return sec
+
+    cert = section(doc, "certificate") if "certificate" in doc else doc
     print(f"report: {path}")
     for key, src in (("schema", doc), ("gamma_hypothesis", cert), ("barrier_hypotheses_ok", cert),
                      ("barrier_hypotheses_evaluated", cert), ("aborted", doc)):
         if key in src:
             print(f"  {key}: {src[key]}")
-    if "barrier" in doc and doc["barrier"]:
-        for k, v in doc["barrier"].items():
-            print(f"  barrier.{k}: {v}")
+    for k, v in section(doc, "barrier").items():
+        print(f"  barrier.{k}: {v}")
     # every verdict record (a dict with an `ok`) and every bare verdict
-    for prefix, section in (("check", doc.get("checks")), ("smallness", cert.get("smallness"))):
-        for k, rec in section.items() if isinstance(section, dict) else ():
+    for prefix, src, key in (("check", doc, "checks"), ("smallness", cert, "smallness")):
+        for k, rec in section(src, key).items():
             if isinstance(rec, dict) and "ok" in rec:
+                if "bound" not in rec:
+                    raise ConfigError(f"cannot read report {path}: {prefix}.{k} has no bound")
                 print(f"  {prefix}.{k}: ok={rec['ok']} bound={rec['bound']}")
             elif isinstance(rec, bool):
                 print(f"  {prefix}.{k}: {rec}")

@@ -136,6 +136,8 @@ class Scenario:
         if self.T <= 0 or self.dt <= 0:
             raise ValueError("T and dt must be positive")
         steps = self.T / self.dt
+        if not math.isfinite(steps):
+            raise ValueError("T / dt must be a finite number of steps")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide the window length")
 

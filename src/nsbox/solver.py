@@ -23,34 +23,30 @@ mean grows, e.g. under a constant mean force).  The remaining nonlinearity
 Adams-Bashforth 2 with a Runge-Kutta 3 startup step, or RK3 throughout.
 
 Nonlinear term: each RHS evaluation is one inverse and one forward band
-transform.  The 2D flow takes the convective form (w . grad) u, from its
-velocity and gradients (6 inverse components, 2 forward), which the
-perturbation's coupling and the recorder's `gradv_l3` read.  A 3D flow takes
-the divergence form:
+transform, in the divergence form for every flow:
     (u + v_s) . grad u + (u + m) . grad v_s = div T + m . grad v_s,
     T_ij = u_i w_j + v_s,i u_j,  w = u + v_s,
 with m the perturbation's mean (v_s = 0 for a single flow).  T is symmetric,
-so that is 3 inverse components (u) and 6 forward (its upper triangle), and
-the term is i k_j T_ij per mode.  m . grad v_s does not depend on x3: it is
-formed from the base flow's band gradient coefficients and added on the
-k3 = 0 plane.  Every product has a factor of u, so a zero perturbation stays
-exactly zero.  Both forms agree to roundoff with the convective product
-because the fields are solenoidal and the 2/3 rule makes dealiased quadratic
-products exact truncations of their convolutions.  The Leray projection
-returns the norm of what it removes, `gradp_sq`, the gradient part of the
-convective term.
+so that is dim inverse components (u) and dim (dim + 1) / 2 forward (its
+upper triangle), and the term is i k_j T_ij per mode.  m . grad v_s does not
+depend on x3: it is formed from the base flow's band gradient coefficients
+and added on the k3 = 0 plane.  Every product has a factor of u, so a zero
+perturbation stays exactly zero.  The divergence form agrees to roundoff with
+the convective product because the fields are solenoidal and the 2/3 rule
+makes dealiased quadratic products exact truncations of their convolutions.
+The Leray projection returns the norm of what it removes, `gradp_sq`, the
+gradient part of the convective term.
 
 One driver steps every flow: a single flow alone, or the base flow and the
 perturbation in lockstep.  Each RHS evaluation returns a record (explicit
-term, gradp_sq, speed, the 2D flow's velocity and gradients as samples and
-gradient coefficients, mean, forcing); the perturbation's RHS takes the
-base's record as an argument, so the base's velocity and gradients are
-transformed once per stage and shared with the perturbation and the
-recorder.  A step runs stage by stage (t, and under RK3 also t + dt/2 and
-t + dt), and at each stage the perturbation reads the base's record of that
-stage.  Records are dropped once read (their samples are the flow's buffers,
-which its next evaluation overwrites): a flow keeps only the explicit terms
-of the current step.
+term, gradp_sq, the samples of the advecting velocity, a 2D flow's gradient
+coefficients, mean, forcing); the perturbation's RHS takes the base's record
+of the same stage as an argument.  A step runs stage by stage (t, and under
+RK3 also t + dt/2 and t + dt).  Records are dropped once read (their samples
+are the flow's buffers, which its next evaluation overwrites): a flow keeps
+only the explicit terms of the current step.  Once per step the recorder
+forms the speed, which the CFL check reads, from the first stage's samples,
+and a 2D flow's `gradv_l3` by its own transform of the gradient coefficients.
 
 A driver stores the state of every flow at t = 0, at t_end and at each of
 its sample times, which must be step times; the per-step series are dense.
@@ -139,6 +135,8 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt must be a finite number of steps")
         self.scheme = self.scheme.lower()
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
@@ -200,11 +198,9 @@ class _Eval(NamedTuple):
 
     rhs: np.ndarray    # explicit term on the band: Leray-projected, mode 0 zeroed
     gradp_sq: float    # squared L2 norm of the gradient part the projection removed
-    speed: float       # max speed of the mean-free advecting velocity, which the
-                       # explicit term advects with (means go in the integrating factor)
-    phys: np.ndarray | None   # 2D: grid samples of the mean-free velocity
-    grads: np.ndarray | None  # 2D: (dim, C, grid) physical gradients of it
-    dcoeffs: np.ndarray | None  # 2D: (dim, C, band) coefficients of those gradients
+    phys: np.ndarray | tuple  # grid samples of the mean-free advecting velocity w,
+                              # one per component (means go in the integrating factor)
+    dcoeffs: np.ndarray | None  # 2D: (dim, C, band) gradient coefficients of the state
     mean: np.ndarray   # the spatial mean the evaluation used
     fbar: np.ndarray | None  # the band part of the mean-free forcing the evaluation used
 
@@ -232,8 +228,7 @@ class _Flow:
     d/dt ubar = -( (u + v_s) . grad ) ubar - ( u . grad ) vbar_s + fbar
     with u = ubar + mean_u and v_s the base flow (zero for a single flow);
     advection of ubar by mean_u + mean_vs goes into the integrating factor.
-    A 2D flow evaluates the product in convective form, a 3D flow in
-    divergence form (module docstring).
+    Every flow evaluates the product in divergence form (module docstring).
 
     A step from t is `evaluate` at the current state, `start`, two calls of
     `stage` under RK3 (at t + dt/2, then at t + dt), and `finish`; the flow
@@ -254,15 +249,15 @@ class _Flow:
         # viscous parts exp(-nu |k|^2 h) of the factors over h = dt/2 and h = dt
         self._visc_half = np.exp(-cfg.nu * band.ksq * (cfg.dt / 2.0))
         self._visc_full = np.exp(-cfg.nu * band.ksq * cfg.dt)
-        # the transform buffers, which each evaluation overwrites: in 2D, the
-        # samples of u and grad u in and of (u . grad) u out; in 3D, the samples
-        # of u in and of the flux T (upper triangle) out, with u + v_s beside them
-        ins, outs = ((3, 2), 2) if grid.dim == 2 else ((3,), 6)
-        self._samples = np.empty(ins + grid.shape)
-        self._products = np.empty((outs,) + grid.shape)
-        self._hat = np.empty((outs,) + band.coeff_shape, dtype=np.complex128)
-        perturbation = grid.dim == 3 and base_forcing is not None
-        self._w = np.empty((2,) + grid.shape) if perturbation else None
+        # the transform buffers, which each evaluation overwrites: the samples
+        # of u in and of the flux T (upper triangle) out, with the first two
+        # components of u + v_s beside them in a perturbation
+        dim = grid.dim
+        self._samples = np.empty((dim,) + grid.shape)
+        self._products = np.empty((dim * (dim + 1) // 2,) + grid.shape)
+        self._hat = np.empty((len(self._products),) + band.coeff_shape, dtype=np.complex128)
+        self._w = None if base_forcing is None else np.empty((2,) + grid.shape)
+        self._gradients = dim == 2  # which m . grad v_s and gradv_l3 read
         # the band part of the forcing profile: the only part that reaches the state
         profile = forcing.profile
         self._profile = None if profile is None else restrict(band, profile.coeffs)
@@ -270,44 +265,30 @@ class _Flow:
     def rhs(self, coeffs, mean, t, base=None):
         """The evaluation at the band coefficients `coeffs`; `base` is the base
         flow's evaluation at the same stage, or None for a single flow."""
-        band, prods = self.band, self._products
-        phys = grads = dcoeffs = None
-        if band.dim == 2:
-            stack = np.empty((3, 2) + band.coeff_shape, dtype=np.complex128)
-            stack[0] = coeffs
-            dcoeffs = derivative_coeffs(band, coeffs, out=stack[1:])
-            samples = to_samples(band, stack, self._samples)
-            phys = w = samples[0]
-            grads = samples[1:]
-            np.multiply(w[0], grads[0], out=prods)
-            prods += w[1] * grads[1]
-            raw = to_coeffs(band, prods, self._hat)
-        else:
-            w = self._flux(to_samples(band, coeffs, self._samples), base)
-            raw = divergence_coeffs(band, to_coeffs(band, prods, self._hat))
-            if base is not None:
-                # m . grad v_s is x3-independent: it lives on the k3 = 0 plane
-                add_lifted(raw[:2], mean[0] * base.dcoeffs[0] + mean[1] * base.dcoeffs[1])
+        band = self.band
+        dcoeffs = derivative_coeffs(band, coeffs) if self._gradients else None
+        w = self._flux(to_samples(band, coeffs, self._samples), base)
+        raw = divergence_coeffs(band, to_coeffs(band, self._products, self._hat))
+        if base is not None:
+            # m . grad v_s is x3-independent: it lives on the k3 = 0 plane
+            add_lifted(raw[:2], mean[0] * base.dcoeffs[0] + mean[1] * base.dcoeffs[1])
         np.negative(raw, out=raw)
-        speedsq = np.square(w[0])
-        for a in range(1, band.dim):
-            speedsq += np.square(w[a])
         fbar = None
         if self._profile is not None:
             fbar = self._profile * self.forcing.bar_amplitude(t)
             raw += fbar
         rhs, gradp_sq = leray_project_coeffs(band, raw)
-        return _Eval(zero_mode0(rhs), gradp_sq, float(np.sqrt(np.max(speedsq))), phys, grads,
-                     dcoeffs, mean, fbar)
+        return _Eval(zero_mode0(rhs), gradp_sq, w, dcoeffs, mean, fbar)
 
     def _flux(self, u, base):
         """Fill the product stack with the samples of the flux
         T_ij = u_i w_j + v_s,i u_j, w = u + v_s, row by row over its upper
-        triangle, from the (3, grid) samples `u`; returns w.  Each product has
-        a factor of u, so a zero perturbation has a zero flux."""
+        triangle, from the (dim, grid) samples `u`; returns w.  Each product
+        has a factor of u, so a zero perturbation has a zero flux."""
         T = self._products
         if base is None:
-            for n, (i, j) in enumerate((i, j) for i in range(3) for j in range(i, 3)):
+            dim = self.band.dim
+            for n, (i, j) in enumerate((i, j) for i in range(dim) for j in range(i, dim)):
                 np.multiply(u[i], u[j], out=T[n])
             return u
         vs = base.phys[..., None]
@@ -383,7 +364,7 @@ _PARSEVAL = ("l2_sq", "h1_sq", "h2_sq", "h3_sq", "grad_sq")  # squared norms by 
 
 class _Recorder:
     """Dense per-step scalar series of a flow under `forcing`; a 2D flow's also
-    include `gradv_l3`."""
+    include `gradv_l3`, from the recorder's own transform of its gradients."""
 
     def __init__(self, grid, forcing):
         self.grid = grid
@@ -395,6 +376,8 @@ class _Recorder:
         # the Parseval weights of the _PARSEVAL series on the band, stacked
         self._weights = np.stack([band.sobolev_multiplier(s) for s in range(4)] + [band.ksq])
         self._prev_coeffs = None
+        # a 2D flow's gradient samples, for gradv_l3
+        self._grads = np.empty((2, 2) + grid.shape) if grid.dim == 2 else None
 
     def record(self, t, coeffs, ev, dt):
         """Append the series at t from the state's band coefficients and its
@@ -408,7 +391,8 @@ class _Recorder:
         d["forcing_inner"].append(0.0 if ev.fbar is None else inner_product(band, ev.fbar, coeffs))
         d["fbar_l2_sq"].append(self.forcing.bar_norm_sq(t))
         d["gradp_sq"].append(ev.gradp_sq)
-        d["speed"].append(ev.speed)
+        # the max speed of the mean-free advecting velocity, which the CFL check reads
+        d["speed"].append(float(np.sqrt(np.max(sum(np.square(w) for w in ev.phys)))))
         d["mean"].append(np.array(ev.mean))
         if self._prev_coeffs is not None:
             diff = (coeffs - self._prev_coeffs) / dt
@@ -418,7 +402,7 @@ class _Recorder:
         # no copy: `_Flow.finish` binds a new array and never writes to this one
         self._prev_coeffs = coeffs
         if band.dim == 2:
-            d["gradv_l3"].append(grad_l3_norm(self.grid, ev.grads))
+            d["gradv_l3"].append(grad_l3_norm(self.grid, to_samples(band, ev.dcoeffs, self._grads)))
 
     def finalize(self):
         """The series as arrays; a SolverAbort at the first non-finite value."""
@@ -466,17 +450,16 @@ def _evolve(flows, cfg, sample_times):
     states = [[] for _ in flows]
     for n in range(n_steps + 1):
         t = n * cfg.dt
-        speed, base = 0.0, None
+        base = None
         for st, rec, out in zip(flows, recs, states):
             base = st.evaluate(t, base)
-            speed = max(speed, base.speed)
             rec.record(t, st.coeffs, base, cfg.dt)
             if n in plan:
                 field = SpectralField(st.grid, extend(st.band, st.coeffs))
                 out.append(FlowState(t, field, st.mean.copy()))
         if n == n_steps:
             break
-        _check_cfl(t, cfg.dt, speed, flows[-1].grid, cfg)
+        _check_cfl(t, cfg.dt, max(rec.data["speed"][-1] for rec in recs), flows[-1].grid, cfg)
         use_rk3 = rk3 or flows[0].prev_rhs is None
         base_mean = None
         for st in flows:

@@ -33,7 +33,8 @@ order, over only the lines that hold a box mode and one component at a time,
 so they never allocate more than one component and give the same bits as
 the half-spectrum transform of the box scattered by `extend` (`restrict`
 gathers it back; each moves 2^(dim - 1) contiguous slice blocks).
-`add_lifted` puts a 2D band array on the k3 = 0 plane of a 3D one.  The
+`add_lifted` puts a 2D array on the k3 = 0 plane of a 3D one of the same
+layout, half spectra (`lift_2d_to_3d`) or bands (the solver).  The
 transforms, derivative coefficients, Parseval norms and L^p norms also take
 stacks with leading batch axes.  The field methods, the solver and the
 constants calibration are built on them.
@@ -404,12 +405,12 @@ def extend(band: PeriodicGrid, coeffs) -> np.ndarray:
     return out
 
 
-def derivative_coeffs(grid: PeriodicGrid, coeffs, out=None) -> np.ndarray:
+def derivative_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
     """(dim, ...) first-derivative coefficients i kd_a c of a raw
     (..., coeff_shape) array, through `ik` as `SpectralField.derivative`
-    takes them.  Written into `out` when given."""
+    takes them."""
     ik = grid.ik.reshape((grid.dim,) + (1,) * (coeffs.ndim - grid.dim) + grid.coeff_shape)
-    return np.multiply(ik, coeffs, out=out)
+    return ik * coeffs
 
 
 def divergence_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
@@ -430,13 +431,15 @@ def divergence_coeffs(grid: PeriodicGrid, coeffs) -> np.ndarray:
 
 
 def add_lifted(out, coeffs2) -> np.ndarray:
-    """Add the x3-independent field of a raw (..., 2D band) array onto its k3 = 0
-    plane in a raw (..., 3D band) array `out` of the same N, in place: the
-    stored modes m2 >= 0, then their conjugate mirror
-    c(m1, -m2) = conj(c(-m1, m2)) at m2 < 0."""
+    """Add the x3-independent field of a raw (..., 2D) coefficient array onto
+    its k3 = 0 plane in a raw (..., 3D) array `out` of the same N and layout
+    (both half spectra or both bands), in place: the stored modes m2 >= 0,
+    then their conjugate mirror c(m1, -m2) = conj(c(-m1, m2)) on the entries
+    of `out`'s m2 axis that remain (m2 < 0; the half spectrum's Nyquist entry
+    is stored)."""
     n = coeffs2.shape[-1]
     out[..., :n, 0] += coeffs2
-    mirror = np.roll(np.flip(coeffs2[..., n - 1 : 0 : -1], axis=-2), 1, axis=-2)
+    mirror = np.roll(np.flip(coeffs2[..., out.shape[-2] - n : 0 : -1], axis=-2), 1, axis=-2)
     out[..., n:, 0] += np.conj(mirror)
     return out
 
@@ -560,13 +563,8 @@ def lift_2d_to_3d(field2d: SpectralField, grid3d: PeriodicGrid) -> SpectralField
         raise ValueError("2D and 3D grids must share L and N")
     if field2d.components != 2:
         raise ValueError("lift expects a 2-component velocity")
-    # the k3 = 0 plane holds every (m1, m2): the stored 2D planes, then their
-    # exact conjugate mirror c(m1, -m2) = conj(c(-m1, m2)) for 0 < m2 < N/2
-    c, n = field2d.coeffs, g2.coeff_shape[-1]
-    mirror = np.roll(np.flip(c[:, :, n - 2 : 0 : -1], axis=1), 1, axis=1)
     out = np.zeros((3,) + grid3d.coeff_shape, dtype=np.complex128)
-    out[0:2, :, :n, 0] = c
-    out[0:2, :, n:, 0] = np.conj(mirror)
+    add_lifted(out[0:2], field2d.coeffs)
     return SpectralField(grid3d, out)
 
 

@@ -61,7 +61,7 @@ def test_forcing_schedules_are_traced():
             assert (owner, name) in traced
 
 
-@pytest.mark.parametrize("name", ["certify-sweep", "stability-n32"])
+@pytest.mark.parametrize("name", ["certify-sweep", "simulate-2d-n128", "stability-n32"])
 def test_bench_readers_find_every_report_key(name, tmp_path):
     # the benchmark reads verdicts, chain values and checks out of the reports
     # by key, and fails an op on a verdict key its reference lacks or holds

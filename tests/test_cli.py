@@ -56,6 +56,13 @@ class TestConfigValidation:
                      id="dt-divides-t_end"),
         pytest.param("stability", {"scenario": {"T": 0.5, "dt": 0.3}},
                      "dt must divide the window length", id="dt-divides-window"),
+        # step counts that overflow an int (json reads the literal Infinity)
+        pytest.param("simulate", {"solver": {"t_end": float("inf")}},
+                     "t_end / dt must be a finite number of steps", id="t_end-infinite"),
+        pytest.param("simulate", {"solver": {"dt": 1e-300, "t_end": 1e300}},
+                     "t_end / dt must be a finite number of steps", id="t_end-over-dt-overflows"),
+        pytest.param("stability", {"scenario": {"T": 1e300, "dt": 1e-300}},
+                     "T / dt must be a finite number of steps", id="T-over-dt-overflows"),
         pytest.param("simulate", {"forcing": {"family": "example1", "mode": [0, 0]}},
                      "nonzero 2D integer mode", id="forcing-mode-zero"),
         pytest.param("simulate", {"forcing": {"family": "example1", "constant": [1, 0, 0]}},
@@ -182,6 +189,13 @@ class TestConfigValidation:
                                                  {"scenario": {**SMALL_SCENARIO,
                                                                "resume": "no-such.snap"}}]},
                      "cannot read snapshot no-such.snap", id="sweep-resume-missing"),
+        pytest.param("stability", {"scenarios": []}, "invalid value for 'scenarios': []",
+                     id="sweep-empty"),
+        # a sweep runs only its entries: a section beside them is not a default
+        pytest.param("stability", {"scenarios": [{"scenario": SMALL_SCENARIO}],
+                                   "scenario": {"nu": 123}, "perturbation": {"gamma": 1e-3}},
+                     "keys ['perturbation', 'scenario'] beside 'scenarios'",
+                     id="sweep-with-top-level-sections"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, json.loads(with_snapshots(tmp_path, json.dumps(doc))))
@@ -723,7 +737,12 @@ class TestStability:
             rec = records[name]
             assert f"  {name}: ok={rec['ok']} bound={rec['bound']}\n" in printed
 
-    @pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "not-json"])
+    @pytest.mark.parametrize("content", [
+        None, "not json",
+        # sections that are not objects, and a verdict record without its bound
+        '{"certificate": "x"}', '{"barrier": [1, 2]}', '{"checks": {"c": {"ok": true}}}',
+    ], ids=["missing", "not-json", "certificate-not-object", "barrier-not-object",
+            "check-without-bound"])
     def test_unreadable_report_exit2(self, tmp_path, capsys, content):
         path = tmp_path / "report.json"
         if content is not None:

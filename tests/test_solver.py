@@ -29,6 +29,7 @@ from nsbox.solver import (
 from nsbox.spectral import (
     PeriodicGrid,
     SpectralField,
+    grad_l3_norm,
     inner_product,
     lift_2d_to_3d,
     random_field,
@@ -423,6 +424,26 @@ class TestRecorder:
         self.assert_series_match(pert, g)
         self.assert_series_match(pert.base, fs)
 
+    @pytest.mark.parametrize("scheme", ["imex-cnab2", "rk3-imex"])
+    def test_gradv_l3_is_the_stored_states(self, scheme):
+        # the recorder's own transform of the base flow's gradients gives the
+        # L3 norm of the stored state's gradient samples bit for bit, alone and
+        # in a pair
+        rng = np.random.default_rng(47)
+        g2 = PeriodicGrid(L=TWO_PI, dim=2, N=12)
+        g3 = PeriodicGrid(L=TWO_PI, dim=3, N=12)
+        base0 = random_state(g2, rng, [0.1, -0.2])
+        fs = DecayingModeForcing(solenoidal_mode_2d(g2, 0.3), rate=1.0)
+        cfg = SolverConfig(nu=0.5, dt=1e-2, t_end=0.1, scheme=scheme)
+        alone = evolve_base_2d(base0, fs, cfg, sample_times=[0.05])
+        pair = evolve_pair(base0, fs, random_state(g3, rng, [0.0, 0.1, 0.2], 0.1),
+                           ZeroForcing(g3, 3), cfg, sample_times=[0.05])
+        for traj in (alone, pair.base):
+            assert len(traj.states) == 3
+            for st in traj.states:
+                grads = np.stack([st.field.derivative(e).physical() for e in ((1, 0), (0, 1))])
+                assert traj.series["gradv_l3"][round(st.t / cfg.dt)] == grad_l3_norm(g2, grads)
+
     def test_fbar_norm_counts_modes_outside_the_band(self):
         # a forcing mode outside the band never reaches the state, but it is
         # part of ||fbar||^2: the series records the full forcing's norm
@@ -493,7 +514,7 @@ class TestHalfSpectrumStepping:
                 1e-13 * np.max(np.abs(oracle.coeffs)))
             assert ev.gradp_sq == pytest.approx(gradient_part_sq(oracle.grid, raw), rel=1e-12)
 
-        # the 2D base flow (convective form) and the full 3D flow
+        # the 2D base flow and the full 3D flow
         base = self.evaluate(vs, zero2)
         close(base, nonlinear_term(vs, vs.field), convective_raw(vs.field, vs.field))
         close(self.evaluate(u, zero3),
@@ -612,9 +633,10 @@ class TestHalfSpectrumStepping:
     @pytest.mark.parametrize("system,scheme,per_step", [
         ("pair", "imex-cnab2", 4), ("pair", "rk3-imex", 12), ("base2d", "rk3-imex", 6)])
     def test_transforms_per_step(self, monkeypatch, system, scheme, per_step):
-        # one inverse and one forward transform per system and stage: in 2D, 6
-        # components in (u and grad u) and 2 out; in 3D, 3 in (u) and 6 out (the
-        # upper triangle of the flux)
+        # one inverse and one forward transform per system and stage, `per_step`
+        # in all: dim components in (u) and dim (dim + 1) / 2 out (the upper
+        # triangle of the flux); and once per step the recorder's transform of
+        # the 2D gradients (4 components in)
         rng = np.random.default_rng(43)
         g2 = PeriodicGrid(L=TWO_PI, dim=2, N=8)
         g3 = PeriodicGrid(L=TWO_PI, dim=3, N=8)
@@ -630,8 +652,10 @@ class TestHalfSpectrumStepping:
                 evolve_base_2d(base0, forcing, cfg)
 
         counts = [self.count_transforms(monkeypatch, lambda: run(steps)) for steps in (5, 10)]
-        kinds = {("to_samples", 2, 6), ("to_coeffs", 2, 2)}
+        stage_kinds = {("to_samples", 2, 2), ("to_coeffs", 2, 3)}
         if system == "pair":
-            kinds |= {("to_samples", 3, 3), ("to_coeffs", 3, 6)}
-        assert set(counts[1]) == kinds
-        assert set((counts[1] - counts[0]).values()) == {5 * per_step // len(kinds)}
+            stage_kinds |= {("to_samples", 3, 3), ("to_coeffs", 3, 6)}
+        want = {kind: 5 * per_step // len(stage_kinds) for kind in stage_kinds}
+        want["to_samples", 2, 4] = 5
+        assert set(counts[1]) == set(want)
+        assert counts[1] - counts[0] == want
